@@ -12,7 +12,11 @@
 #                               # (includes the `store` crash/corruption
 #                               # matrices and the parser adversarial
 #                               # corpus under ASan/UBSan)
-#   scripts/check.sh all        # tier-1, then tsan, then asan
+#   scripts/check.sh werror     # tier-1 build with -Werror + full ctest
+#   scripts/check.sh coverage   # --coverage build + full ctest, then the
+#                               # line and branch totals of src/*.cc
+#                               # from gcov -b
+#   scripts/check.sh all        # tier-1, werror, tsan, then asan
 #   scripts/check.sh bench      # opt-in regression gate: Release build
 #                               # (build-bench/), fresh benchmark capture,
 #                               # compared against the committed BENCH_*.json
@@ -20,8 +24,8 @@
 #                               # Not part of `all` — timing needs a quiet
 #                               # machine.
 #
-# Each mode uses its own build tree (build/, build-tsan/, build-asan/),
-# all ignored by git.
+# Each mode uses its own build tree (build/, build-werror/, build-tsan/,
+# build-asan/, build-coverage/), all ignored by git.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +54,36 @@ asan() {
   ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }
 
+werror() {
+  cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build build-werror -j "$jobs"
+  ctest --test-dir build-werror --output-on-failure -j "$jobs"
+}
+
+coverage() {
+  cmake -B build-coverage -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
+  cmake --build build-coverage -j "$jobs"
+  find build-coverage -name '*.gcda' -delete
+  ctest --test-dir build-coverage --output-on-failure -j "$jobs"
+  # Each src/*.cc compiles into exactly one object, so summing gcov's
+  # per-file summaries of those sources counts every line once.
+  find build-coverage/src -name '*.gcda' -print0 |
+    xargs -0 gcov -b -n 2>/dev/null |
+    awk -v root="$PWD/src/" '
+      /^File / {
+        f = substr($2, 2, length($2) - 2)
+        keep = index(f, root) == 1 && f ~ /\.cc$/
+      }
+      keep && /^Lines executed:/ { n = $NF; l += n; lc += n * pct($2) }
+      keep && /^Taken at least once:/ { n = $NF; b += n; bc += n * pct($4) }
+      function pct(s) { sub(/.*:/, "", s); sub(/%/, "", s); return s / 100 }
+      END {
+        printf "src/ lines:    %.2f%% of %d\n", 100 * lc / l, l
+        printf "src/ branches: %.2f%% of %d (taken at least once)\n", 100 * bc / b, b
+      }'
+}
+
 bench() {
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   compare_args=()
@@ -69,10 +103,12 @@ case "$mode" in
   tier1) tier1 ;;
   tsan) tsan ;;
   asan) asan ;;
-  all) tier1 && tsan && asan ;;
+  werror) werror ;;
+  coverage) coverage ;;
+  all) tier1 && werror && tsan && asan ;;
   bench) bench ;;
   *)
-    echo "usage: $0 [tier1|tsan|asan|all|bench]" >&2
+    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench]" >&2
     exit 2
     ;;
 esac

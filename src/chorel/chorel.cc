@@ -243,8 +243,8 @@ Status ChorelEngine::ApplyDelta(Timestamp t, const ChangeSet& ops) {
   if (encoder_.has_value()) {
     Status s = encoder_->ApplyDelta(doem_, t, ops);
     if (!s.ok()) {
-      encoder_.reset();
-      Count(ins_.cache_invalidations);
+      // Both caches go: the index has not seen this delta either.
+      Invalidate();
       return s;
     }
     patched = true;
@@ -252,8 +252,7 @@ Status ChorelEngine::ApplyDelta(Timestamp t, const ChangeSet& ops) {
   if (index_.has_value()) {
     Status s = index_->Apply(doem_, t, ops);
     if (!s.ok()) {
-      index_.reset();
-      Count(ins_.cache_invalidations);
+      Invalidate();
       return s;
     }
     patched = true;

@@ -83,6 +83,10 @@ class DoemDatabase {
 
   /// The full annotated graph, including removed arcs and deleted nodes.
   const OemDatabase& graph() const { return graph_; }
+  /// Raises graph()'s id allocator to at least `floor`, so ids burned by
+  /// nodes a rebase dropped are not handed out again. Recovery restores
+  /// the position a checkpoint recorded with it.
+  void ReserveIdsBelow(NodeId floor) { graph_.ReserveIdsBelow(floor); }
   NodeId root() const { return graph_.root(); }
 
   /// fN(n): annotations on node n (time-ordered). Empty if none.

@@ -104,8 +104,8 @@ struct PollHealth {
   /// Total simulated backoff spent (RetryPolicy::backoff_base_ticks).
   int64_t backoff_ticks = 0;
   /// The most recent quarantine skips, in time order, bounded to
-  /// QssOptions::max_missed_log entries — older entries are evicted from
-  /// the front and counted in missed_dropped.
+  /// QssOptions::fault_tolerance.max_missed_log entries — older entries
+  /// are evicted from the front and counted in missed_dropped.
   std::vector<MissedPoll> missed;
   /// Quarantine skips evicted from `missed` by the bound. Total skips
   /// ever = missed.size() + missed_dropped.

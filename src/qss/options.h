@@ -27,10 +27,7 @@ enum class HistoryRetention {
 
 /// Configuration shared by the layered QSS API (PollGroupManager +
 /// SubscriberRegistry) and the QuerySubscriptionService facade. The
-/// fifteen-odd knobs are grouped by concern; the old flat field names
-/// remain as deprecated reference aliases for one release so existing
-/// call sites keep compiling (they bind to the nested storage, so either
-/// spelling reads and writes the same value).
+/// fifteen-odd knobs are grouped by concern.
 struct QssOptions {
   /// Evaluation strategy for filter queries.
   chorel::Strategy strategy = chorel::Strategy::kDirect;
@@ -110,7 +107,9 @@ struct QssOptions {
     /// PollError::Kind::kStore and the store stays broken until
     /// reopened. Histories, rows, and notifications are byte-identical
     /// with or without a store, and across a crash + reopen at any byte
-    /// offset.
+    /// offset — with one exception: a group that retires with its last
+    /// subscriber keeps its stored history, and a group created again
+    /// under the key resumes it, where an in-memory group starts over.
     store::StoreManager* store = nullptr;
   };
 
@@ -156,74 +155,6 @@ struct QssOptions {
   /// on_error) keep firing on the thread that called the polling entry
   /// point.
   Executor* executor = nullptr;
-
-  // ---- Deprecated flat aliases (one release) --------------------------
-  // Bound to the nested storage above; reading or writing an alias is
-  // exactly reading or writing the grouped field.
-
-  [[deprecated("use acceleration.incremental_filter")]]
-  bool& incremental_filter = acceleration.incremental_filter;
-  [[deprecated("use acceleration.seed_filter_from_index")]]
-  bool& seed_filter_from_index = acceleration.seed_filter_from_index;
-  [[deprecated("use acceleration.verify_incremental_filter")]]
-  bool& verify_incremental_filter = acceleration.verify_incremental_filter;
-  [[deprecated("use acceleration.vm_filter")]]
-  bool& vm_filter = acceleration.vm_filter;
-  [[deprecated("use acceleration.verify_vm_filter")]]
-  bool& verify_vm_filter = acceleration.verify_vm_filter;
-  [[deprecated("use fault_tolerance.retry")]]
-  RetryPolicy& retry = fault_tolerance.retry;
-  [[deprecated("use fault_tolerance.quarantine_after")]]
-  int& quarantine_after = fault_tolerance.quarantine_after;
-  [[deprecated("use fault_tolerance.quarantine_cooldown_ticks")]]
-  int64_t& quarantine_cooldown_ticks = fault_tolerance.quarantine_cooldown_ticks;
-  [[deprecated("use fault_tolerance.on_error")]]
-  ErrorCallback& on_error = fault_tolerance.on_error;
-  [[deprecated("use fault_tolerance.max_missed_log")]]
-  size_t& max_missed_log = fault_tolerance.max_missed_log;
-  [[deprecated("use durability.store")]]
-  store::StoreManager*& store = durability.store;
-  [[deprecated("use observability.metrics")]]
-  obs::MetricsRegistry*& metrics = observability.metrics;
-  [[deprecated("use observability.trace")]]
-  obs::TraceRecorder*& trace = observability.trace;
-
-  // The reference aliases would otherwise delete copying (and a
-  // defaulted copy would re-bind them to the *source's* subobjects);
-  // these copy the nested storage and let the aliases re-bind to the new
-  // object's own members via their default initializers. Constructing an
-  // alias is not a *use* of the deprecated name, so silence the
-  // self-inflicted warnings the initializers would emit.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  QssOptions() = default;
-  QssOptions(const QssOptions& o)
-      : strategy(o.strategy),
-        retention(o.retention),
-        merge_similar_polls(o.merge_similar_polls),
-        notify_empty(o.notify_empty),
-        acceleration(o.acceleration),
-        fault_tolerance(o.fault_tolerance),
-        durability(o.durability),
-        observability(o.observability),
-        executor(o.executor) {}
-  QssOptions& operator=(const QssOptions& o) {
-    strategy = o.strategy;
-    retention = o.retention;
-    merge_similar_polls = o.merge_similar_polls;
-    notify_empty = o.notify_empty;
-    acceleration = o.acceleration;
-    fault_tolerance = o.fault_tolerance;
-    durability = o.durability;
-    observability = o.observability;
-    executor = o.executor;
-    return *this;
-  }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 };
 
 }  // namespace qss

@@ -68,7 +68,8 @@ PollGroupManager::PollGroupManager(InformationSource* source, Timestamp start,
       "qss.quarantine_trips", "circuit-breaker trips into the Open state");
   ins_.missed_log_dropped = m->GetCounter(
       "qss.missed_log_dropped",
-      "missed-poll log entries evicted by QssOptions::max_missed_log");
+      "missed-poll log entries evicted by "
+      "QssOptions::fault_tolerance.max_missed_log");
   ins_.groups = m->GetGauge("qss.groups", "distinct poll groups maintained");
   ins_.group_count = m->GetGauge(
       "qss.group.count",
@@ -234,6 +235,14 @@ void PollGroupManager::EraseGroup(const std::string& key) {
                    now_, retired, "");
   }
   PublishGroupGauges();
+}
+
+void PollGroupManager::Reanchor(const std::vector<PollGroup*>& wave) {
+  for (PollGroup* group : wave) {
+    if (!group->polls.empty() && group->polls.back() == now_) {
+      group->next_poll = group->frequency.NextPoll(now_);
+    }
+  }
 }
 
 void PollGroupManager::EraseRetired() {
@@ -667,6 +676,7 @@ Status PollGroupManager::PollGroupNow(PollGroup* group, PollReport* report) {
   size_t first_new_error = r->errors.size();
   ++in_tick_;
   RunWave({group}, now_, r);
+  Reanchor({group});
   if (--in_tick_ == 0) EraseRetired();
   r->elapsed_ns += obs::ElapsedNs(call_start);
   return SettleReport(*r, first_new_error, report != nullptr);
@@ -691,6 +701,7 @@ Status PollGroupManager::NotifySourceChanged(PollReport* report) {
   }
   ++in_tick_;
   RunWave(wave, now_, r);
+  Reanchor(wave);
   if (--in_tick_ == 0) EraseRetired();
   r->elapsed_ns += obs::ElapsedNs(call_start);
   return SettleReport(*r, first_new_error, report != nullptr);

@@ -142,11 +142,13 @@ class PollGroupManager {
   Status AdvanceTo(Timestamp t, PollReport* report = nullptr);
 
   /// Explicit-request mode (Section 6): polls one group now, regardless
-  /// of its schedule.
+  /// of its schedule. A committed poll restarts the cadence: the next
+  /// scheduled poll is one interval later.
   Status PollGroupNow(PollGroup* group, PollReport* report = nullptr);
 
   /// Source-trigger mode (Section 6): every group that has not already
-  /// polled at the current tick polls immediately.
+  /// polled at the current tick polls immediately, restarting its
+  /// cadence as PollGroupNow does.
   Status NotifySourceChanged(PollReport* report = nullptr);
 
   Timestamp now() const;
@@ -247,6 +249,12 @@ class PollGroupManager {
   /// polls.
   Result<OemDatabase> CanonicalWrap(const OemDatabase& answer,
                                     const PollGroup& group) const;
+
+  /// After an explicit or trigger-driven wave at now_: the next scheduled
+  /// poll of every group that committed is one interval later
+  /// (t_{k+1} = t_k + interval, FrequencySpec) — the rule a recovered
+  /// group resumes from.
+  void Reanchor(const std::vector<PollGroup*>& wave);
 
   /// Erases groups whose retirement was deferred by an in-flight tick.
   void EraseRetired();

@@ -65,12 +65,14 @@ class QuerySubscriptionService {
   Status AdvanceTo(Timestamp t, PollReport* report = nullptr);
 
   /// Explicit-request mode (Section 6): polls one subscription now,
-  /// regardless of its schedule.
+  /// regardless of its schedule. A committed poll restarts the cadence:
+  /// the next scheduled poll is one interval later.
   Status PollNow(const std::string& name, PollReport* report = nullptr);
 
   /// Source-trigger mode (Section 6): the source signals that it changed,
   /// e.g. from a database trigger it does support. Every poll group that
-  /// has not already polled at the current tick polls immediately.
+  /// has not already polled at the current tick polls immediately, and
+  /// restarts its cadence as PollNow does.
   Status NotifySourceChanged(PollReport* report = nullptr);
 
   Timestamp now() const { return manager_.now(); }

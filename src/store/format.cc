@@ -134,6 +134,9 @@ Result<std::string> EncodeCheckpointPayload(
   for (const Timestamp& t : times) {
     out.append(" ").append(std::to_string(t.ticks));
   }
+  // The allocator position: a two-snapshot rebase drops nodes whose ids
+  // stay burned, and recovery must not hand them out again.
+  out.append("\nids ").append(std::to_string(db.graph().PeekNextId()));
   out.append("\n---\n");
   out.append(WriteOemText(*enc));
   return out;
@@ -167,6 +170,17 @@ Result<CheckpointPayload> DecodeCheckpointPayload(std::string_view payload) {
     pos = static_cast<size_t>(ptr - times_line.data());
   }
   std::string_view rest = payload.substr(nl + 1);
+  NodeId next_id = 0;  // absent in logs written before the ids line
+  if (rest.substr(0, 4) == "ids ") {
+    size_t end = rest.find('\n');
+    if (end == std::string_view::npos) return CkptErr("unterminated ids line");
+    auto [ptr, ec] =
+        std::from_chars(rest.data() + 4, rest.data() + end, next_id);
+    if (ec != std::errc() || ptr != rest.data() + end) {
+      return CkptErr("bad ids line");
+    }
+    rest = rest.substr(end + 1);
+  }
   if (rest.substr(0, 4) != "---\n") return CkptErr("missing --- separator");
   auto db = ParseDoemText(std::string(rest.substr(4)));
   if (!db.ok()) {
@@ -174,6 +188,7 @@ Result<CheckpointPayload> DecodeCheckpointPayload(std::string_view payload) {
                   "checkpoint database: " + db.status().message());
   }
   out.db = std::move(db).value();
+  out.db.ReserveIdsBelow(next_id);
   return out;
 }
 

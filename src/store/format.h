@@ -127,9 +127,11 @@ struct CheckpointPayload {
   std::vector<Timestamp> times;
 };
 
-/// Serializes `db` + `times` ("times <raw ticks>..." line, a "---"
+/// Serializes `db` + `times` ("times <raw ticks>..." line, an
+/// "ids <next id>" line with the graph's id allocator position, a "---"
 /// separator, then the DOEM text encoding). Fails if `db` cannot be
-/// encoded (e.g. reserved '&' labels).
+/// encoded (e.g. reserved '&' labels). Decoding also accepts payloads
+/// without the ids line.
 Result<std::string> EncodeCheckpointPayload(const DoemDatabase& db,
                                             const std::vector<Timestamp>& times);
 Result<CheckpointPayload> DecodeCheckpointPayload(std::string_view payload);

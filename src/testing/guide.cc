@@ -76,5 +76,11 @@ OemHistory GuideHistory() {
   return h;
 }
 
+DoemDatabase GuideDoem() {
+  auto d = DoemDatabase::Build(BuildGuide().db, GuideHistory());
+  Must(d.status());
+  return std::move(d).value();
+}
+
 }  // namespace testing
 }  // namespace doem

@@ -1,6 +1,7 @@
 #ifndef DOEM_TESTING_GUIDE_H_
 #define DOEM_TESTING_GUIDE_H_
 
+#include "doem/doem.h"
 #include "oem/history.h"
 #include "oem/oem.h"
 
@@ -42,6 +43,9 @@ Guide BuildGuide();
 ///   t2 = 5Jan97:  creNode(n5, "need info"), addArc(n2, comment, n5)
 ///   t3 = 8Jan97:  remArc(n6, parking, n7)
 OemHistory GuideHistory();
+
+/// The DOEM database of Example 3.1: BuildGuide().db under GuideHistory().
+DoemDatabase GuideDoem();
 
 /// Timestamps t1, t2, t3 of GuideHistory.
 Timestamp GuideT1();

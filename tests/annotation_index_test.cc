@@ -7,17 +7,10 @@
 namespace doem {
 namespace {
 
-using testing::BuildGuide;
-using testing::GuideHistory;
+using testing::GuideDoem;
 using testing::GuideT1;
 using testing::GuideT2;
 using testing::GuideT3;
-
-DoemDatabase GuideDoem() {
-  auto d = DoemDatabase::Build(BuildGuide().db, GuideHistory());
-  EXPECT_TRUE(d.ok());
-  return std::move(d).value();
-}
 
 TEST(AnnotationIndexTest, GuideRanges) {
   DoemDatabase d = GuideDoem();

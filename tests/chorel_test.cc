@@ -4,6 +4,7 @@
 
 #include "chorel/chorel.h"
 #include "chorel/translate.h"
+#include "oracle.h"
 #include "testing/guide.h"
 
 namespace doem {
@@ -12,18 +13,13 @@ namespace {
 
 using doem::testing::BuildGuide;
 using doem::testing::Guide;
+using doem::testing::GuideDoem;
 using doem::testing::GuideHistory;
 using doem::testing::GuideT1;
 using doem::testing::GuideT2;
 using doem::testing::GuideT3;
 using lorel::QueryResult;
 using lorel::RtVal;
-
-DoemDatabase GuideDoem() {
-  auto d = DoemDatabase::Build(BuildGuide().db, GuideHistory());
-  EXPECT_TRUE(d.ok()) << d.status().ToString();
-  return std::move(d).value();
-}
 
 QueryResult MustRun(const DoemDatabase& d, const std::string& q,
                     Strategy s) {
@@ -33,16 +29,7 @@ QueryResult MustRun(const DoemDatabase& d, const std::string& q,
   return std::move(r).value();
 }
 
-std::vector<std::string> SortedRowKeys(const QueryResult& r) {
-  std::vector<std::string> keys;
-  for (const auto& row : r.rows) {
-    std::string k;
-    for (const RtVal& v : row) k += v.Key() + "|";
-    keys.push_back(std::move(k));
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
+using oracle::SortedRows;
 
 std::vector<NodeId> NodeColumn(const QueryResult& r, size_t col = 0) {
   std::vector<NodeId> out;
@@ -220,8 +207,8 @@ TEST_P(ChorelBothStrategies, MultipleUpdatesYieldMultipleBindings) {
       d, "select T, OV, NV from guide.restaurant.price<upd at T from OV to NV>",
       GetParam());
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(SortedRowKeys(r),
-            SortedRowKeys(MustRun(
+  EXPECT_EQ(SortedRows(r),
+            SortedRows(MustRun(
                 d,
                 "select T, OV, NV from "
                 "guide.restaurant.price<upd at T from OV to NV>",
@@ -385,7 +372,7 @@ TEST(DifferentialTest, StrategiesAgreeOnQuerySuite) {
     ASSERT_TRUE(direct.ok()) << q << "\n" << direct.status().ToString();
     ASSERT_TRUE(translated.ok()) << q << "\n"
                                  << translated.status().ToString();
-    EXPECT_EQ(SortedRowKeys(*direct), SortedRowKeys(*translated)) << q;
+    EXPECT_EQ(SortedRows(*direct), SortedRows(*translated)) << q;
   }
 }
 

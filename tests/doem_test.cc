@@ -9,16 +9,11 @@ namespace {
 
 using testing::BuildGuide;
 using testing::Guide;
+using testing::GuideDoem;
 using testing::GuideHistory;
 using testing::GuideT1;
 using testing::GuideT2;
 using testing::GuideT3;
-
-DoemDatabase GuideDoem() {
-  auto d = DoemDatabase::Build(BuildGuide().db, GuideHistory());
-  EXPECT_TRUE(d.ok()) << d.status().ToString();
-  return std::move(d).value();
-}
 
 // ------------------------------------------------- Figure 4 (Example 3.1)
 

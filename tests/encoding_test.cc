@@ -10,15 +10,10 @@ namespace {
 
 using testing::BuildGuide;
 using testing::Guide;
+using testing::GuideDoem;
 using testing::GuideHistory;
 using testing::GuideT1;
 using testing::GuideT3;
-
-DoemDatabase GuideDoem() {
-  auto d = DoemDatabase::Build(BuildGuide().db, GuideHistory());
-  EXPECT_TRUE(d.ok()) << d.status().ToString();
-  return std::move(d).value();
-}
 
 TEST(EncodingLabelTest, HistoryLabelRoundTrip) {
   EXPECT_EQ(HistoryLabelFor("price"), "&price-history");

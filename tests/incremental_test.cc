@@ -2,15 +2,13 @@
 // the Section 5.1 OEM encoding patched by IncrementalEncoder and the
 // AnnotationIndex kept current with Apply — must be observationally
 // identical to from-scratch rebuilds, and index-seeded evaluation must
-// return exactly the rows of scan evaluation. The QSS twin-run test at
-// the bottom pins the end-to-end property: a service with incremental
+// return exactly the rows of scan evaluation. The oracle instances at
+// the bottom pin the end-to-end property: a service with incremental
 // maintenance produces byte-identical histories, notification rows, and
 // reports to one that rebuilds every poll.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -20,8 +18,7 @@
 #include "encoding/encode.h"
 #include "encoding/encode_incremental.h"
 #include "oem/graph_compare.h"
-#include "qss/executor.h"
-#include "qss/qss.h"
+#include "oracle.h"
 #include "testing/generators.h"
 
 namespace doem {
@@ -185,16 +182,7 @@ TEST(IncrementalEncoderTest, RejectsDoemIdsInTheAuxiliaryBand) {
 
 // ------------------------------------------ Index-seeded evaluation
 
-std::vector<std::string> SortedRowKeys(const lorel::QueryResult& r) {
-  std::vector<std::string> keys;
-  for (const auto& row : r.rows) {
-    std::string k;
-    for (const lorel::RtVal& v : row) k += v.Key() + "|";
-    keys.push_back(std::move(k));
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
+using oracle::SortedRows;
 
 // Every corpus query, both strategies: an engine with index seeding
 // enabled returns exactly the rows of a plain engine (order may differ;
@@ -222,7 +210,7 @@ TEST(IndexSeedingTest, SeededRowsMatchScanRowsOnCorpus) {
             << (a.ok() ? b.status().ToString() : a.status().ToString())
             << ")";
         if (!a.ok()) continue;
-        EXPECT_EQ(SortedRowKeys(*a), SortedRowKeys(*b)) << query;
+        EXPECT_EQ(SortedRows(*a), SortedRows(*b)) << query;
       }
     }
   }
@@ -262,7 +250,7 @@ TEST(IndexSeedingTest, SeededRowsMatchScanWithPollingTimes) {
       auto b = seeded.Run(query, strategy, opts);
       ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
       ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
-      EXPECT_EQ(SortedRowKeys(*a), SortedRowKeys(*b)) << query;
+      EXPECT_EQ(SortedRows(*a), SortedRows(*b)) << query;
       total_rows += a->rows.size();
     }
   }
@@ -292,148 +280,84 @@ TEST(ChorelEngineTest, ApplyDeltaKeepsCachesCurrentAndVerifies) {
       auto fresh = chorel::RunChorel(*d, query, strategy);
       ASSERT_TRUE(cached.ok()) << cached.status().ToString();
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      EXPECT_EQ(SortedRowKeys(*cached), SortedRowKeys(*fresh));
+      EXPECT_EQ(SortedRows(*cached), SortedRows(*fresh));
     }
   }
 }
 
-// ------------------------------------------ QSS twin runs
+// A failed encoder patch drops the annotation index with it: the index
+// has not seen the delta either, so a seeded run would read a stale
+// index and miss the new restaurant.
+TEST(ChorelEngineTest, FailedEncoderPatchDropsTheIndexToo) {
+  auto d = DoemDatabase::FromSnapshot(testing::SyntheticGuide(4));
+  ASSERT_TRUE(d.ok());
+  chorel::ChorelEngineOptions opts;
+  opts.seed_from_index = true;
+  chorel::ChorelEngine engine(*d, opts);
+  const std::string query =
+      "select guide.restaurant<cre at T> where T > t[-1]";
+  const std::vector<Timestamp> polls = {Timestamp(1), Timestamp(10)};
+  lorel::EvalOptions eval;
+  eval.polling_times = &polls;
+  ASSERT_TRUE(engine.Run(query, chorel::Strategy::kTranslated, eval).ok());
+  ASSERT_TRUE(engine.Run(query, chorel::Strategy::kDirect, eval).ok());
 
-// Everything observable about one service run (timing counters, the one
-// intentionally nondeterministic part, left out). Notifications include
-// the full row text, so "byte-identical rows" is pinned, not just
-// counts.
-struct QssRun {
-  std::map<std::string, std::string> history_text;
-  std::vector<std::string> notifications;
-  std::vector<std::string> errors;
-  size_t polls_ok = 0;
-  size_t polls_failed = 0;
-  size_t notification_count = 0;
-};
+  // A new restaurant, and an arc whose '&' label the encoder rejects.
+  const NodeId guide = d->graph().Child(d->root(), "guide");
+  const NodeId restaurant = d->graph().PeekNextId();
+  const ChangeSet ops = {ChangeOp::CreNode(restaurant, Value::Complex()),
+                         ChangeOp::CreNode(restaurant + 1, Value::Int(1)),
+                         ChangeOp::AddArc(guide, "restaurant", restaurant),
+                         ChangeOp::AddArc(restaurant, "&odd", restaurant + 1)};
+  ASSERT_TRUE(d->ApplyChangeSet(Timestamp(10), ops).ok());
+  EXPECT_FALSE(engine.ApplyDelta(Timestamp(10), ops).ok());
 
-void ExpectSameQssRun(const QssRun& a, const QssRun& b) {
-  EXPECT_EQ(a.history_text, b.history_text)
-      << "DOEM histories must be byte-identical";
-  EXPECT_EQ(a.notifications, b.notifications)
-      << "notification rows must be byte-identical";
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.polls_ok, b.polls_ok);
-  EXPECT_EQ(a.polls_failed, b.polls_failed);
-  EXPECT_EQ(a.notification_count, b.notification_count);
+  auto stale = engine.Run(query, chorel::Strategy::kDirect, eval);
+  auto fresh = chorel::ChorelEngine(*d, opts).Run(
+      query, chorel::Strategy::kDirect, eval);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(fresh->rows.empty());
+  EXPECT_EQ(stale->RowsToString(), fresh->RowsToString());
 }
 
-struct QssConfig {
-  bool incremental = true;
-  chorel::Strategy strategy = chorel::Strategy::kDirect;
-  qss::HistoryRetention retention = qss::HistoryRetention::kFull;
-  qss::Executor* executor = nullptr;
-};
+// ------------------------------------------ QSS runs (oracle instances)
 
-QssRun RunQssScenario(const QssConfig& config) {
-  OemDatabase base = testing::SyntheticGuide(16);
-  OemHistory script = testing::SyntheticGuideHistory(base, 12, 4);
-  qss::ScriptedSource source(base, script, /*preserve_ids=*/true);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-
-  qss::QssOptions opts;
-  opts.strategy = config.strategy;
-  opts.retention = config.retention;
-  opts.acceleration.incremental_filter = config.incremental;
-  // Cross-check the maintained caches against rebuilds on every poll;
-  // any divergence shows up as a filter error and fails the run
-  // comparison.
-  opts.acceleration.verify_incremental_filter = config.incremental;
-  opts.executor = config.executor;
-  qss::QuerySubscriptionService service(&source, start, opts);
-
-  QssRun out;
-  auto subscribe = [&](const std::string& name, const std::string& filter) {
-    qss::Subscription sub;
-    sub.name = name;
-    sub.frequency = *qss::FrequencySpec::Parse("every 1 ticks");
-    sub.polling_query = "select guide.restaurant";
-    sub.filter_query = filter;
-    Status st = service.Subscribe(sub, [&out, name](
-                                           const qss::Notification& n) {
-      out.notifications.push_back(
-          name + "@" + std::to_string(n.poll_time.ticks) + "#" +
-          std::to_string(n.poll_index) + "\n" + n.result.RowsToString());
-    });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  };
-  subscribe("Cre", "select Cre.restaurant<cre at T> where T > t[-1]");
-  subscribe("Upd",
-            "select T, OV, NV from Upd.restaurant.price"
-            "<upd at T from OV to NV> where T > t[-1]");
-  subscribe("Rem",
-            "select R, T from Rem.restaurant.<rem at T>parking R "
-            "where T > t[-1]");
-  if (::testing::Test::HasFatalFailure()) return out;
-
-  qss::PollReport report;
-  for (int i = 0; i < 12; ++i) {
-    Timestamp t(service.now().ticks + 1);
-    Status st = service.AdvanceTo(t, &report);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  for (const std::string name : {"Cre", "Upd", "Rem"}) {
-    const DoemDatabase* d = service.History(name);
-    if (d != nullptr) out.history_text[name] = WriteDoemText(*d);
-  }
-  for (const qss::PollError& e : report.errors) {
-    out.errors.push_back(e.subject + "@" + std::to_string(e.time.ticks) +
-                         ":" + e.status.ToString());
-  }
-  out.polls_ok = report.polls_ok;
-  out.polls_failed = report.polls_failed;
-  out.notification_count = report.notifications;
-  return out;
+// Incremental maintenance, verified against a rebuild after every poll,
+// matches per-poll rebuild byte for byte: histories, notification rows,
+// report counters.
+void ExpectIncrementalMatchesRebuild(const oracle::Scenario& s) {
+  const oracle::Output ref = oracle::Execute(s, {});
+  const oracle::Output inc =
+      oracle::ExpectSame(s, {}, ref, {.incremental = true});
+  EXPECT_TRUE(inc.report.errors.empty())
+      << "verify cross-check failed: "
+      << inc.report.errors.front().status.ToString();
+  EXPECT_FALSE(inc.notifications.empty())
+      << "comparison is vacuous: no notifications fired";
 }
 
-// The acceptance property: incremental maintenance (with per-poll verify
-// cross-checks) and per-poll rebuild produce byte-identical histories,
-// notification rows, and report counters — under both strategies, both
-// retention modes, and a parallel executor.
 TEST(QssIncrementalTest, IncrementalRunMatchesRebuildRun) {
   for (chorel::Strategy strategy :
        {chorel::Strategy::kDirect, chorel::Strategy::kTranslated}) {
-    QssConfig incremental;
-    incremental.strategy = strategy;
-    QssConfig rebuild = incremental;
-    rebuild.incremental = false;
-    QssRun a = RunQssScenario(incremental);
-    ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    QssRun b = RunQssScenario(rebuild);
-    EXPECT_TRUE(a.errors.empty()) << "verify cross-check failed: "
-                                  << a.errors.front();
-    EXPECT_FALSE(a.notifications.empty())
-        << "comparison is vacuous: no notifications fired";
-    ExpectSameQssRun(a, b);
+    oracle::Scenario s = oracle::FilterScenario(16, 12);
+    s.strategy = strategy;
+    ExpectIncrementalMatchesRebuild(s);
   }
 }
 
 TEST(QssIncrementalTest, IncrementalRunMatchesRebuildUnderTwoSnapshots) {
-  QssConfig incremental;
-  incremental.retention = qss::HistoryRetention::kTwoSnapshots;
-  QssConfig rebuild = incremental;
-  rebuild.incremental = false;
-  QssRun a = RunQssScenario(incremental);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  QssRun b = RunQssScenario(rebuild);
-  EXPECT_TRUE(a.errors.empty());
-  ExpectSameQssRun(a, b);
+  oracle::Scenario s = oracle::FilterScenario(16, 12);
+  s.retention = qss::HistoryRetention::kTwoSnapshots;
+  ExpectIncrementalMatchesRebuild(s);
 }
 
 TEST(QssIncrementalTest, ParallelIncrementalRunMatchesSerial) {
-  QssConfig serial;
-  QssRun a = RunQssScenario(serial);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  qss::ThreadPoolExecutor pool(4);
-  QssConfig parallel;
-  parallel.executor = &pool;
-  QssRun b = RunQssScenario(parallel);
-  ExpectSameQssRun(a, b);
+  const oracle::Scenario s = oracle::FilterScenario(16, 12);
+  const oracle::Config serial{.incremental = true};
+  oracle::ExpectSame(
+      s, serial, oracle::Execute(s, serial),
+      {.executor = oracle::Config::Executor::kPool, .incremental = true});
 }
 
 }  // namespace

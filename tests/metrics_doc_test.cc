@@ -17,10 +17,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "qss/qss.h"
-#include "qss/server/server.h"
-#include "store/store.h"
-#include "testing/generators.h"
+#include "oracle.h"
 
 namespace doem {
 namespace {
@@ -29,37 +26,15 @@ namespace {
 #error "metrics_doc_test needs -DDOEM_SOURCE_DIR=\"<repo root>\""
 #endif
 
-// Every metric family has a registration site in exactly one layer;
-// touching all the layers once materializes the whole catalog.
-void MaterializeAllMetrics(obs::MetricsRegistry* metrics) {
-  store::StoreOptions store_opts;
-  store_opts.metrics = metrics;
-  store::MemoryStoreManager store_manager(store_opts);
-
-  OemDatabase base = testing::SyntheticGuide(8);
-  qss::ScriptedSource source(base,
-                             testing::SyntheticGuideHistory(base, 4, 2));
-
-  qss::QssOptions opts;
-  opts.observability.metrics = metrics;   // qss.* / chorel.* / vm.* / ...
-  opts.durability.store = &store_manager; // store.*
-
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-  qss::QuerySubscriptionService service(&source, start, opts);
-  qss::server::QssServer server(&service.registry());  // qss.server.*
-
-  qss::Subscription sub;
-  sub.name = "Catalog";
-  sub.frequency.interval_ticks = 1;
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select Catalog.restaurant<cre at T> where T > t[-1]";
-  ASSERT_TRUE(service.Subscribe(sub, [](const qss::Notification&) {}).ok());
-
-  // Poll a few ticks so the per-group Chorel engine (created lazily with
-  // the group) registers its instrument set too.
-  for (int day = 0; day < 3; ++day) {
-    ASSERT_TRUE(service.AdvanceTo(Timestamp(start.ticks + day)).ok());
-  }
+// Every metric family has a registration site in exactly one layer; an
+// oracle run with every layer on — durable store, caches, VM, wire
+// server — materializes the whole catalog.
+oracle::Output MaterializeAllMetrics() {
+  return oracle::Execute(oracle::FilterScenario(8, 3),
+                         {.incremental = true, .vm = true,
+                          .store = oracle::Config::Store::kMemory,
+                          .obs = true,
+                          .front_end = oracle::Config::FrontEnd::kWire});
 }
 
 std::string MarkdownEscape(const std::string& s) {
@@ -104,8 +79,8 @@ std::string RenderDoc(const obs::MetricsRegistry& metrics) {
 }
 
 TEST(MetricsDocTest, CommittedDocMatchesTheRegistry) {
-  obs::MetricsRegistry metrics;
-  MaterializeAllMetrics(&metrics);
+  const oracle::Output run = MaterializeAllMetrics();
+  const obs::MetricsRegistry& metrics = *run.metrics;
 
   // Guard the guard: if a layer stops registering, the doc comparison
   // would "pass" while silently documenting less. Each family must be

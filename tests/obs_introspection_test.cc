@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
+#include "oracle.h"
 #include "qss/fault.h"
 #include "qss/qss.h"
 #include "qss/server/protocol.h"
@@ -511,40 +512,12 @@ TEST(AdminFrameTest, TraceDumpMessagesRoundTrip) {
 
 // One live service + server + piped client: the workload runs, then the
 // client pulls stats, health, and a trace dump over the wire.
-struct IntrospectionHarness {
-  OemDatabase base;
-  qss::ScriptedSource source;
-  obs::MetricsRegistry metrics;
-  obs::TraceRecorder trace;
-  obs::EventLog events;
-  qss::QuerySubscriptionService service;
-  qs::QssServer server;
-  qs::LoopbackPipe pipe;
-  qs::QssServer::ConnectionId conn = 0;
-  qs::QssClient client;
-
-  IntrospectionHarness()
-      : base(testing::SyntheticGuide(12)),
-        source(base, testing::SyntheticGuideHistory(base, 8, 3)),
-        service(&source, Timestamp::FromDate(1997, 1, 1), Options()),
-        server(&service.registry()),
-        client([this](std::string_view bytes) { pipe.ClientSend(bytes); }) {
-    conn = server.Attach(
-        [this](std::string_view bytes) { pipe.ServerSend(bytes); });
-    pipe.set_server_sink([this](std::string_view bytes) {
-      server.OnBytes(conn, bytes);
-    });
-    pipe.set_client_sink(
-        [this](std::string_view bytes) { client.OnBytes(bytes); });
-  }
-
-  qss::QssOptions Options() {
-    qss::QssOptions opts;
-    opts.observability.metrics = &metrics;
-    opts.observability.trace = &trace;
-    opts.observability.events = &events;
-    return opts;
-  }
+struct IntrospectionHarness : oracle::LiveServer {
+  explicit IntrospectionHarness(Sinks sinks = Sinks::kAll)
+      : LiveServer(sinks) {}
+  oracle::WiredClient wire{&server};
+  qs::LoopbackPipe& pipe = wire.pipe;
+  qs::QssClient& client = wire.client;
 
   // Sends one request, pumps, and returns the single reply event.
   qs::QssClient::Event RoundTrip() {
@@ -558,12 +531,8 @@ struct IntrospectionHarness {
 TEST(IntrospectionE2eTest, StatsHealthAndTraceOverTheWire) {
   IntrospectionHarness h;
 
-  qs::SubscribeMsg sub;
-  sub.name = "Names";
-  sub.interval_ticks = 1;
-  sub.polling_query = "select guide.restaurant.name";
-  sub.filter_query = "select Names.name<cre at T> where T > t[-1]";
-  h.client.Subscribe(sub);
+  h.client.Subscribe({"Names", "", 1, "select guide.restaurant.name",
+                      "select Names.name<cre at T> where T > t[-1]"});
   qs::QssClient::Event ok = h.RoundTrip();
   ASSERT_EQ(ok.type, qs::MsgType::kSubscribed);
 
@@ -571,7 +540,7 @@ TEST(IntrospectionE2eTest, StatsHealthAndTraceOverTheWire) {
   size_t notifications = 0;
   bool last_day_notified = false;
   for (int day = 0; day < 8; ++day) {
-    ASSERT_TRUE(h.service.AdvanceTo(Timestamp(start.ticks + day)).ok());
+    ASSERT_TRUE(h.qss.AdvanceTo(Timestamp(start.ticks + day)).ok());
     h.pipe.PumpAll();
     last_day_notified = false;
     for (const auto& e : h.client.TakeEvents()) {
@@ -663,26 +632,11 @@ TEST(IntrospectionE2eTest, StatsHealthAndTraceOverTheWire) {
 }
 
 TEST(IntrospectionE2eTest, AdminRequestsWithoutSinksAreUnavailable) {
-  OemDatabase base = testing::SyntheticGuide(6);
-  qss::ScriptedSource source(base, testing::SyntheticGuideHistory(base, 3, 2));
-  qss::QuerySubscriptionService service(
-      &source, Timestamp::FromDate(1997, 1, 1), qss::QssOptions{});
-  qs::QssServer server(&service.registry());
-  qs::LoopbackPipe pipe;
-  qs::QssClient client(
-      [&pipe](std::string_view bytes) { pipe.ClientSend(bytes); });
-  qs::QssServer::ConnectionId conn = server.Attach(
-      [&pipe](std::string_view bytes) { pipe.ServerSend(bytes); });
-  pipe.set_server_sink([&server, conn](std::string_view bytes) {
-    server.OnBytes(conn, bytes);
-  });
-  pipe.set_client_sink(
-      [&client](std::string_view bytes) { client.OnBytes(bytes); });
-
-  client.RequestStats();
-  client.RequestTraceDump();
-  pipe.PumpAll();
-  std::vector<qs::QssClient::Event> got = client.TakeEvents();
+  IntrospectionHarness h(oracle::LiveServer::Sinks::kNone);
+  h.client.RequestStats();
+  h.client.RequestTraceDump();
+  h.pipe.PumpAll();
+  std::vector<qs::QssClient::Event> got = h.client.TakeEvents();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].type, qs::MsgType::kError);
   EXPECT_EQ(got[0].error.kind, "unavailable");
@@ -691,10 +645,10 @@ TEST(IntrospectionE2eTest, AdminRequestsWithoutSinksAreUnavailable) {
   EXPECT_EQ(got[1].error.kind, "unavailable");
   EXPECT_TRUE(Contains(got[1].error.message, "trace"));
   // The connection survived both refusals; health works without sinks.
-  EXPECT_TRUE(server.Connected(conn));
-  client.RequestHealth();
-  pipe.PumpAll();
-  got = client.TakeEvents();
+  EXPECT_TRUE(h.server.Connected(h.wire.id));
+  h.client.RequestHealth();
+  h.pipe.PumpAll();
+  got = h.client.TakeEvents();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].type, qs::MsgType::kHealthReply);
   EXPECT_TRUE(got[0].health.groups.empty());

@@ -4,7 +4,7 @@
 // Chrome trace-event export's golden structure, evaluator EvalStats, and
 // the end-to-end guarantee that attaching metrics/tracing to QSS
 // perturbs nothing: histories, rows, and notifications are
-// byte-identical with obs on vs. off.
+// byte-identical with obs on vs. off (an oracle instance).
 
 #include <gtest/gtest.h>
 
@@ -16,14 +16,12 @@
 #include <vector>
 
 #include "chorel/chorel.h"
-#include "encoding/doem_text.h"
 #include "obs/clock.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle.h"
 #include "qss/executor.h"
-#include "qss/fault.h"
-#include "qss/qss.h"
 #include "testing/generators.h"
 
 namespace doem {
@@ -416,9 +414,10 @@ TEST(TraceTest, ThreadsGetDistinctTidsAndMergeSorted) {
   for (const obs::TraceEvent& e : events) tids.push_back(e.tid);
   std::sort(tids.begin(), tids.end());
   tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-  // Dense indexes assigned from 0, at most one per pool thread.
+  // Dense indexes assigned from 0, at most one per pool thread plus the
+  // calling thread, which claims indices too (ThreadPoolExecutor).
   EXPECT_GE(tids.front(), 0u);
-  EXPECT_LE(tids.size(), 4u);
+  EXPECT_LE(tids.size(), 5u);
   EXPECT_EQ(tids.back(), tids.size() - 1);
 }
 
@@ -498,16 +497,6 @@ TEST(EvalStatsTest, CountsWorkWithoutPerturbingRows) {
   const std::string query =
       "select guide.restaurant<cre at T> where T > t[-1]";
 
-  auto row_keys = [](const lorel::QueryResult& r) {
-    std::vector<std::string> keys;
-    for (const auto& row : r.rows) {
-      std::string k;
-      for (const lorel::RtVal& v : row) k += v.Key() + "|";
-      keys.push_back(std::move(k));
-    }
-    return keys;
-  };
-
   // Plain engine: the annotation step scans (no index attached).
   chorel::ChorelEngine plain(*d);
   lorel::EvalStats scanned_stats;
@@ -537,13 +526,8 @@ TEST(EvalStatsTest, CountsWorkWithoutPerturbingRows) {
   opts.stats = nullptr;
   auto bare = plain.Run(query, chorel::Strategy::kDirect, opts);
   ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(row_keys(*bare), row_keys(*scanned));
-  auto sorted = [&](const lorel::QueryResult& r) {
-    auto keys = row_keys(r);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  };
-  EXPECT_EQ(sorted(*seeded_result), sorted(*scanned));
+  EXPECT_EQ(bare->RowsToString(), scanned->RowsToString());
+  EXPECT_EQ(oracle::SortedRows(*seeded_result), oracle::SortedRows(*scanned));
 
   // Stats accumulate across runs (documented: added to, never reset).
   lorel::EvalStats accumulated = scanned_stats;
@@ -552,126 +536,54 @@ TEST(EvalStatsTest, CountsWorkWithoutPerturbingRows) {
   EXPECT_EQ(accumulated.nodes_visited, 2 * scanned_stats.nodes_visited);
 }
 
-// ------------------------------------------------ QSS twin-run
+// ------------------------------------------------ QSS under observation
 
-// Everything deterministic a QSS run observably produces.
-struct RunResult {
-  std::map<std::string, std::string> history_text;
-  std::map<std::string, std::vector<Timestamp>> polls;
-  std::vector<std::string> notifications;
-  std::vector<std::string> errors;
-  size_t polls_ok = 0;
-  size_t polls_missed = 0;
-  size_t missed_logged = 0;
-  size_t missed_dropped = 0;
-  int64_t elapsed_ns = 0;
-};
-
-// A faulty two-group workload; with `obs` set, metrics, tracing, and the
-// structured event log are attached. max_missed_log=2 with a long outage
+// A faulty two-group workload: a long outage on the price group gives
+// repeated quarantines and many missed polls, and max_missed_log = 2
 // exercises the bounded missed-poll log.
-RunResult RunWorkload(bool obs, obs::MetricsRegistry* metrics = nullptr,
-                      obs::TraceRecorder* trace = nullptr,
-                      obs::EventLog* events = nullptr) {
-  OemDatabase base = testing::SyntheticGuide(15);
-  OemHistory script = testing::SyntheticGuideHistory(base, 20, 4);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-  qss::ScriptedSource inner(base, script);
-  qss::FaultInjectingSource source(&inner);
-  // A long outage on the price group: repeated quarantines, many missed
-  // polls.
-  source.FailPolls(/*skip=*/2, /*count=*/12, Status::Unavailable("outage"),
-                   /*query_contains=*/".price");
-
-  qss::QssOptions opts;
-  opts.fault_tolerance.retry.max_attempts = 2;
-  opts.fault_tolerance.quarantine_after = 2;
-  opts.fault_tolerance.quarantine_cooldown_ticks = 3;
-  opts.fault_tolerance.max_missed_log = 2;
-  if (obs) {
-    opts.observability.metrics = metrics;
-    opts.observability.trace = trace;
-    opts.observability.events = events;
-  }
-
-  qss::QuerySubscriptionService service(&source, start, opts);
-  RunResult out;
-  auto subscribe = [&](const std::string& name, const std::string& leaf) {
-    qss::Subscription sub;
-    sub.name = name;
-    sub.frequency = *qss::FrequencySpec::Parse("every day");
-    sub.polling_query = "select guide.restaurant." + leaf;
-    sub.filter_query =
-        "select " + name + "." + leaf + "<cre at T> where T > t[-1]";
-    Status st = service.Subscribe(sub, [&out, name](
-                                           const qss::Notification& n) {
-      out.notifications.push_back(name + "@" +
-                                  std::to_string(n.poll_time.ticks) + ":" +
-                                  std::to_string(n.result.rows.size()));
-    });
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  };
-  subscribe("Names", "name");
-  subscribe("Prices", "price");
-
-  qss::PollReport report;
-  for (int day = 0; day < 20; ++day) {
-    Status st = service.AdvanceTo(Timestamp(start.ticks + day), &report);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-
-  for (const std::string name : {"Names", "Prices"}) {
-    const DoemDatabase* d = service.History(name);
-    EXPECT_NE(d, nullptr) << name;
-    if (d != nullptr) out.history_text[name] = WriteDoemText(*d);
-    out.polls[name] = service.PollingTimes(name);
-  }
-  for (const qss::PollError& e : report.errors) {
-    out.errors.push_back(e.subject + "@" + std::to_string(e.time.ticks) +
-                         ":" + e.status.ToString());
-  }
-  qss::PollHealth prices = service.Health("Prices");
-  out.polls_ok = report.polls_ok;
-  out.polls_missed = report.polls_missed;
-  out.missed_logged = prices.missed.size();
-  out.missed_dropped = prices.missed_dropped;
-  out.elapsed_ns = report.elapsed_ns;
-  return out;
+oracle::Scenario OutageScenario() {
+  oracle::Scenario s;
+  s.restaurants = 15;
+  s.steps = 20;
+  s.ops_per_step = 4;
+  s.Sub("Names", "name", 1);
+  s.Sub("Prices", "price", 1);
+  s.Advance({0});
+  s.Advance(std::vector<int64_t>(19, 1));
+  s.faults = {{.skip = 2, .count = 12, .error = Status::Unavailable("outage"),
+               .query_contains = ".price"}};
+  s.tolerance.retry.max_attempts = 2;
+  s.tolerance.quarantine_after = 2;
+  s.tolerance.quarantine_cooldown_ticks = 3;
+  s.tolerance.max_missed_log = 2;
+  return s;
 }
 
+// Attaching metrics, tracing and the event log perturbs nothing (an
+// oracle instance, tests/oracle.h), and the metrics agree with the run.
 TEST(QssObsTest, ObservabilityDoesNotPerturbTheRun) {
-  RunResult bare = RunWorkload(/*obs=*/false);
-  obs::MetricsRegistry metrics;
-  obs::TraceRecorder trace;
-  obs::EventLog events;
-  RunResult observed = RunWorkload(/*obs=*/true, &metrics, &trace, &events);
-
-  // Byte-identical histories, polls, notifications, and errors.
-  EXPECT_EQ(bare.history_text, observed.history_text);
-  EXPECT_EQ(bare.polls, observed.polls);
-  EXPECT_EQ(bare.notifications, observed.notifications);
-  EXPECT_EQ(bare.errors, observed.errors);
-  EXPECT_EQ(bare.polls_ok, observed.polls_ok);
-  EXPECT_EQ(bare.polls_missed, observed.polls_missed);
-  EXPECT_EQ(bare.missed_logged, observed.missed_logged);
-  EXPECT_EQ(bare.missed_dropped, observed.missed_dropped);
-
-  // The metrics agree with the run.
-  EXPECT_EQ(metrics.CounterValue("qss.polls_ok"), observed.polls_ok);
-  EXPECT_EQ(metrics.CounterValue("qss.polls_missed"), observed.polls_missed);
+  const oracle::Scenario s = OutageScenario();
+  const oracle::Output observed =
+      oracle::ExpectSame(s, {}, oracle::Execute(s, {}), {.obs = true});
+  const obs::MetricsRegistry& metrics = *observed.metrics;
+  const qss::PollHealth& prices =
+      observed.groups.at(observed.group_of.at("Prices")).health;
+  EXPECT_EQ(metrics.CounterValue("qss.polls_ok"), observed.report.polls_ok);
+  EXPECT_EQ(metrics.CounterValue("qss.polls_missed"),
+            observed.report.polls_missed);
   EXPECT_EQ(metrics.CounterValue("qss.missed_log_dropped"),
-            observed.missed_dropped);
+            prices.missed_dropped);
   EXPECT_EQ(metrics.CounterValue("qss.notifications"),
             observed.notifications.size());
   EXPECT_GT(metrics.CounterValue("qss.quarantine_trips"), 0u);
   EXPECT_EQ(metrics.GaugeValue("qss.groups"), 2);
 #ifndef DOEM_TRACING_DISABLED
-  EXPECT_GT(trace.Events().size(), 0u);
+  EXPECT_GT(observed.trace->Events().size(), 0u);
 #endif
 #ifndef DOEM_EVENTLOG_DISABLED
   // The outage journaled: failures, quarantine transitions, churn.
-  EXPECT_GT(events.recorded(), 0u);
-  std::string log = events.ExportJsonLines();
+  EXPECT_GT(observed.events->recorded(), 0u);
+  std::string log = observed.events->ExportJsonLines();
   EXPECT_NE(log.find("\"quarantine-opened\""), std::string::npos);
   EXPECT_NE(log.find("\"poll-failed\""), std::string::npos);
   EXPECT_NE(log.find("\"group-created\""), std::string::npos);
@@ -679,14 +591,16 @@ TEST(QssObsTest, ObservabilityDoesNotPerturbTheRun) {
 }
 
 TEST(QssObsTest, MissedLogIsBoundedAndElapsedMeasured) {
-  RunResult r = RunWorkload(/*obs=*/false);
+  const oracle::Output r = oracle::Execute(OutageScenario(), {});
+  const qss::PollHealth& prices = r.groups.at(r.group_of.at("Prices")).health;
   // The outage produces more skips than the bound keeps.
-  EXPECT_LE(r.missed_logged, 2u);
-  EXPECT_GT(r.missed_dropped, 0u);
-  EXPECT_GT(r.polls_missed, r.missed_logged);
-  EXPECT_EQ(r.polls_missed, r.missed_logged + r.missed_dropped);
+  EXPECT_LE(prices.missed.size(), 2u);
+  EXPECT_GT(prices.missed_dropped, 0u);
+  EXPECT_GT(r.report.polls_missed, prices.missed.size());
+  EXPECT_EQ(r.report.polls_missed,
+            prices.missed.size() + prices.missed_dropped);
   // Whole-call wall time was measured (real clock: strictly positive).
-  EXPECT_GT(r.elapsed_ns, 0);
+  EXPECT_GT(r.report.elapsed_ns, 0);
 }
 
 }  // namespace

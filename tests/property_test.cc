@@ -7,6 +7,7 @@
 #include "oem/graph_compare.h"
 #include "oem/oem_text.h"
 #include "oem/subgraph.h"
+#include "oracle.h"
 #include "testing/generators.h"
 
 namespace doem {
@@ -166,17 +167,8 @@ TEST_P(PropertyTest, DirectAndTranslatedChorelAgree) {
     ASSERT_TRUE(direct.ok()) << q << "\n" << direct.status().ToString();
     ASSERT_TRUE(translated.ok()) << q << "\n"
                                  << translated.status().ToString();
-    auto keys = [](const lorel::QueryResult& r) {
-      std::vector<std::string> out;
-      for (const auto& row : r.rows) {
-        std::string k;
-        for (const lorel::RtVal& v : row) k += v.Key() + "|";
-        out.push_back(std::move(k));
-      }
-      std::sort(out.begin(), out.end());
-      return out;
-    };
-    EXPECT_EQ(keys(*direct), keys(*translated)) << q;
+    EXPECT_EQ(oracle::SortedRows(*direct), oracle::SortedRows(*translated))
+        << q;
   }
 }
 

@@ -1,8 +1,8 @@
-// The parallel poll engine's contract (DESIGN.md §6b): whatever executor
-// runs the fetch→diff stage, QSS commits results in group-key order, so
-// serial and parallel runs must produce byte-identical DOEM histories,
-// polling times, health (including MissedPoll logs under injected
-// faults), reports, and notification order.
+// The parallel poll engine (DESIGN.md §6b): the executors themselves,
+// and the oracle instances proving that whatever executor runs the
+// fetch→diff stage, histories, polling times, health (including
+// MissedPoll logs under injected faults), reports, and notification
+// order are byte-identical to an inline run.
 
 #include <gtest/gtest.h>
 
@@ -10,18 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include "encoding/doem_text.h"
-#include "oem/graph_compare.h"
+#include "oracle.h"
 #include "qss/executor.h"
-#include "qss/fault.h"
 #include "qss/qss.h"
-#include "testing/generators.h"
 
 namespace doem {
 namespace qss {
@@ -89,65 +85,11 @@ TEST(ExecutorTest, ThreadPoolTasksGenuinelyOverlap) {
 }
 
 // ------------------------------------- Serial-vs-parallel determinism
+//
+// Runs of one scenario on the inline, serial and pooled executors must
+// agree byte for byte: oracle instances (tests/oracle.h).
 
-// Everything observable about one service run, with the wall-clock
-// timing counters (the one intentionally nondeterministic part of
-// PollReport) left out.
-struct RunResult {
-  std::map<std::string, std::string> history_text;
-  std::map<std::string, std::vector<Timestamp>> polls;
-  std::map<std::string, PollHealth> health;
-  PollReport report;
-  std::vector<std::string> notifications;
-  std::vector<std::string> errors;
-};
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.history_text, b.history_text)
-      << "DOEM histories must be byte-identical";
-  EXPECT_EQ(a.polls, b.polls);
-  EXPECT_EQ(a.notifications, b.notifications);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.report.polls_attempted, b.report.polls_attempted);
-  EXPECT_EQ(a.report.polls_ok, b.report.polls_ok);
-  EXPECT_EQ(a.report.polls_failed, b.report.polls_failed);
-  EXPECT_EQ(a.report.polls_missed, b.report.polls_missed);
-  EXPECT_EQ(a.report.retries, b.report.retries);
-  EXPECT_EQ(a.report.notifications, b.report.notifications);
-  ASSERT_EQ(a.health.size(), b.health.size());
-  for (const auto& [name, ha] : a.health) {
-    ASSERT_TRUE(b.health.contains(name)) << name;
-    const PollHealth& hb = b.health.at(name);
-    EXPECT_EQ(ha.state, hb.state) << name;
-    EXPECT_EQ(ha.consecutive_failures, hb.consecutive_failures) << name;
-    EXPECT_EQ(ha.last_error.ToString(), hb.last_error.ToString()) << name;
-    EXPECT_EQ(ha.polls_attempted, hb.polls_attempted) << name;
-    EXPECT_EQ(ha.polls_succeeded, hb.polls_succeeded) << name;
-    EXPECT_EQ(ha.polls_failed, hb.polls_failed) << name;
-    EXPECT_EQ(ha.retries, hb.retries) << name;
-    EXPECT_EQ(ha.backoff_ticks, hb.backoff_ticks) << name;
-    ASSERT_EQ(ha.missed.size(), hb.missed.size())
-        << name << ": MissedPoll logs must be identical";
-    for (size_t i = 0; i < ha.missed.size(); ++i) {
-      EXPECT_EQ(ha.missed[i].time, hb.missed[i].time) << name << " #" << i;
-      EXPECT_EQ(ha.missed[i].reason, hb.missed[i].reason) << name << " #" << i;
-    }
-  }
-  // The histories also compare equal as graphs (not just as text).
-  for (const auto& [name, text] : a.history_text) {
-    auto da = ParseDoemText(text);
-    auto db = ParseDoemText(b.history_text.at(name));
-    ASSERT_TRUE(da.ok()) << da.status().ToString();
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_TRUE(da->Equals(*db)) << name;
-    EXPECT_TRUE(Isomorphic(da->graph(), db->graph())) << name;
-  }
-}
-
-struct Scenario {
-  bool preserve_ids = true;
-  bool with_faults = true;
-};
+using Exec = oracle::Config::Executor;
 
 // Four poll groups with distinct polling queries (so fault specs can be
 // pinned to one group each — see FaultInjectingSource) and co-prime
@@ -155,150 +97,73 @@ struct Scenario {
 // members. Faults: a quarantine-length outage on the price group, two
 // truncated snapshots on the name group, and deadline-busting slow polls
 // on the address group.
-RunResult RunScenario(Executor* executor, const Scenario& scenario) {
-  OemDatabase base = testing::SyntheticGuide(20);
-  OemHistory script = testing::SyntheticGuideHistory(base, 14, 4);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-
-  ScriptedSource inner(base, script, scenario.preserve_ids);
-  FaultInjectingSource source(&inner);
-  if (scenario.with_faults) {
+oracle::Scenario FaultScenario(bool preserve_ids, bool with_faults) {
+  oracle::Scenario s;
+  s.restaurants = 20;
+  s.steps = 14;
+  s.ops_per_step = 4;
+  s.preserve_ids = preserve_ids;
+  s.Sub("Names", "name", 1);
+  s.Sub("NamesToo", "name", 1);  // second member of the Names group
+  s.Sub("Prices", "price", 2);
+  s.Sub("Addresses", "address", 3);
+  s.Sub("Everything", "", 1);
+  s.Advance({1, 3, 1, 4, 2, 2});
+  if (with_faults) {
     // Five consecutive failing calls = two failed polls (two attempts
     // each) plus a failed half-open probe: with a 3-tick cool-down the
     // price group (2-tick interval) gets quarantined twice and records
     // scheduled polls as missed.
-    source.FailPolls(/*skip=*/2, /*count=*/5, Status::Unavailable("outage"),
-                     /*query_contains=*/".price");
-    source.GarbagePolls(/*skip=*/1, /*count=*/2, /*query_contains=*/".name");
-    source.SlowPolls(/*skip=*/3, /*count=*/2, /*duration_ticks=*/9,
-                     /*query_contains=*/".address");
+    s.faults = {
+        {.skip = 2, .count = 5, .error = Status::Unavailable("outage"),
+         .query_contains = ".price"},
+        {.kind = FaultKind::kGarbage, .skip = 1, .count = 2,
+         .query_contains = ".name"},
+        {.kind = FaultKind::kSlowPoll, .skip = 3, .count = 2,
+         .duration_ticks = 9, .query_contains = ".address"},
+    };
   }
-
-  QssOptions opts;
-  opts.executor = executor;
-  opts.fault_tolerance.retry.max_attempts = 2;
-  opts.fault_tolerance.retry.backoff_base_ticks = 1;
-  opts.fault_tolerance.retry.poll_deadline_ticks = 5;
-  opts.fault_tolerance.quarantine_after = 2;
-  opts.fault_tolerance.quarantine_cooldown_ticks = 3;
-  QuerySubscriptionService qss(&source, start, opts);
-
-  RunResult out;
-  auto subscribe = [&](const std::string& name, const std::string& leaf,
-                       int64_t interval) {
-    Subscription sub;
-    sub.name = name;
-    sub.frequency =
-        *FrequencySpec::Parse("every " + std::to_string(interval) + " ticks");
-    sub.polling_query = leaf.empty() ? "select guide.restaurant"
-                                     : "select guide.restaurant." + leaf;
-    std::string label = leaf.empty() ? "restaurant" : leaf;
-    sub.filter_query =
-        "select " + name + "." + label + "<cre at T> where T > t[-1]";
-    Status st = qss.Subscribe(sub, [&out, name](const Notification& n) {
-      out.notifications.push_back(name + "@" +
-                                  std::to_string(n.poll_time.ticks) + "#" +
-                                  std::to_string(n.poll_index) + ":" +
-                                  std::to_string(n.result.rows.size()));
-    });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  };
-  subscribe("Names", "name", 1);
-  subscribe("NamesToo", "name", 1);  // second member of the Names group
-  subscribe("Prices", "price", 2);
-  subscribe("Addresses", "address", 3);
-  subscribe("Everything", "", 1);
-  EXPECT_EQ(qss.GroupCount(), 4u);
-  if (::testing::Test::HasFatalFailure()) return out;
-
-  PollReport report;
-  for (int64_t jump : {1, 3, 1, 4, 2, 2}) {
-    Timestamp t(qss.now().ticks + jump);
-    Status st = qss.AdvanceTo(t, &report);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(qss.now(), t);
-  }
-
-  for (const std::string& name :
-       {"Names", "NamesToo", "Prices", "Addresses", "Everything"}) {
-    const DoemDatabase* d = qss.History(name);
-    if (d == nullptr) {
-      ADD_FAILURE() << "no history for " << name;
-      continue;
-    }
-    out.history_text[name] = WriteDoemText(*d);
-    out.polls[name] = qss.PollingTimes(name);
-    out.health[name] = qss.Health(name);
-  }
-  out.report = report;
-  for (const PollError& e : report.errors) {
-    out.errors.push_back(std::string(PollErrorKindToString(e.kind)) + ":" +
-                         e.subject + "@" + std::to_string(e.time.ticks) + ":" +
-                         e.status.ToString());
-  }
-  return out;
+  s.tolerance.retry = {.max_attempts = 2, .backoff_base_ticks = 1,
+                       .poll_deadline_ticks = 5};
+  s.tolerance.quarantine_after = 2;
+  s.tolerance.quarantine_cooldown_ticks = 3;
+  return s;
 }
 
 TEST(QssConcurrencyTest, ParallelRunIsByteIdenticalToSerialUnderFaults) {
-  Scenario scenario;  // keyed diffs, fault injection on
-  RunResult inline_run = RunScenario(nullptr, scenario);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-
-  SerialExecutor serial;
-  RunResult serial_run = RunScenario(&serial, scenario);
-  ExpectSameRun(inline_run, serial_run);
-
-  ThreadPoolExecutor pool(8);
-  RunResult pool_run = RunScenario(&pool, scenario);
-  ExpectSameRun(inline_run, pool_run);
-
-  // Same pool again: executor reuse does not perturb anything either.
-  RunResult pool_again = RunScenario(&pool, scenario);
-  ExpectSameRun(inline_run, pool_again);
-
+  const oracle::Scenario s = FaultScenario(true, true);
+  const oracle::Output ref = oracle::Execute(s, {});
+  for (Exec e : {Exec::kSerial, Exec::kPool}) {
+    oracle::ExpectSame(s, {}, ref, {.executor = e});
+  }
   // The scenario actually exercised the fault machinery.
-  EXPECT_GT(inline_run.report.polls_failed, 0u);
-  EXPECT_GT(inline_run.report.polls_missed, 0u);
-  EXPECT_GT(inline_run.report.retries, 0u);
-  EXPECT_FALSE(inline_run.errors.empty());
+  EXPECT_GT(ref.report.polls_failed, 0u);
+  EXPECT_GT(ref.report.polls_missed, 0u);
+  EXPECT_GT(ref.report.retries, 0u);
+  EXPECT_FALSE(ref.report.errors.empty());
+  EXPECT_EQ(ref.group_count, 4u);
 }
 
 TEST(QssConcurrencyTest, StructuralSourceStaysDeterministicInParallel) {
   // preserve_ids = false: every poll re-packages with shifted ids, which
   // are per polling query precisely so thread interleavings cannot leak
   // into the histories (see ScriptedSource).
-  Scenario scenario;
-  scenario.preserve_ids = false;
-  scenario.with_faults = false;
-  RunResult serial_run = RunScenario(nullptr, scenario);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  ThreadPoolExecutor pool(8);
-  RunResult pool_run = RunScenario(&pool, scenario);
-  ExpectSameRun(serial_run, pool_run);
-  EXPECT_EQ(serial_run.report.polls_failed, 0u);
-  EXPECT_GT(serial_run.report.polls_ok, 0u);
+  const oracle::Scenario s = FaultScenario(false, false);
+  const oracle::Output ref = oracle::Execute(s, {});
+  oracle::ExpectSame(s, {}, ref, {.executor = Exec::kPool});
+  EXPECT_EQ(ref.report.polls_failed, 0u);
+  EXPECT_GT(ref.report.polls_ok, 0u);
 }
 
 TEST(QssConcurrencyTest, TimingCountersAreObservable) {
-  OemDatabase base = testing::SyntheticGuide(20);
-  OemHistory script = testing::SyntheticGuideHistory(base, 6, 4);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-  ScriptedSource source(base, script);
-  ThreadPoolExecutor pool(4);
-  QssOptions opts;
-  opts.executor = &pool;
-  QuerySubscriptionService qss(&source, start, opts);
-  for (const std::string& leaf : {"name", "price"}) {
-    Subscription sub;
-    sub.name = leaf;
-    sub.frequency = *FrequencySpec::Parse("every day");
-    sub.polling_query = "select guide.restaurant." + leaf;
-    sub.filter_query =
-        "select " + leaf + "." + leaf + "<cre at T> where T > t[-1]";
-    ASSERT_TRUE(qss.Subscribe(sub, nullptr).ok());
-  }
-  PollReport report;
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 5), &report).ok());
+  oracle::Scenario s;
+  s.restaurants = 20;
+  s.steps = 6;
+  s.ops_per_step = 4;
+  for (const char* leaf : {"name", "price"}) s.Sub(leaf, leaf, 1);
+  s.Advance({5});
+  const PollReport report =
+      oracle::Execute(s, {.executor = Exec::kPool}).report;
   EXPECT_EQ(report.polls_ok, 12u);
   EXPECT_GT(report.fetch_ns, 0) << "fetch phase must be accounted";
   EXPECT_GT(report.diff_ns, 0) << "diff phase must be accounted";
@@ -306,47 +171,16 @@ TEST(QssConcurrencyTest, TimingCountersAreObservable) {
 }
 
 TEST(QssConcurrencyTest, PollNowAndSourceTriggerMatchSerialUnderPool) {
-  auto run = [&](Executor* executor) {
-    OemDatabase base = testing::SyntheticGuide(10);
-    OemHistory script = testing::SyntheticGuideHistory(base, 8, 3);
-    Timestamp start = Timestamp::FromDate(1997, 1, 1);
-    ScriptedSource source(base, script);
-    QssOptions opts;
-    opts.executor = executor;
-    QuerySubscriptionService qss(&source, start, opts);
-    std::vector<std::string> log;
-    for (const std::string& leaf : {"name", "price", "address"}) {
-      Subscription sub;
-      sub.name = leaf;
-      sub.frequency = *FrequencySpec::Parse("every 2 ticks");
-      sub.polling_query = "select guide.restaurant." + leaf;
-      sub.filter_query =
-          "select " + leaf + "." + leaf + "<cre at T> where T > t[-1]";
-      EXPECT_TRUE(qss.Subscribe(sub, [&log, leaf](const Notification& n) {
-                        log.push_back(leaf + "@" +
-                                      std::to_string(n.poll_time.ticks));
-                      }).ok());
-    }
-    PollReport report;
-    EXPECT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 2), &report).ok());
-    // Tick 3: nothing scheduled; the source announces a change instead.
-    EXPECT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 3), &report).ok());
-    EXPECT_TRUE(qss.NotifySourceChanged(&report).ok());
-    EXPECT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 5), &report).ok());
-    EXPECT_TRUE(qss.PollNow("price", &report).ok());
-    std::map<std::string, std::string> texts;
-    for (const std::string& leaf : {"name", "price", "address"}) {
-      texts[leaf] = WriteDoemText(*qss.History(leaf));
-      log.push_back(leaf + ":polls=" +
-                    std::to_string(qss.PollingTimes(leaf).size()));
-    }
-    return std::pair(texts, log);
-  };
-  auto serial = run(nullptr);
-  ThreadPoolExecutor pool(8);
-  auto parallel = run(&pool);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
+  oracle::Scenario s;
+  s.restaurants = 10;
+  s.steps = 8;
+  for (const char* leaf : {"name", "price", "address"}) s.Sub(leaf, leaf, 2);
+  s.Advance({2, 1});
+  // Tick 3: nothing scheduled; the source announces a change instead.
+  s.ops.push_back({.kind = oracle::Op::Kind::kSourceChanged});
+  s.Advance({2});
+  s.ops.push_back({.kind = oracle::Op::Kind::kPollNow, .sub = 1});  // price
+  oracle::ExpectSame(s, {}, oracle::Execute(s, {}), {.executor = Exec::kPool});
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "encoding/doem_text.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "qss/executor.h"
 #include "qss/qss.h"
 #include "testing/generators.h"
@@ -32,78 +32,27 @@ std::string NotificationText(const Notification& n) {
 
 Subscription GuideSub(const std::string& name, const std::string& entry,
                       int64_t interval, const std::string& leaf = "name") {
-  Subscription sub;
-  sub.name = name;
-  sub.entry = entry;
-  sub.frequency =
-      *FrequencySpec::Parse("every " + std::to_string(interval) + " ticks");
-  sub.polling_query = "select guide.restaurant." + leaf;
-  const std::string& label = entry.empty() ? name : entry;
-  sub.filter_query =
-      "select " + label + "." + leaf + "<cre at T> where T > t[-1]";
-  return sub;
+  return oracle::ToSubscription({name, entry, leaf, interval});
 }
 
 // ------------------------------------------------- Layered vs. facade
 
+using Exec = oracle::Config::Executor;
+using Front = oracle::Config::FrontEnd;
+
 // One scenario, two drivers: the facade, and the layers it is made of.
 // Everything observable must match byte for byte.
 TEST(QssFanoutTest, LayeredApiMatchesFacadeByteForByte) {
-  OemDatabase base = testing::SyntheticGuide(16);
-  OemHistory script = testing::SyntheticGuideHistory(base, 10, 3);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-
-  // Facade run.
-  std::vector<std::string> facade_notes;
-  std::string facade_history;
-  std::vector<Timestamp> facade_polls;
-  {
-    ScriptedSource source(base, script);
-    QuerySubscriptionService qss(&source, start);
-    for (int i = 0; i < 3; ++i) {
-      std::string name = "Sub" + std::to_string(i);
-      ASSERT_TRUE(qss.Subscribe(GuideSub(name, "", 2),
-                                [&facade_notes](const Notification& n) {
-                                  facade_notes.push_back(NotificationText(n));
-                                })
-                      .ok());
-    }
-    ASSERT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 9)).ok());
-    const DoemDatabase* d = qss.History("Sub0");
-    ASSERT_NE(d, nullptr);
-    auto text = WriteDoemText(*d);
-    facade_history = text;
-    facade_polls = qss.PollingTimes("Sub0");
-  }
-
-  // Layered run: same subscriptions, driven through the manager and the
-  // registry directly, keyed by handles instead of names.
-  std::vector<std::string> layered_notes;
-  {
-    ScriptedSource source(base, script);
-    PollGroupManager manager(&source, start);
-    SubscriberRegistry registry(&manager);
-    std::vector<SubscriptionHandle> handles;
-    for (int i = 0; i < 3; ++i) {
-      std::string name = "Sub" + std::to_string(i);
-      auto h = registry.Subscribe(GuideSub(name, "", 2),
-                                  [&layered_notes](const Notification& n) {
-                                    layered_notes.push_back(
-                                        NotificationText(n));
-                                  });
-      ASSERT_TRUE(h.ok()) << h.status().ToString();
-      EXPECT_TRUE(static_cast<bool>(*h));
-      handles.push_back(*h);
-    }
-    EXPECT_EQ(registry.SubscriberCount(), 3u);
-    ASSERT_TRUE(manager.AdvanceTo(Timestamp(start.ticks + 9)).ok());
-    PollGroup* group = registry.GroupOf(handles[0]);
-    ASSERT_NE(group, nullptr);
-    EXPECT_EQ(WriteDoemText(group->doem), facade_history);
-    EXPECT_EQ(manager.GroupPollingTimes(group), facade_polls);
-  }
-  EXPECT_FALSE(facade_notes.empty());
-  EXPECT_EQ(facade_notes, layered_notes);
+  oracle::Scenario s;
+  s.restaurants = 16;
+  s.steps = 10;
+  for (int i = 0; i < 3; ++i) s.Sub("Sub" + std::to_string(i), "name", 2);
+  s.Advance({9});
+  const oracle::Output ref = oracle::Execute(s, {});
+  const oracle::Output layered =
+      oracle::ExpectSame(s, {}, ref, {.front_end = Front::kLayered});
+  EXPECT_FALSE(ref.notifications.empty());
+  EXPECT_EQ(layered.group_of.size(), 3u);
 }
 
 // The facade's Handle() bridges a name into the layered API; the
@@ -193,92 +142,36 @@ TEST(QssFanoutTest, SharedEntryCohortSharesCompiledFilterAndEvaluations) {
             static_cast<uint64_t>(first_count * kCohort));
 }
 
-// ------------------------------- 1k subscribers × 4 groups twin runs
-
-struct FanoutRun {
-  std::vector<std::string> notifications;
-  std::map<std::string, std::string> histories;  // group key → DOEM text
-  uint64_t group_count = 0;
-};
+// ------------------------------------- 1k subscribers × 4 groups
 
 // 1000 subscribers over 4 poll groups (distinct polling-query leaves ×
 // co-prime frequencies), each group a cohort sharing one entry, driven
-// either through the facade or the layered API, serial or pooled.
-FanoutRun RunFanoutScenario(bool layered, Executor* executor) {
-  constexpr int kSubscribers = 1000;
+// through the facade or the layered API, serial or pooled.
+TEST(QssFanoutTest, ThousandSubscribersFourGroupsTwinRuns) {
   const struct {
     const char* leaf;
     int64_t interval;
   } kGroups[] = {{"name", 1}, {"price", 2}, {"address", 3}, {"rating", 5}};
-
-  OemDatabase base = testing::SyntheticGuide(20);
-  OemHistory script = testing::SyntheticGuideHistory(base, 12, 4);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-  ScriptedSource source(base, script);
-
-  QssOptions opts;
-  opts.executor = executor;
-
-  FanoutRun out;
-  auto record = [&out](const Notification& n) {
-    out.notifications.push_back(NotificationText(n));
-  };
-  auto make_sub = [&](int i) {
+  oracle::Scenario s;
+  s.restaurants = 20;
+  s.steps = 12;
+  s.ops_per_step = 4;
+  for (int i = 0; i < 1000; ++i) {
     const auto& g = kGroups[i % 4];
-    Subscription sub = GuideSub("S" + std::to_string(i),
-                                std::string("G") + g.leaf, g.interval,
-                                g.leaf);
-    return sub;
-  };
-
-  if (layered) {
-    PollGroupManager manager(&source, start, opts);
-    SubscriberRegistry registry(&manager);
-    std::vector<SubscriptionHandle> handles;
-    for (int i = 0; i < kSubscribers; ++i) {
-      auto h = registry.Subscribe(make_sub(i), record);
-      EXPECT_TRUE(h.ok()) << h.status().ToString();
-      handles.push_back(h.ok() ? *h : SubscriptionHandle{});
-    }
-    EXPECT_TRUE(manager.AdvanceTo(Timestamp(start.ticks + 11)).ok());
-    out.group_count = manager.GroupCount();
-    for (int i = 0; i < 4; ++i) {
-      PollGroup* group = registry.GroupOf(handles[i]);
-      if (group != nullptr) out.histories[group->key] = WriteDoemText(group->doem);
-    }
-  } else {
-    QuerySubscriptionService qss(&source, start, opts);
-    for (int i = 0; i < kSubscribers; ++i) {
-      EXPECT_TRUE(qss.Subscribe(make_sub(i), record).ok());
-    }
-    EXPECT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 11)).ok());
-    out.group_count = qss.GroupCount();
-    for (int i = 0; i < 4; ++i) {
-      PollGroup* group = qss.registry().GroupOf(qss.Handle(make_sub(i).name));
-      if (group != nullptr) out.histories[group->key] = WriteDoemText(group->doem);
-    }
+    s.Sub("S" + std::to_string(i), g.leaf, g.interval, oracle::Filter::kCre,
+          std::string("G") + g.leaf);
   }
-  return out;
-}
-
-TEST(QssFanoutTest, ThousandSubscribersFourGroupsTwinRuns) {
-  SerialExecutor serial;
-  ThreadPoolExecutor pool(4);
-  FanoutRun facade_serial = RunFanoutScenario(/*layered=*/false, &serial);
-  FanoutRun layered_serial = RunFanoutScenario(/*layered=*/true, &serial);
-  FanoutRun layered_pool = RunFanoutScenario(/*layered=*/true, &pool);
-  FanoutRun facade_pool = RunFanoutScenario(/*layered=*/false, &pool);
-
-  EXPECT_EQ(facade_serial.group_count, 4u);
-  EXPECT_FALSE(facade_serial.notifications.empty());
-  // Facade vs. layered: byte-identical notifications and histories.
-  EXPECT_EQ(facade_serial.notifications, layered_serial.notifications);
-  EXPECT_EQ(facade_serial.histories, layered_serial.histories);
-  // Serial vs. thread pool: the executor must not be observable.
-  EXPECT_EQ(layered_serial.notifications, layered_pool.notifications);
-  EXPECT_EQ(layered_serial.histories, layered_pool.histories);
-  EXPECT_EQ(facade_serial.notifications, facade_pool.notifications);
-  EXPECT_EQ(facade_serial.histories, facade_pool.histories);
+  s.Advance({11});
+  const oracle::Config serial{.executor = Exec::kSerial};
+  const oracle::Output ref = oracle::Execute(s, serial);
+  EXPECT_EQ(ref.group_count, 4u);
+  EXPECT_FALSE(ref.notifications.empty());
+  for (const oracle::Config& c :
+       {oracle::Config{.executor = Exec::kSerial, .front_end = Front::kLayered},
+        oracle::Config{.executor = Exec::kPool, .front_end = Front::kLayered},
+        oracle::Config{.executor = Exec::kPool}}) {
+    oracle::ExpectSame(s, serial, ref, c);
+  }
 }
 
 // ------------------------------------------------ Typed error kinds
@@ -470,33 +363,21 @@ TEST(QssFanoutTest, CrossThreadUnsubscribeDuringPollsIsSerialized) {
 // that group alone. (Keying by query text — the old behavior — would let
 // the groups perturb each other's id sequences.)
 TEST(QssFanoutTest, ScriptedSourceFreshIdsArePerPollGroup) {
-  OemDatabase base = testing::SyntheticGuide(10);
-  OemHistory script = testing::SyntheticGuideHistory(base, 8, 3);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-
-  auto run = [&](std::vector<int64_t> intervals) {
-    std::map<int64_t, std::string> texts;
-    ScriptedSource source(base, script, /*preserve_ids=*/false);
-    QuerySubscriptionService qss(&source, start);
-    for (int64_t interval : intervals) {
-      std::string name = "I" + std::to_string(interval);
-      Subscription sub = GuideSub(name, "", interval);
-      EXPECT_TRUE(qss.Subscribe(sub, nullptr).ok());
-    }
-    EXPECT_TRUE(qss.AdvanceTo(Timestamp(start.ticks + 6)).ok());
-    for (int64_t interval : intervals) {
-      const DoemDatabase* d = qss.History("I" + std::to_string(interval));
-      EXPECT_NE(d, nullptr);
-      if (d != nullptr) texts[interval] = WriteDoemText(*d);
-    }
-    return texts;
+  auto run = [](std::vector<int64_t> intervals) {
+    oracle::Scenario s;
+    s.steps = 8;
+    s.restaurants = 10;
+    s.preserve_ids = false;
+    for (int64_t i : intervals) s.Sub("I" + std::to_string(i), "name", i);
+    s.Advance({6});
+    return oracle::Execute(s, {});
   };
-
-  auto joint = run({1, 2});
-  auto solo1 = run({1});
-  auto solo2 = run({2});
-  EXPECT_EQ(joint.at(1), solo1.at(1));
-  EXPECT_EQ(joint.at(2), solo2.at(2));
+  auto history = [](const oracle::Output& run, const std::string& name) {
+    return run.groups.at(run.group_of.at(name)).history;
+  };
+  const oracle::Output joint = run({1, 2});
+  EXPECT_EQ(history(joint, "I1"), history(run({1}), "I1"));
+  EXPECT_EQ(history(joint, "I2"), history(run({2}), "I2"));
 }
 
 }  // namespace

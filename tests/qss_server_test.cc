@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "qss/qss.h"
 #include "qss/server/protocol.h"
 #include "qss/server/server.h"
@@ -27,13 +28,8 @@ namespace {
 
 SubscribeMsg GuideSubscribe(const std::string& name, int64_t interval,
                             const std::string& leaf = "name") {
-  SubscribeMsg msg;
-  msg.name = name;
-  msg.interval_ticks = interval;
-  msg.polling_query = "select guide.restaurant." + leaf;
-  msg.filter_query =
-      "select " + name + "." + leaf + "<cre at T> where T > t[-1]";
-  return msg;
+  return {name, "", interval, "select guide.restaurant." + leaf,
+          "select " + name + "." + leaf + "<cre at T> where T > t[-1]"};
 }
 
 // ------------------------------------------------------ Protocol codec
@@ -145,44 +141,8 @@ TEST(QssWireProtocolTest, CorruptFramePoisonsTheBuffer) {
 
 // ------------------------------------------------------------ Server
 
-struct Harness {
-  OemDatabase base;
-  ScriptedSource source;
-  obs::MetricsRegistry metrics;
-  QuerySubscriptionService qss;
-  QssServer server;
-
-  explicit Harness(size_t restaurants = 12, size_t steps = 8)
-      : base(testing::SyntheticGuide(restaurants)),
-        source(base, testing::SyntheticGuideHistory(base, steps, 3)),
-        qss(&source, Timestamp::FromDate(1997, 1, 1), WithMetrics(&metrics)),
-        server(&qss.registry()) {}
-
-  static QssOptions WithMetrics(obs::MetricsRegistry* m) {
-    QssOptions opts;
-    opts.observability.metrics = m;
-    return opts;
-  }
-
-  Timestamp start() const { return Timestamp::FromDate(1997, 1, 1); }
-};
-
-// Wires one client to the server through a LoopbackPipe.
-struct WiredClient {
-  LoopbackPipe pipe;
-  QssServer::ConnectionId id = 0;
-  QssClient client;
-
-  explicit WiredClient(QssServer* server)
-      : client([this](std::string_view bytes) { pipe.ClientSend(bytes); }) {
-    id = server->Attach(
-        [this](std::string_view bytes) { pipe.ServerSend(bytes); });
-    pipe.set_server_sink(
-        [this, server](std::string_view bytes) { server->OnBytes(id, bytes); });
-    pipe.set_client_sink(
-        [this](std::string_view bytes) { client.OnBytes(bytes); });
-  }
-};
+using Harness = oracle::LiveServer;
+using oracle::WiredClient;
 
 TEST(QssServerTest, SubscribeUnsubscribeRoundTrip) {
   Harness h;
@@ -218,54 +178,21 @@ TEST(QssServerTest, SubscribeUnsubscribeRoundTrip) {
   EXPECT_TRUE(h.server.Connected(wire.id));
 }
 
-// Notifications pushed over the wire carry exactly the rows an
-// in-process subscriber receives, in the same order.
+// Notifications pushed over the wire, reassembled from 5-byte
+// fragments, carry exactly the rows an in-process subscriber receives,
+// in the same order (an oracle instance, tests/oracle.h).
 TEST(QssServerTest, NotificationPushMatchesInProcessSubscriberByteForByte) {
-  Harness h;
-
-  // In-process twin, registered through the facade with the same shape
-  // the wire client will use (distinct name → distinct filter text, so
-  // give both the same entry label to share the group's history arc).
-  std::vector<std::string> in_process;
-  SubscribeMsg wire_shape = GuideSubscribe("Twin", 2);
-  wire_shape.entry = "Twin";
-  Subscription local;
-  local.name = "Twin";  // facade namespace is separate from connections'
-  local.entry = "Twin";
-  local.frequency.interval_ticks = 2;
-  local.polling_query = wire_shape.polling_query;
-  local.filter_query = wire_shape.filter_query;
-  // Register the wire subscription FIRST so its cohort position matches
-  // registration order expectations, then the local twin.
-  WiredClient wire(&h.server);
-  wire.client.Subscribe(wire_shape);
-  wire.pipe.PumpAll();
-  ASSERT_EQ(wire.client.TakeEvents().size(), 1u);
-  ASSERT_TRUE(h.qss.Subscribe(local, [&](const Notification& n) {
-                 in_process.push_back(std::to_string(n.poll_time.ticks) + "#" +
-                                      std::to_string(n.poll_index) + ":" +
-                                      n.result.RowsToString());
-               }).ok());
-
-  ASSERT_TRUE(h.qss.AdvanceTo(Timestamp(h.start().ticks + 7)).ok());
-  // The server pushed frames into the pipe during the ticks; deliver
-  // them in deliberately awkward 5-byte fragments.
-  while (wire.pipe.PumpToClient(5) > 0) {
-  }
-  ASSERT_TRUE(wire.client.error().ok()) << wire.client.error().ToString();
-
-  std::vector<std::string> over_wire;
-  for (const auto& event : wire.client.TakeEvents()) {
-    ASSERT_EQ(event.type, MsgType::kNotification);
-    EXPECT_EQ(event.notification.name, "Twin");
-    over_wire.push_back(std::to_string(event.notification.poll_time.ticks) +
-                        "#" + std::to_string(event.notification.poll_index) +
-                        ":" + event.notification.rows);
-  }
-  EXPECT_FALSE(over_wire.empty());
-  EXPECT_EQ(over_wire, in_process);
-  EXPECT_EQ(h.metrics.CounterValue("qss.server.notifications"),
-            over_wire.size());
+  oracle::Scenario s;
+  s.steps = 8;
+  s.Sub("Twin", "name", 2);
+  s.Advance({7});
+  const oracle::Output ref = oracle::Execute(s, {});
+  const oracle::Output wire = oracle::ExpectSame(
+      s, {}, ref,
+      {.obs = true, .front_end = oracle::Config::FrontEnd::kWire});
+  EXPECT_FALSE(ref.notifications.empty());
+  EXPECT_EQ(wire.metrics->CounterValue("qss.server.notifications"),
+            wire.notifications.size());
 }
 
 TEST(QssServerTest, PerConnectionNamespacesAreIndependent) {
@@ -372,7 +299,7 @@ TEST(QssServerTest, ServerTypeFrameFromClientIsAProtocolError) {
 // are shared, notifications route to the owning connection only, and
 // detach mid-run stops one client's pushes without disturbing the rest.
 TEST(QssServerTest, MultiplexesManyConnectionsOverOneRegistry) {
-  Harness h(16, 10);
+  Harness h(Harness::Sinks::kMetrics, 16, 10);
   WiredClient a(&h.server);
   WiredClient b(&h.server);
   WiredClient c(&h.server);

@@ -1,15 +1,19 @@
 // QSS + durable store integration: a service that crashes and reopens
 // over the same durable medium must resume polling from the persisted
 // history and produce byte-identical histories, rows, and notifications
-// to an uninterrupted run.
+// to an uninterrupted run (oracle instances, tests/oracle.h); store
+// failures surface without failing the poll; recovered histories answer
+// time-travel queries.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "encoding/doem_text.h"
+#include "oracle.h"
 #include "qss/qss.h"
 #include "store/fault_file.h"
 #include "store/store.h"
@@ -23,148 +27,107 @@ namespace {
 using doem::testing::BuildGuide;
 using doem::testing::GuideHistory;
 
-Subscription GuideSubscription() {
-  Subscription sub;
-  sub.name = "Restaurants";
-  auto freq = FrequencySpec::Parse("every night at 11:30pm");
-  EXPECT_TRUE(freq.ok());
-  sub.frequency = *freq;
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query =
-      "select Restaurants.restaurant<cre at T> where T > t[-1]";
-  return sub;
-}
-
-/// One notification, serialized for byte-exact comparison.
-std::string NotificationText(const Notification& n) {
-  return n.subscription + "@" + n.poll_time.ToString() + "#" +
-         std::to_string(n.poll_index) + "\n" + n.result.RowsToString();
-}
-
-struct RunResult {
-  std::vector<std::string> notifications;
-  std::string history_text;
-  std::vector<Timestamp> polls;
-};
-
-/// Drives a fresh service over `manager` from `start` to `end`,
-/// appending each notification to `*sink`. Returns the final state.
-RunResult RunService(store::StoreManager* manager, Timestamp start,
-                     Timestamp end, std::vector<std::string>* sink) {
-  ScriptedSource source(BuildGuide().db, GuideHistory());
-  QssOptions options;
-  options.durability.store = manager;
-  QuerySubscriptionService qss(&source, start, options);
-  RunResult out;
-  Status subscribed =
-      qss.Subscribe(GuideSubscription(), [&](const Notification& n) {
-        sink->push_back(NotificationText(n));
-      });
-  EXPECT_TRUE(subscribed.ok()) << subscribed.ToString();
-  PollReport report;
-  EXPECT_TRUE(qss.AdvanceTo(end, &report).ok());
-  EXPECT_TRUE(report.errors.empty())
-      << report.errors[0].status.ToString();
-  const DoemDatabase* d = qss.History("Restaurants");
-  EXPECT_NE(d, nullptr);
-  out.history_text = WriteDoemText(*d);
-  out.polls = qss.PollingTimes("Restaurants");
-  out.notifications = *sink;
-  return out;
-}
-
 Timestamp Day(int n) {  // Dec 30 1996 + n days
   return Timestamp(Timestamp::FromDate(1996, 12, 30).ticks + n);
 }
 
+using Store = oracle::Config::Store;
+
+// The paper's guide (Example 2.3) polled nightly from Day(0), one
+// oracle op per poll: `days` polls in all.
+oracle::Scenario GuideScenario(int days) {
+  oracle::Scenario s;
+  s.source = oracle::Scenario::Source::kPaperGuide;
+  s.start = Day(0);
+  s.Sub("Restaurants", "", 1);
+  s.Advance({0});
+  for (int d = 1; d < days; ++d) s.Advance({1});
+  return s;
+}
+
+const std::string kGroupKey = std::string("select guide.restaurant\x1f") + "1";
+
 // ---- The crash/reopen differential ----------------------------------------
 
+// A service that crashes after any poll — or before the first — and
+// reopens over the surviving medium matches an uninterrupted run
+// without a store, byte for byte.
 TEST(QssStoreTest, CrashAndReopenIsByteIdenticalToUninterruptedRun) {
-  // Reference: one uninterrupted run over 6 polls.
-  store::MemoryStoreManager ref_manager;
-  std::vector<std::string> ref_notifications;
-  RunResult reference =
-      RunService(&ref_manager, Day(0), Day(5), &ref_notifications);
-  ASSERT_EQ(reference.polls.size(), 6u);
-  ASSERT_FALSE(reference.notifications.empty());
-
-  // Crashed run: advance partway on the same kind of medium, drop the
-  // service ("crash"), then resume with a brand-new service + source
-  // over the surviving bytes.
-  for (int crash_after = 0; crash_after <= 5; ++crash_after) {
-    store::MemoryStoreManager manager;
-    std::vector<std::string> notifications;
-    RunService(&manager, Day(0), Day(crash_after), &notifications);
-    RunResult resumed =
-        RunService(&manager, Day(crash_after), Day(5), &notifications);
-
-    EXPECT_EQ(resumed.history_text, reference.history_text)
-        << "crash_after=" << crash_after;
-    EXPECT_EQ(resumed.polls, reference.polls)
-        << "crash_after=" << crash_after;
-    EXPECT_EQ(resumed.notifications, reference.notifications)
-        << "crash_after=" << crash_after;
+  const oracle::Scenario s = GuideScenario(6);
+  const oracle::Output ref = oracle::Execute(s, {});
+  ASSERT_EQ(ref.groups.at(kGroupKey).polls.size(), 6u);
+  ASSERT_FALSE(ref.notifications.empty());
+  oracle::ExpectSame(s, {}, ref, {.store = Store::kMemory});
+  for (size_t crash_at = 0; crash_at <= 6; ++crash_at) {
+    const oracle::Output crashed = oracle::ExpectSame(
+        s, {}, ref, {.store = Store::kCrash, .crash_at = crash_at});
+    EXPECT_TRUE(crashed.crashed) << "crash_at=" << crash_at;
   }
 }
 
 TEST(QssStoreTest, TornLastRecordIsRepolledDeterministically) {
-  // Reference run.
-  store::MemoryStoreManager ref_manager;
-  std::vector<std::string> ref_notifications;
-  RunResult reference =
-      RunService(&ref_manager, Day(0), Day(5), &ref_notifications);
-
-  // Crash mid-way, then tear the last committed record: the medium now
-  // holds one poll fewer than the process delivered before dying.
-  store::MemoryStoreManager manager;
-  std::vector<std::string> notifications;
-  RunService(&manager, Day(0), Day(2), &notifications);
-  std::string group_key;
-  {
-    // The single group's backing file is the manager's only entry; its
-    // key is the polling query + interval.
-    group_key = std::string("select guide.restaurant\x1f") + "1";
-    store::MemoryFile* file = manager.file(group_key);
+  const oracle::Scenario s = GuideScenario(6);
+  const oracle::Output ref = oracle::Execute(s, {});
+  // Crash after the Day(2) poll and tear the last committed record: the
+  // medium now holds one poll fewer than the process delivered before
+  // dying. Recovery drops the torn poll; the reopened service re-polls
+  // that tick and must rebuild the identical history (at-least-once
+  // delivery: the re-polled tick's notification, if any, is delivered
+  // again, so only histories and polling times are compared).
+  store::MemoryStoreManager medium;
+  const oracle::Hooks hooks{&medium, [&medium] {
+    store::MemoryFile* file = medium.file(kGroupKey);
     ASSERT_FALSE(file->data().empty());
     file->mutable_data()->resize(file->data().size() - 3);
-  }
-
-  // Resume. Recovery drops the torn poll; the service re-polls that
-  // tick against the scripted source and must rebuild the identical
-  // history (at-least-once delivery: the re-polled tick's notification,
-  // if any, is delivered again).
-  std::vector<std::string> resumed_notifications;
-  RunResult resumed =
-      RunService(&manager, Day(2), Day(5), &resumed_notifications);
-  EXPECT_EQ(resumed.history_text, reference.history_text);
-  EXPECT_EQ(resumed.polls, reference.polls);
+  }};
+  const oracle::Output resumed = oracle::Execute(
+      s, {.store = Store::kCrash, .crash_at = 3}, hooks);
+  ASSERT_TRUE(resumed.crashed);
+  EXPECT_EQ(resumed.groups.at(kGroupKey).history,
+            ref.groups.at(kGroupKey).history);
+  EXPECT_EQ(resumed.groups.at(kGroupKey).polls,
+            ref.groups.at(kGroupKey).polls);
 }
 
 TEST(QssStoreTest, ResumeDoesNotRepollCommittedTicks) {
   store::MemoryStoreManager manager;
-  std::vector<std::string> notifications;
-  RunService(&manager, Day(0), Day(2), &notifications);  // 3 polls
+  oracle::Execute(GuideScenario(3), {.store = Store::kMemory},
+                  {.medium = &manager});
 
-  // A reopened service that advances only to the crash time must not
-  // poll at all: every tick up to Day(2) is already committed.
-  ScriptedSource source(BuildGuide().db, GuideHistory());
-  QssOptions options;
-  options.durability.store = &manager;
-  QuerySubscriptionService qss(&source, Day(2), options);
-  size_t notified = 0;
-  ASSERT_TRUE(qss.Subscribe(GuideSubscription(),
-                            [&](const Notification&) { ++notified; })
-                  .ok());
-  EXPECT_EQ(qss.PollingTimes("Restaurants").size(), 3u);
-  PollReport report;
-  ASSERT_TRUE(qss.AdvanceTo(Day(2), &report).ok());
-  EXPECT_EQ(report.polls_attempted, 0u);
-  EXPECT_EQ(notified, 0u);
-  EXPECT_EQ(qss.PollingTimes("Restaurants").size(), 3u);
-  // The next scheduled tick polls exactly once.
-  ASSERT_TRUE(qss.AdvanceTo(Day(3), &report).ok());
-  EXPECT_EQ(report.polls_attempted, 1u);
-  EXPECT_EQ(qss.PollingTimes("Restaurants").size(), 4u);
+  // A service reopened at Day(2) advances to Day(2), then Day(3): every
+  // tick up to Day(2) is already committed, so only Day(3) polls.
+  oracle::Scenario resumed = GuideScenario(2);
+  resumed.start = Day(2);
+  const oracle::Output run = oracle::Execute(
+      resumed, {.store = Store::kMemory}, {.medium = &manager});
+  EXPECT_EQ(run.report.polls_attempted, 1u);
+  EXPECT_EQ(run.groups.at(kGroupKey).polls.size(), 4u);
+  const std::string day3 = "Restaurants@" + std::to_string(Day(3).ticks);
+  for (const std::string& note : run.notifications) {
+    EXPECT_EQ(note.rfind(day3, 0), 0u) << note;
+  }
+}
+
+// A server shut down through its destructor closes its connections,
+// which retires their groups; a new server over the same directory
+// resumes each group's history.
+TEST(QssStoreTest, ServerShutdownKeepsTheDurableHistory) {
+  store::DirectoryStoreManager disk(::testing::TempDir() +
+                                    "/doem_qss_server_shutdown");
+  std::remove(disk.PathFor(kGroupKey).c_str());
+  const oracle::Config wire{.store = Store::kMemory,
+                            .front_end = oracle::Config::FrontEnd::kWire};
+  oracle::Execute(GuideScenario(3), wire, {.medium = &disk});
+
+  oracle::Scenario reopened = GuideScenario(2);
+  reopened.start = Day(2);
+  const oracle::Output run =
+      oracle::Execute(reopened, wire, {.medium = &disk});
+  EXPECT_EQ(run.report.polls_attempted, 1u) << "only Day(3) is new";
+  EXPECT_EQ(run.groups.at(kGroupKey).polls.size(), 4u);
+  EXPECT_EQ(run.groups.at(kGroupKey).history,
+            oracle::Execute(GuideScenario(4), {}).groups.at(kGroupKey).history);
+  std::remove(disk.PathFor(kGroupKey).c_str());
 }
 
 // ---- Store failures surface without failing the poll -----------------------
@@ -174,7 +137,7 @@ TEST(QssStoreTest, ResumeDoesNotRepollCommittedTicks) {
 class FaultyStoreManager : public store::StoreManager {
  public:
   Result<std::unique_ptr<store::Store>> OpenStore(
-      const std::string& key) override {
+      const std::string& /*key*/) override {
     fault_ = std::make_unique<store::FaultInjectingFile>(&inner_);
     return store::Store::Open(fault_.get(), store::StoreOptions{});
   }
@@ -194,7 +157,7 @@ TEST(QssStoreTest, StoreFailureSurfacesAsStoreErrorAndPollStands) {
   options.durability.store = &manager;
   QuerySubscriptionService qss(&source, Day(0), options);
   size_t notified = 0;
-  ASSERT_TRUE(qss.Subscribe(GuideSubscription(),
+  ASSERT_TRUE(qss.Subscribe(oracle::ToSubscription({"Restaurants", "", "", 1}),
                             [&](const Notification&) { ++notified; })
                   .ok());
 
@@ -222,36 +185,27 @@ TEST(QssStoreTest, StoreFailureSurfacesAsStoreErrorAndPollStands) {
   // A reopened service recovers the committed prefix (1 poll) and
   // catches up deterministically over the surviving medium.
   store::MemoryStoreManager clean;
-  *clean.file("select guide.restaurant\x1f" "1")->mutable_data() =
-      manager.inner()->data();
-  ScriptedSource source2(BuildGuide().db, GuideHistory());
-  QssOptions options2;
-  options2.durability.store = &clean;
-  QuerySubscriptionService qss2(&source2, Day(2), options2);
-  ASSERT_TRUE(qss2.Subscribe(GuideSubscription(),
-                             [&](const Notification&) {}).ok());
-  EXPECT_EQ(qss2.PollingTimes("Restaurants").size(), 1u);
-  PollReport report2;
-  ASSERT_TRUE(qss2.AdvanceTo(Day(2), &report2).ok());
-  EXPECT_TRUE(report2.errors.empty());
-  EXPECT_EQ(qss2.PollingTimes("Restaurants").size(), 3u);
-  const DoemDatabase* recovered = qss2.History("Restaurants");
-  const DoemDatabase* live = qss.History("Restaurants");
-  ASSERT_NE(recovered, nullptr);
-  ASSERT_NE(live, nullptr);
-  EXPECT_EQ(WriteDoemText(*recovered), WriteDoemText(*live));
+  *clean.file(kGroupKey)->mutable_data() = manager.inner()->data();
+  oracle::Scenario reopened = GuideScenario(1);
+  reopened.start = Day(2);
+  const oracle::Output run = oracle::Execute(
+      reopened, {.store = Store::kMemory}, {.medium = &clean});
+  EXPECT_TRUE(run.report.errors.empty());
+  EXPECT_EQ(run.report.polls_ok, 2u) << "Day(1) and Day(2) caught up";
+  EXPECT_EQ(run.groups.at(kGroupKey).history,
+            WriteDoemText(*qss.History("Restaurants")));
 }
 
 // ---- Time travel over a recovered history ----------------------------------
 
 TEST(QssStoreTest, ChorelQueriesRunAgainstRecoveredPastIntervals) {
   store::MemoryStoreManager manager;
-  std::vector<std::string> notifications;
-  RunService(&manager, Day(0), Day(5), &notifications);
+  oracle::Execute(GuideScenario(6), {.store = Store::kMemory},
+                  {.medium = &manager});
 
   // A later process recovers the history straight from the store, with
   // no QSS involved.
-  auto s = manager.OpenStore("select guide.restaurant\x1f" "1");
+  auto s = manager.OpenStore(kGroupKey);
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   ASSERT_TRUE((*s)->has_state());
   std::vector<Timestamp> polls = (*s)->recovered_times();

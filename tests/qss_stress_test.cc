@@ -1,210 +1,124 @@
 // Seeded stress test of the parallel poll engine: randomized frequency
-// specs and fault schedules (src/testing/generators) drive twin services
-// — serial and 8-thread pool — through identical tick sequences, and
-// every run must satisfy the scheduling invariants and agree byte for
-// byte with its twin.
+// specs and fault schedules (src/testing/generators) drive the reference
+// run and a 4-thread pool run of one oracle scenario (tests/oracle.h)
+// through identical tick sequences. Every run must satisfy the
+// scheduling invariants, and the two must agree byte for byte.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "encoding/doem_text.h"
-#include "qss/executor.h"
-#include "qss/fault.h"
-#include "qss/qss.h"
+#include "oracle.h"
 #include "testing/generators.h"
 
 namespace doem {
 namespace qss {
 namespace {
 
-// Distinct polling queries (one poll group each) with the substring that
-// pins a FaultSpec to exactly one of them.
-struct QueryChoice {
-  const char* leaf;
-  const char* scope;
-};
-constexpr QueryChoice kQueryPool[] = {
-    {"name", ".name"},
-    {"price", ".price"},
-    {"address", ".address"},
-    {"parking", ".parking"},
-};
+// Distinct polling-query leaves (one poll group each); ".leaf" pins a
+// FaultSpec to exactly one of them.
+constexpr const char* kLeaves[] = {"name", "price", "address", "parking"};
 
-struct SubSpec {
-  std::string name;
-  std::string leaf;
-  FrequencySpec frequency;
-};
+oracle::Scenario StressScenario(uint32_t seed) {
+  std::mt19937 rng(seed);
+  oracle::Scenario s;
+  s.seed = seed;
+  const size_t n_subs = 2 + rng() % 3;  // 2..4 groups
+  std::vector<std::string> scopes;
+  for (size_t i = 0; i < n_subs; ++i) {
+    s.Sub("S" + std::to_string(i) + "_" + kLeaves[i], kLeaves[i],
+          testing::RandomFrequencySpec(&rng, 4).interval_ticks);
+    scopes.push_back(std::string(".") + kLeaves[i]);
+  }
+  s.faults = testing::RandomFaultSchedule(scopes, &rng);
+  for (size_t i = 0; i < 6; ++i) {
+    s.Advance({1 + static_cast<int64_t>(rng() % 5)});
+  }
+  s.guide_seed = seed + 1;
+  s.steps = 20;
+  s.history_seed = seed + 2;
+  s.preserve_ids = rng() % 2 == 0;
+  s.tolerance.retry = {.max_attempts = 1 + static_cast<int>(seed % 3),
+                       .backoff_base_ticks = 1,
+                       // RandomFaultSchedule slow > 0
+                       .poll_deadline_ticks = 4};
+  s.tolerance.quarantine_after = 1 + static_cast<int>(seed % 2);
+  s.tolerance.quarantine_cooldown_ticks = 1 + seed % 3;
+  return s;
+}
 
-struct RunOutcome {
-  std::map<std::string, std::string> history_text;
-  std::map<std::string, std::vector<Timestamp>> polls;
-  std::map<std::string, size_t> missed;
-  PollReport report;
-  std::vector<std::string> notifications;
-};
+void ExpectInvariants(const oracle::Scenario& s, const oracle::Output& out) {
+  EXPECT_EQ(out.group_count, s.subs.size());
+  EXPECT_TRUE(out.op_errors.empty());
+  // Clock: the run lands exactly on the sum of its jumps, fault or no
+  // fault.
+  int64_t jumped = 0;
+  for (const oracle::Op& op : s.ops) jumped += op.ticks;
+  EXPECT_EQ(out.end.ticks, s.start.ticks + jumped);
+
+  size_t sum_attempted = 0, sum_ok = 0, sum_failed = 0, sum_missed = 0,
+         sum_retries = 0;
+  for (const oracle::SubSpec& spec : s.subs) {
+    const oracle::GroupOutcome& g = out.groups.at(out.group_of.at(spec.name));
+    const PollHealth& h = g.health;
+    const size_t missed = h.missed.size() + h.missed_dropped;
+
+    // Poll accounting: attempted = succeeded + failed, and every
+    // success produced exactly one polling time.
+    EXPECT_EQ(h.polls_attempted, h.polls_succeeded + h.polls_failed)
+        << spec.name;
+    EXPECT_EQ(g.polls.size(), h.polls_succeeded) << spec.name;
+    for (size_t i = 1; i < g.polls.size(); ++i) {
+      EXPECT_LT(g.polls[i - 1], g.polls[i])
+          << spec.name << ": polling times must be strictly increasing";
+    }
+
+    // Schedule accounting: every scheduled tick was attempted or
+    // quarantined (none lost, none invented).
+    const int64_t span = out.end.ticks - s.start.ticks;
+    const size_t scheduled = static_cast<size_t>(span / spec.interval + 1);
+    EXPECT_EQ(h.polls_attempted + missed, scheduled) << spec.name;
+    if (h.state != CircuitState::kOpen) {
+      EXPECT_LT(h.consecutive_failures, s.tolerance.quarantine_after + 1)
+          << spec.name;
+    }
+
+    // No lost snapshots: every DOEM annotation timestamp is one of the
+    // group's polling times.
+    const std::set<Timestamp> poll_set(g.polls.begin(), g.polls.end());
+    for (Timestamp t : g.annotation_times) {
+      EXPECT_TRUE(poll_set.contains(t))
+          << spec.name << ": annotation at " << t.ToString()
+          << " has no corresponding poll";
+    }
+    sum_attempted += h.polls_attempted;
+    sum_ok += h.polls_succeeded;
+    sum_failed += h.polls_failed;
+    sum_missed += missed;
+    sum_retries += h.retries;
+  }
+
+  // Quarantine and poll counts aggregate exactly into the report.
+  EXPECT_EQ(out.report.polls_attempted, sum_attempted);
+  EXPECT_EQ(out.report.polls_ok, sum_ok);
+  EXPECT_EQ(out.report.polls_failed, sum_failed);
+  EXPECT_EQ(out.report.polls_missed, sum_missed);
+  EXPECT_EQ(out.report.retries, sum_retries);
+  EXPECT_EQ(out.report.notifications, out.notifications.size());
+}
 
 class QssStressTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(QssStressTest, InvariantsHoldAndTwinRunsAgree) {
-  const uint32_t seed = GetParam();
-  std::mt19937 rng(seed);
-
-  // Randomized scenario, drawn once and shared by both twin runs.
-  const size_t n_subs = 2 + rng() % 3;  // 2..4 groups
-  std::vector<SubSpec> subs;
-  std::vector<std::string> scopes;
-  for (size_t i = 0; i < n_subs; ++i) {
-    SubSpec spec;
-    spec.leaf = kQueryPool[i].leaf;
-    spec.name = "S" + std::to_string(i) + "_" + spec.leaf;
-    spec.frequency = testing::RandomFrequencySpec(&rng, 4);
-    scopes.push_back(kQueryPool[i].scope);
-    subs.push_back(std::move(spec));
-  }
-  const std::vector<FaultSpec> faults =
-      testing::RandomFaultSchedule(scopes, &rng);
-  std::vector<int64_t> jumps;
-  for (size_t i = 0; i < 6; ++i) {
-    jumps.push_back(1 + static_cast<int64_t>(rng() % 5));
-  }
-  const OemDatabase base = testing::SyntheticGuide(12, /*seed=*/seed + 1);
-  const OemHistory script =
-      testing::SyntheticGuideHistory(base, 20, 3, /*seed=*/seed + 2);
-  const Timestamp start = Timestamp::FromDate(1997, 1, 1);
-  const bool preserve_ids = rng() % 2 == 0;
-
-  auto run = [&](Executor* executor) {
-    RunOutcome out;
-    ScriptedSource inner(base, script, preserve_ids);
-    FaultInjectingSource source(&inner);
-    for (const FaultSpec& f : faults) source.AddFault(f);
-
-    QssOptions opts;
-    opts.executor = executor;
-    opts.fault_tolerance.retry.max_attempts = 1 + static_cast<int>(seed % 3);
-    opts.fault_tolerance.retry.backoff_base_ticks = 1;
-    opts.fault_tolerance.retry.poll_deadline_ticks = 4;  // RandomFaultSchedule slow > 0
-    opts.fault_tolerance.quarantine_after = 1 + static_cast<int>(seed % 2);
-    opts.fault_tolerance.quarantine_cooldown_ticks = 1 + seed % 3;
-    QuerySubscriptionService qss(&source, start, opts);
-
-    for (const SubSpec& spec : subs) {
-      Subscription sub;
-      sub.name = spec.name;
-      sub.frequency = spec.frequency;
-      sub.polling_query = "select guide.restaurant." + spec.leaf;
-      sub.filter_query = "select " + spec.name + "." + spec.leaf +
-                         "<cre at T> where T > t[-1]";
-      Status st = qss.Subscribe(sub, [&out, &spec](const Notification& n) {
-        out.notifications.push_back(spec.name + "@" +
-                                    std::to_string(n.poll_time.ticks) + ":" +
-                                    std::to_string(n.result.rows.size()));
-      });
-      EXPECT_TRUE(st.ok()) << st.ToString();
-    }
-    EXPECT_EQ(qss.GroupCount(), subs.size());
-
-    // Clock monotonicity: every AdvanceTo lands exactly on its target,
-    // never behind, fault or no fault.
-    for (int64_t jump : jumps) {
-      Timestamp before = qss.now();
-      Timestamp target(before.ticks + jump);
-      Status st = qss.AdvanceTo(target, &out.report);
-      EXPECT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(qss.now(), target);
-      EXPECT_GE(qss.now().ticks, before.ticks);
-    }
-    const Timestamp end = qss.now();
-
-    size_t sum_attempted = 0, sum_ok = 0, sum_failed = 0, sum_missed = 0,
-           sum_retries = 0;
-    for (const SubSpec& spec : subs) {
-      PollHealth h = qss.Health(spec.name);
-      const std::vector<Timestamp> polls = qss.PollingTimes(spec.name);
-
-      // Poll accounting: attempted = succeeded + failed, and every
-      // success produced exactly one polling time.
-      EXPECT_EQ(h.polls_attempted, h.polls_succeeded + h.polls_failed)
-          << spec.name;
-      EXPECT_EQ(polls.size(), h.polls_succeeded) << spec.name;
-      for (size_t i = 1; i < polls.size(); ++i) {
-        EXPECT_LT(polls[i - 1], polls[i]) << spec.name << ": polling times "
-                                             "must be strictly increasing";
-      }
-
-      // Schedule accounting: every scheduled tick was attempted or
-      // quarantined (none lost, none invented).
-      const int64_t interval = spec.frequency.interval_ticks;
-      const size_t scheduled =
-          static_cast<size_t>((end.ticks - start.ticks) / interval + 1);
-      EXPECT_EQ(h.polls_attempted + h.missed.size(), scheduled) << spec.name;
-      if (h.state != CircuitState::kOpen) {
-        EXPECT_LT(h.consecutive_failures, opts.fault_tolerance.quarantine_after + 1)
-            << spec.name;
-      }
-
-      // No lost snapshots: every DOEM annotation timestamp is one of the
-      // group's polling times.
-      const DoemDatabase* d = qss.History(spec.name);
-      if (d == nullptr) {
-        ADD_FAILURE() << "no history for " << spec.name;
-        continue;
-      }
-      const std::set<Timestamp> poll_set(polls.begin(), polls.end());
-      for (Timestamp t : d->AllTimestamps()) {
-        EXPECT_TRUE(poll_set.contains(t))
-            << spec.name << ": annotation at " << t.ToString()
-            << " has no corresponding poll";
-      }
-
-      out.history_text[spec.name] = WriteDoemText(*d);
-      out.polls[spec.name] = polls;
-      out.missed[spec.name] = h.missed.size();
-      sum_attempted += h.polls_attempted;
-      sum_ok += h.polls_succeeded;
-      sum_failed += h.polls_failed;
-      sum_missed += h.missed.size();
-      sum_retries += h.retries;
-    }
-
-    // Quarantine and poll counts aggregate exactly into the report.
-    EXPECT_EQ(out.report.polls_attempted, sum_attempted);
-    EXPECT_EQ(out.report.polls_ok, sum_ok);
-    EXPECT_EQ(out.report.polls_failed, sum_failed);
-    EXPECT_EQ(out.report.polls_missed, sum_missed);
-    EXPECT_EQ(out.report.retries, sum_retries);
-    EXPECT_EQ(out.report.notifications, out.notifications.size());
-    return out;
-  };
-
-  RunOutcome serial = run(nullptr);
-  ThreadPoolExecutor pool(8);
-  RunOutcome parallel = run(&pool);
-
-  EXPECT_EQ(serial.history_text, parallel.history_text)
-      << "seed " << seed << ": parallel history diverged from serial";
-  EXPECT_EQ(serial.polls, parallel.polls);
-  EXPECT_EQ(serial.missed, parallel.missed);
-  EXPECT_EQ(serial.notifications, parallel.notifications);
-  EXPECT_EQ(serial.report.polls_attempted, parallel.report.polls_attempted);
-  EXPECT_EQ(serial.report.polls_ok, parallel.report.polls_ok);
-  EXPECT_EQ(serial.report.polls_failed, parallel.report.polls_failed);
-  EXPECT_EQ(serial.report.polls_missed, parallel.report.polls_missed);
-  EXPECT_EQ(serial.report.retries, parallel.report.retries);
-  ASSERT_EQ(serial.report.errors.size(), parallel.report.errors.size());
-  for (size_t i = 0; i < serial.report.errors.size(); ++i) {
-    EXPECT_EQ(serial.report.errors[i].subject,
-              parallel.report.errors[i].subject);
-    EXPECT_EQ(serial.report.errors[i].time, parallel.report.errors[i].time);
-    EXPECT_EQ(serial.report.errors[i].status.ToString(),
-              parallel.report.errors[i].status.ToString());
-  }
+  const oracle::Scenario s = StressScenario(GetParam());
+  const oracle::Output ref = oracle::Execute(s, {});
+  const oracle::Output pool = oracle::ExpectSame(
+      s, {}, ref, {.executor = oracle::Config::Executor::kPool});
+  ExpectInvariants(s, ref);
+  ExpectInvariants(s, pool);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QssStressTest, ::testing::Range(0u, 12u));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "qss/fault.h"
+#include <algorithm>
+
+#include "oracle.h"
 #include "qss/qss.h"
 #include "testing/guide.h"
 
@@ -11,6 +13,53 @@ namespace {
 using doem::testing::BuildGuide;
 using doem::testing::GuideHistory;
 using doem::testing::GuideT1;
+
+const Timestamp kDec30 = Timestamp::FromDate(1996, 12, 30);
+
+/// A subscription polled every `interval` days.
+Subscription Sub(const std::string& name, const std::string& poll,
+                 const std::string& filter, int64_t interval = 1) {
+  return {name, "", {interval, ""}, poll, filter};
+}
+
+/// The paper's guide (Example 2.3) polled from `start` under `faults`, on
+/// the oracle driver (tests/oracle.h), which passes a PollReport to every
+/// call.
+oracle::Scenario PaperGuide(Timestamp start,
+                            std::vector<FaultSpec> faults = {}) {
+  oracle::Scenario s;
+  s.source = oracle::Scenario::Source::kPaperGuide;
+  s.start = start;
+  s.faults = std::move(faults);
+  return s;
+}
+
+const oracle::GroupOutcome& GroupOf(const oracle::Output& run,
+                                    const std::string& name) {
+  return run.groups.at(run.group_of.at(name));
+}
+
+/// `name`'s notifications, "name@tick#index\n" + one line per row.
+std::vector<std::string> NotesOf(const oracle::Output& run,
+                                 const std::string& name) {
+  std::vector<std::string> notes;
+  for (const std::string& n : run.notifications) {
+    if (n.rfind(name + "@", 0) == 0) notes.push_back(n);
+  }
+  return notes;
+}
+
+size_t Rows(const std::string& note) {
+  return std::count(note.begin(), note.end(), '\n') - 1;
+}
+
+/// Whether `note` is from the poll at `t` (and, if given, poll `index`).
+bool PolledAt(const std::string& note, Timestamp t, size_t index = 0) {
+  const std::string head = note.substr(0, note.find('\n'));
+  const std::string at = "@" + std::to_string(t.ticks) + "#";
+  return head.find(at) != std::string::npos &&
+         (index == 0 || head.ends_with(at + std::to_string(index)));
+}
 
 // ------------------------------------------------------------- Frequency
 
@@ -91,76 +140,43 @@ INSTANTIATE_TEST_SUITE_P(IdModes, QssExample61, ::testing::Bool(),
 TEST_P(QssExample61, NewRestaurantNotifications) {
   // Example 6.1: subscription created Dec 30 1996; polls nightly; the
   // source changes per Example 2.2 on Jan 1.
-  ScriptedSource source(BuildGuide().db, GuideHistory(),
-                        /*preserve_ids=*/GetParam());
-  Timestamp t1 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t1);
-
-  std::vector<Notification> log;
-  Subscription sub;
-  sub.name = "Restaurants";
-  auto freq = FrequencySpec::Parse("every night at 11:30pm");
-  ASSERT_TRUE(freq.ok());
-  sub.frequency = *freq;
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query =
-      "select Restaurants.restaurant<cre at T> where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(sub, [&](const Notification& n) {
-                   log.push_back(n);
-                 })
-                  .ok());
-
+  oracle::Scenario s = PaperGuide(kDec30);
+  s.preserve_ids = GetParam();
+  s.Sub("Restaurants", "", 1);
+  s.Advance({0, 1, 1, 1});
+  const oracle::Output run = oracle::Execute(s, {});
+  ASSERT_EQ(run.notifications.size(), 2u);
   // Poll t1 = 30Dec96: both initial restaurants are "created" relative to
   // the empty R0, and t[-1] is negative infinity, so the user gets both.
-  ASSERT_TRUE(qss.AdvanceTo(t1).ok());
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].poll_index, 1u);
-  EXPECT_EQ(log[0].result.rows.size(), 2u);
-
+  EXPECT_TRUE(PolledAt(run.notifications[0], kDec30, 1));
+  EXPECT_EQ(Rows(run.notifications[0]), 2u);
   // Poll t2 = 31Dec96: source unchanged; annotations now fail T > t[-1];
-  // no notification (the paper's t2 step).
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1996, 12, 31)).ok());
-  EXPECT_EQ(log.size(), 1u);
-
-  // Poll t3 = 1Jan97: Hakata was added; exactly one new restaurant.
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 1)).ok());
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[1].poll_index, 3u);
-  ASSERT_EQ(log[1].result.rows.size(), 1u);
-
-  // Poll t4: quiet again.
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 2)).ok());
-  EXPECT_EQ(log.size(), 2u);
+  // no notification (the paper's t2 step). Poll t3 = 1Jan97: Hakata was
+  // added; exactly one new restaurant. Poll t4: quiet again.
+  EXPECT_TRUE(PolledAt(run.notifications[1], GuideT1(), 3));
+  EXPECT_EQ(Rows(run.notifications[1]), 1u);
 
   // The subscription's DOEM database has a full history.
-  const DoemDatabase* d = qss.History("Restaurants");
-  ASSERT_NE(d, nullptr);
-  EXPECT_TRUE(d->IsFeasible());
-  EXPECT_EQ(qss.PollingTimes("Restaurants").size(), 4u);
+  EXPECT_TRUE(GroupOf(run, "Restaurants").feasible);
+  EXPECT_EQ(GroupOf(run, "Restaurants").polls.size(), 4u);
 }
 
 TEST(QssTest, LyttonFilterOnContent) {
   // The Section 6 polling query with a content filter: only restaurants
   // with Lytton in their address are tracked at all.
   ScriptedSource source(BuildGuide().db, GuideHistory());
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0);
+  QuerySubscriptionService qss(&source, kDec30);
 
   std::vector<Notification> log;
-  Subscription sub;
-  sub.name = "LyttonRestaurants";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query =
-      "define polling query is plain text";  // placeholder replaced below
-  sub.polling_query =
-      "select guide.restaurant "
-      "where guide.restaurant.address.# like \"%Lytton%\"";
-  sub.filter_query =
-      "select LyttonRestaurants.restaurant<cre at T> where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(sub, [&](const Notification& n) {
-                   log.push_back(n);
-                 })
-                  .ok());
+  ASSERT_TRUE(
+      qss.Subscribe(
+             Sub("LyttonRestaurants",
+                 "select guide.restaurant "
+                 "where guide.restaurant.address.# like \"%Lytton%\"",
+                 "select LyttonRestaurants.restaurant<cre at T> "
+                 "where T > t[-1]"),
+             [&](const Notification& n) { log.push_back(n); })
+          .ok());
   ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 2)).ok());
   // First poll: the two Lytton restaurants. Hakata (no address) never
   // enters the polling result, so no further notifications.
@@ -170,20 +186,14 @@ TEST(QssTest, LyttonFilterOnContent) {
 
 TEST(QssTest, UpdateNotificationWithOldAndNewValue) {
   ScriptedSource source(BuildGuide().db, GuideHistory());
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0);
+  QuerySubscriptionService qss(&source, kDec30);
 
   std::vector<Notification> log;
-  Subscription sub;
-  sub.name = "Prices";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query =
-      "select N, OV, NV from Prices.restaurant R, R.name N, "
-      "R.price<upd at T from OV to NV> where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(sub, [&](const Notification& n) {
-                   log.push_back(n);
-                 })
+  ASSERT_TRUE(qss.Subscribe(Sub("Prices", "select guide.restaurant",
+                                "select N, OV, NV from Prices.restaurant R, "
+                                "R.name N, R.price<upd at T from OV to NV> "
+                                "where T > t[-1]"),
+                            [&](const Notification& n) { log.push_back(n); })
                   .ok());
   ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 3)).ok());
   // Only the Jan 1 price change triggers (10 -> 20 detected by the diff).
@@ -196,20 +206,13 @@ TEST(QssTest, UpdateNotificationWithOldAndNewValue) {
 
 TEST(QssTest, DeletionVisibleViaRemAnnotation) {
   ScriptedSource source(BuildGuide().db, GuideHistory());
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0);
+  QuerySubscriptionService qss(&source, kDec30);
 
   std::vector<Notification> log;
-  Subscription sub;
-  sub.name = "Parking";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query =
-      "select R from Parking.restaurant R, R.<rem at T>parking P "
-      "where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(sub, [&](const Notification& n) {
-                   log.push_back(n);
-                 })
+  ASSERT_TRUE(qss.Subscribe(Sub("Parking", "select guide.restaurant",
+                                "select R from Parking.restaurant R, "
+                                "R.<rem at T>parking P where T > t[-1]"),
+                            [&](const Notification& n) { log.push_back(n); })
                   .ok());
   ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 10)).ok());
   ASSERT_EQ(log.size(), 1u);
@@ -221,11 +224,8 @@ TEST(QssTest, DeletionVisibleViaRemAnnotation) {
 TEST(QssTest, SubscribeValidation) {
   ScriptedSource source(BuildGuide().db, OemHistory());
   QuerySubscriptionService qss(&source, Timestamp(0));
-  Subscription sub;
-  sub.name = "S";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select S.restaurant";
+  Subscription sub =
+      Sub("S", "select guide.restaurant", "select S.restaurant");
   ASSERT_TRUE(qss.Subscribe(sub, nullptr).ok());
   EXPECT_EQ(qss.Subscribe(sub, nullptr).code(), StatusCode::kAlreadyExists);
 
@@ -241,144 +241,83 @@ TEST(QssTest, SubscribeValidation) {
 
   EXPECT_EQ(qss.Unsubscribe("nope").code(), StatusCode::kNotFound);
   EXPECT_TRUE(qss.Unsubscribe("S").ok());
+  // Unknown names report default health.
+  EXPECT_EQ(qss.Health("nope").polls_attempted, 0u);
+  EXPECT_EQ(qss.Health("nope").state, CircuitState::kClosed);
 }
 
 TEST(QssTest, MergedPollGroups) {
-  ScriptedSource source(BuildGuide().db, OemHistory());
-  QuerySubscriptionService qss(&source, Timestamp(0));
-  auto make = [&](const std::string& name, const std::string& poll) {
-    Subscription s;
-    s.name = name;
-    s.frequency = *FrequencySpec::Parse("every day");
-    s.polling_query = poll;
-    s.filter_query = "select " + name + ".restaurant<cre at T> "
-                     "where T > t[-1]";
-    return s;
-  };
-  int notified_a = 0, notified_b = 0, notified_c = 0;
-  ASSERT_TRUE(qss.Subscribe(make("A", "select guide.restaurant"),
-                            [&](const Notification&) { ++notified_a; })
-                  .ok());
-  ASSERT_TRUE(qss.Subscribe(make("B", "select guide.restaurant"),
-                            [&](const Notification&) { ++notified_b; })
-                  .ok());
-  Subscription c = make("C", "select guide.restaurant.name");
-  c.filter_query = "select C.name<cre at T> where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(c, [&](const Notification&) { ++notified_c; })
-                  .ok());
-  EXPECT_EQ(qss.GroupCount(), 2u)
+  oracle::Scenario s = PaperGuide(Timestamp(0));
+  s.Sub("A", "", 1);
+  s.Sub("B", "", 1);
+  s.Sub("C", "name", 1);
+  s.Advance({0});
+  const oracle::Output run = oracle::Execute(s, {});
+  EXPECT_EQ(run.group_count, 2u)
       << "A and B share a poll group (Section 6.1 proposal (1))";
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp(0)).ok());
-  EXPECT_EQ(notified_a, 1);
-  EXPECT_EQ(notified_b, 1);
-  EXPECT_EQ(notified_c, 1);
-  EXPECT_EQ(qss.History("A"), qss.History("B"));
-  EXPECT_NE(qss.History("A"), qss.History("C"));
+  for (const char* name : {"A", "B", "C"}) {
+    EXPECT_EQ(NotesOf(run, name).size(), 1u) << name;
+  }
+  EXPECT_EQ(run.group_of.at("A"), run.group_of.at("B"));
+  EXPECT_NE(run.group_of.at("A"), run.group_of.at("C"));
 }
 
 TEST(QssTest, UnmergedWhenDisabled) {
-  ScriptedSource source(BuildGuide().db, OemHistory());
-  QssOptions opts;
-  opts.merge_similar_polls = false;
-  QuerySubscriptionService qss(&source, Timestamp(0), opts);
-  Subscription a;
-  a.name = "A";
-  a.frequency = *FrequencySpec::Parse("every day");
-  a.polling_query = "select guide.restaurant";
-  a.filter_query = "select A.restaurant";
-  Subscription b = a;
-  b.name = "B";
-  b.filter_query = "select B.restaurant";
-  ASSERT_TRUE(qss.Subscribe(a, nullptr).ok());
-  ASSERT_TRUE(qss.Subscribe(b, nullptr).ok());
-  EXPECT_EQ(qss.GroupCount(), 2u);
+  oracle::Scenario s = PaperGuide(Timestamp(0));
+  s.merge_similar_polls = false;
+  s.Sub("A", "", 1);
+  s.Sub("B", "", 1);
+  EXPECT_EQ(oracle::Execute(s, {}).group_count, 2u);
 }
 
 TEST(QssTest, TwoSnapshotRetentionForgetsOldHistory) {
-  ScriptedSource source(BuildGuide().db, GuideHistory());
-  QssOptions opts;
-  opts.retention = HistoryRetention::kTwoSnapshots;
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0, opts);
-  Subscription sub;
-  sub.name = "R";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select R.restaurant";
-  ASSERT_TRUE(qss.Subscribe(sub, nullptr).ok());
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 10)).ok());
-  const DoemDatabase* d = qss.History("R");
-  ASSERT_NE(d, nullptr);
+  oracle::Scenario s = PaperGuide(kDec30);
+  s.retention = HistoryRetention::kTwoSnapshots;
+  s.Sub("R", "", 1);
+  s.Advance({11});
   // Only the final (empty) delta's timestamps remain — older annotations
   // were compacted away.
-  EXPECT_LE(d->AllTimestamps().size(), 1u);
+  EXPECT_LE(GroupOf(oracle::Execute(s, {}), "R").annotation_times.size(), 1u);
   // Full retention keeps everything for comparison.
-  ScriptedSource source2(BuildGuide().db, GuideHistory());
-  QuerySubscriptionService qss2(&source2, t0);
-  ASSERT_TRUE(qss2.Subscribe(sub, nullptr).ok());
-  ASSERT_TRUE(qss2.AdvanceTo(Timestamp::FromDate(1997, 1, 10)).ok());
-  EXPECT_GT(qss2.History("R")->AllTimestamps().size(), 1u);
+  s.retention = HistoryRetention::kFull;
+  EXPECT_GT(GroupOf(oracle::Execute(s, {}), "R").annotation_times.size(), 1u);
 }
 
 TEST(QssTest, PollNowAndClockRules) {
   ScriptedSource source(BuildGuide().db, OemHistory());
   QuerySubscriptionService qss(&source, Timestamp(10));
   EXPECT_FALSE(qss.AdvanceTo(Timestamp(5)).ok()) << "no time travel";
-  Subscription sub;
-  sub.name = "R";
-  sub.frequency = *FrequencySpec::Parse("every 5 days");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select R.restaurant";
-  ASSERT_TRUE(qss.Subscribe(sub, nullptr).ok());
+  ASSERT_TRUE(qss.Subscribe(Sub("R", "select guide.restaurant",
+                                "select R.restaurant", 5),
+                            nullptr)
+                  .ok());
   EXPECT_EQ(qss.PollNow("none").code(), StatusCode::kNotFound);
   ASSERT_TRUE(qss.PollNow("R").ok());
   EXPECT_EQ(qss.PollingTimes("R").size(), 1u);
   EXPECT_FALSE(qss.PollNow("R").ok()) << "same tick twice";
 }
 
-}  // namespace
-}  // namespace qss
-}  // namespace doem
-namespace doem {
-namespace qss {
-namespace {
-
 TEST(QssTest, SourceTriggerMode) {
   // Section 6's third snapshot-acquisition mode: the source fires a
   // trigger and QSS polls immediately instead of waiting for the
   // schedule.
-  ScriptedSource source(doem::testing::BuildGuide().db,
-                        doem::testing::GuideHistory());
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0);
-  int notified = 0;
-  Subscription sub;
-  sub.name = "R";
-  sub.frequency = *FrequencySpec::Parse("every 2 weeks");  // slow schedule
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select R.restaurant<cre at T> where T > t[-1]";
-  ASSERT_TRUE(qss.Subscribe(sub, [&](const Notification&) { ++notified; })
-                  .ok());
-  ASSERT_TRUE(qss.AdvanceTo(t0).ok());  // scheduled poll 1
-  EXPECT_EQ(notified, 1);
-
-  // The source changes on Jan 1; its trigger fires the same day — QSS
-  // picks it up without waiting for the next scheduled poll (Jan 13).
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 1)).ok());
-  EXPECT_EQ(notified, 1) << "nothing scheduled between the two weeks";
-  ASSERT_TRUE(qss.NotifySourceChanged().ok());
-  EXPECT_EQ(notified, 2) << "Hakata reported on the trigger-driven poll";
-  // Idempotent within one tick.
-  ASSERT_TRUE(qss.NotifySourceChanged().ok());
-  EXPECT_EQ(notified, 2);
+  oracle::Scenario s = PaperGuide(kDec30);
+  s.Sub("R", "", 14);  // slow schedule: every 2 weeks
+  // Scheduled poll 1 on 30Dec; nothing is scheduled by 1Jan, when the
+  // source changes and its trigger fires twice the same day.
+  s.Advance({0, 2});
+  s.ops.push_back({.kind = oracle::Op::Kind::kSourceChanged});
+  s.ops.push_back({.kind = oracle::Op::Kind::kSourceChanged});
+  const oracle::Output run = oracle::Execute(s, {});
+  EXPECT_TRUE(run.op_errors.empty());
+  ASSERT_EQ(run.notifications.size(), 2u);
+  EXPECT_TRUE(PolledAt(run.notifications[0], kDec30));
+  // QSS picks the change up without waiting for the next scheduled poll
+  // (Jan 13), once: the second trigger is idempotent within the tick.
+  EXPECT_TRUE(PolledAt(run.notifications[1], GuideT1()))
+      << "Hakata reported on the trigger-driven poll";
+  EXPECT_EQ(GroupOf(run, "R").polls.size(), 2u);
 }
-
-}  // namespace
-}  // namespace qss
-}  // namespace doem
-namespace doem {
-namespace qss {
-namespace {
 
 TEST(QssTest, KeyedSourceObjectResurrectionIsReportedNotCorrupted) {
   // Documented limitation (DESIGN.md / EXPERIMENTS.md): a keyed source
@@ -387,7 +326,7 @@ TEST(QssTest, KeyedSourceObjectResurrectionIsReportedNotCorrupted) {
   // corrupting the DOEM database. Structural sources handle such data.
   // The source hides Janta (id 6) on the middle poll only, so QSS sees
   // the OID disappear and then return.
-  OemDatabase base = doem::testing::BuildGuide().db;
+  OemDatabase base = BuildGuide().db;
   class ResurrectingSource : public InformationSource {
    public:
     explicit ResurrectingSource(OemDatabase full) : full_(std::move(full)) {}
@@ -412,13 +351,11 @@ TEST(QssTest, KeyedSourceObjectResurrectionIsReportedNotCorrupted) {
   };
 
   ResurrectingSource source(base);
-  QuerySubscriptionService qss(&source, Timestamp::FromDate(1996, 12, 30));
-  Subscription sub;
-  sub.name = "R";
-  sub.frequency = *FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select R.restaurant";
-  ASSERT_TRUE(qss.Subscribe(sub, nullptr).ok());
+  QuerySubscriptionService qss(&source, kDec30);
+  ASSERT_TRUE(qss.Subscribe(Sub("R", "select guide.restaurant",
+                                "select R.restaurant"),
+                            nullptr)
+                  .ok());
   ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1996, 12, 31)).ok());
   // Day 3: Janta (id 6) re-appears -> creNode on a burned id -> clean
   // error, database intact.
@@ -430,56 +367,23 @@ TEST(QssTest, KeyedSourceObjectResurrectionIsReportedNotCorrupted) {
   EXPECT_EQ(qss.PollingTimes("R").size(), 2u);
 }
 
-}  // namespace
-}  // namespace qss
-}  // namespace doem
-namespace doem {
-namespace qss {
-namespace {
-
-using doem::testing::BuildGuide;
-using doem::testing::GuideHistory;
-
 // -------------------------------------------- Fault tolerance (Section 6
 // autonomous sources: polls may fail; QSS retries, quarantines, reports)
 
-Subscription MakeSub(const std::string& name, const std::string& poll,
-                     const std::string& filter) {
-  Subscription s;
-  s.name = name;
-  s.frequency = *FrequencySpec::Parse("every day");
-  s.polling_query = poll;
-  s.filter_query = filter;
-  return s;
-}
-
-Subscription MakeCreSub(const std::string& name) {
-  return MakeSub(name, "select guide.restaurant",
-                 "select " + name + ".restaurant<cre at T> where T > t[-1]");
-}
-
 TEST(QssFaultTest, TransientFailureRetriedThenRecovered) {
-  ScriptedSource inner(BuildGuide().db, GuideHistory());
-  FaultInjectingSource source(&inner);
   // Poll 1 is clean; poll 2's first attempt fails, its retry succeeds.
-  source.FailPolls(/*skip=*/1, /*count=*/1);
+  oracle::Scenario s =
+      PaperGuide(kDec30, {{.skip = 1, .count = 1, .query_contains = ""}});
+  s.tolerance.retry.max_attempts = 2;
+  s.tolerance.retry.backoff_base_ticks = 3;
+  s.Sub("R", "", 1);
+  s.Advance({0, 1});
+  const oracle::Output run = oracle::Execute(s, {});
+  EXPECT_EQ(run.notifications.size(), 1u);
+  // The transient failure is absorbed by the retry: nothing is reported.
+  EXPECT_TRUE(run.report.errors.empty());
 
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QssOptions opts;
-  opts.fault_tolerance.retry.max_attempts = 2;
-  opts.fault_tolerance.retry.backoff_base_ticks = 3;
-  QuerySubscriptionService qss(&source, t0, opts);
-  int notified = 0;
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("R"),
-                            [&](const Notification&) { ++notified; })
-                  .ok());
-
-  ASSERT_TRUE(qss.AdvanceTo(t0).ok());
-  EXPECT_EQ(notified, 1);
-  // The transient failure is absorbed by the retry: the caller sees OK.
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1996, 12, 31)).ok());
-
-  PollHealth h = qss.Health("R");
+  const PollHealth& h = GroupOf(run, "R").health;
   EXPECT_EQ(h.state, CircuitState::kClosed);
   EXPECT_EQ(h.polls_attempted, 2u);
   EXPECT_EQ(h.polls_succeeded, 2u);
@@ -491,30 +395,28 @@ TEST(QssFaultTest, TransientFailureRetriedThenRecovered) {
       << "the transient is kept as a diagnostic";
   EXPECT_TRUE(h.missed.empty());
 
-  EXPECT_EQ(source.calls(), 3u);
-  EXPECT_EQ(source.forwarded(), 2u);
-  EXPECT_EQ(source.injected_errors(), 1u);
-  EXPECT_EQ(qss.PollingTimes("R").size(), 2u) << "no poll was lost";
+  EXPECT_EQ(run.source_calls, 3u);
+  EXPECT_EQ(run.source_forwarded, 2u);
+  EXPECT_EQ(run.injected_errors, 1u);
+  EXPECT_EQ(GroupOf(run, "R").polls.size(), 2u) << "no poll was lost";
 }
 
 TEST(QssFaultTest, SlowPollExceedingDeadlineIsRetried) {
-  ScriptedSource inner(BuildGuide().db, GuideHistory());
-  FaultInjectingSource source(&inner);
-  source.SlowPolls(/*skip=*/0, /*count=*/1, /*duration_ticks=*/10);
+  oracle::Scenario s =
+      PaperGuide(Timestamp(0), {{.kind = FaultKind::kSlowPoll,
+                             .duration_ticks = 10, .query_contains = ""}});
+  s.tolerance.retry.max_attempts = 2;
+  s.tolerance.retry.poll_deadline_ticks = 5;
+  s.Sub("R", "", 1);
+  s.Advance({0});
+  const oracle::Output run = oracle::Execute(s, {});
 
-  QssOptions opts;
-  opts.fault_tolerance.retry.max_attempts = 2;
-  opts.fault_tolerance.retry.poll_deadline_ticks = 5;
-  QuerySubscriptionService qss(&source, Timestamp(0), opts);
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("R"), nullptr).ok());
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp(0)).ok());
-
-  PollHealth h = qss.Health("R");
+  const PollHealth& h = GroupOf(run, "R").health;
   EXPECT_EQ(h.polls_succeeded, 1u);
   EXPECT_EQ(h.retries, 1u) << "the slow answer was discarded and retried";
   EXPECT_EQ(h.last_error.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(source.injected_slow(), 1u);
-  EXPECT_EQ(source.calls(), 2u);
+  EXPECT_EQ(run.injected_slow, 1u);
+  EXPECT_EQ(run.source_calls, 2u);
 }
 
 TEST(QssFaultTest, QuarantineAfterConsecutiveFailures) {
@@ -528,7 +430,11 @@ TEST(QssFaultTest, QuarantineAfterConsecutiveFailures) {
   opts.fault_tolerance.quarantine_cooldown_ticks = 2;
   opts.fault_tolerance.on_error = [&](const PollError& e) { errors.push_back(e); };
   QuerySubscriptionService qss(&source, Timestamp(0), opts);
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("X"), nullptr).ok());
+  ASSERT_TRUE(qss.Subscribe(Sub("X", "select guide.restaurant",
+                                "select X.restaurant<cre at T> "
+                                "where T > t[-1]"),
+                            nullptr)
+                  .ok());
 
   // Day 0 and day 1 fail; the breaker opens until day 3. Day 2 is
   // recorded as missed; day 3's half-open probe fails and re-opens the
@@ -561,35 +467,23 @@ TEST(QssFaultTest, QuarantineAfterConsecutiveFailures) {
   ASSERT_NE(d, nullptr);
   EXPECT_TRUE(d->IsFeasible());
   EXPECT_TRUE(qss.PollingTimes("X").empty());
-
-  // Unknown names report default health.
-  EXPECT_EQ(qss.Health("nope").polls_attempted, 0u);
-  EXPECT_EQ(qss.Health("nope").state, CircuitState::kClosed);
 }
 
 TEST(QssFaultTest, HalfOpenProbeReopensAndResumesDiffing) {
-  ScriptedSource inner(BuildGuide().db, GuideHistory());
-  FaultInjectingSource source(&inner);
-  source.FailPolls(/*skip=*/0, /*count=*/2);  // down for two polls, then up
-
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QssOptions opts;
-  opts.fault_tolerance.quarantine_after = 2;
-  opts.fault_tolerance.quarantine_cooldown_ticks = 2;
-  opts.fault_tolerance.on_error = [](const PollError&) {};
-  QuerySubscriptionService qss(&source, t0, opts);
-  std::vector<Notification> log;
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("R"),
-                            [&](const Notification& n) { log.push_back(n); })
-                  .ok());
-
+  // Down for two polls, then up.
+  oracle::Scenario s = PaperGuide(kDec30, {{.count = 2, .query_contains = ""}});
+  s.tolerance.quarantine_after = 2;
+  s.tolerance.quarantine_cooldown_ticks = 2;
+  s.Sub("R", "", 1);
   // 30Dec fails, 31Dec fails -> open until 2Jan. 1Jan is missed; the
   // 2Jan probe succeeds, closes the breaker, and the first real poll
   // diffs against R0 — catching up on everything, including Hakata
   // (added 1Jan while the group was dark).
-  ASSERT_TRUE(qss.AdvanceTo(Timestamp::FromDate(1997, 1, 2)).ok());
+  s.Advance({3});
+  const oracle::Output run = oracle::Execute(s, {});
+  EXPECT_TRUE(run.op_errors.empty());
 
-  PollHealth h = qss.Health("R");
+  const PollHealth& h = GroupOf(run, "R").health;
   EXPECT_EQ(h.state, CircuitState::kClosed);
   EXPECT_EQ(h.polls_attempted, 3u);
   EXPECT_EQ(h.polls_failed, 2u);
@@ -598,36 +492,26 @@ TEST(QssFaultTest, HalfOpenProbeReopensAndResumesDiffing) {
   ASSERT_EQ(h.missed.size(), 1u);
   EXPECT_EQ(h.missed[0].time, Timestamp::FromDate(1997, 1, 1));
 
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].poll_time, Timestamp::FromDate(1997, 1, 2));
-  ASSERT_EQ(log[0].result.rows.size(), 3u) << "all three restaurants new";
-  const DoemDatabase* d = qss.History("R");
-  ASSERT_NE(d, nullptr);
-  EXPECT_TRUE(d->IsFeasible());
+  ASSERT_EQ(run.notifications.size(), 1u);
+  EXPECT_TRUE(PolledAt(run.notifications[0], Timestamp::FromDate(1997, 1, 2)));
+  EXPECT_EQ(Rows(run.notifications[0]), 3u) << "all three restaurants new";
+  EXPECT_TRUE(GroupOf(run, "R").feasible);
 }
 
 TEST(QssFaultTest, MultiGroupTickOneGroupFailsOthersNotify) {
-  ScriptedSource inner(BuildGuide().db, GuideHistory());
-  FaultInjectingSource source(&inner);
   // Only the name-group's polls fail.
-  source.FailPolls(/*skip=*/0, /*count=*/0, Status::Unavailable("down"),
-                   /*query_contains=*/".name");
+  oracle::Scenario s = PaperGuide(
+      kDec30, {{.count = 0, .error = Status::Unavailable("down"),
+                .query_contains = ".name"}});
+  s.Sub("A", "", 1);
+  s.Sub("C", "name", 1);
+  s.Advance({0});
+  const oracle::Output run = oracle::Execute(s, {});
+  ASSERT_EQ(run.group_count, 2u);
 
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  QuerySubscriptionService qss(&source, t0);
-  int a_notified = 0;
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("A"),
-                            [&](const Notification&) { ++a_notified; })
-                  .ok());
-  ASSERT_TRUE(qss.Subscribe(MakeSub("C", "select guide.restaurant.name",
-                                    "select C.name<cre at T> where T > t[-1]"),
-                            nullptr)
-                  .ok());
-  ASSERT_EQ(qss.GroupCount(), 2u);
-
-  PollReport report;
-  ASSERT_TRUE(qss.AdvanceTo(t0, &report).ok())
+  EXPECT_TRUE(run.op_errors.empty())
       << "failures flow through the report, not the Status";
+  const PollReport& report = run.report;
   EXPECT_EQ(report.polls_attempted, 2u);
   EXPECT_EQ(report.polls_ok, 1u);
   EXPECT_EQ(report.polls_failed, 1u);
@@ -637,16 +521,15 @@ TEST(QssFaultTest, MultiGroupTickOneGroupFailsOthersNotify) {
   EXPECT_EQ(report.errors[0].subject, "C");
   EXPECT_EQ(report.FirstError().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(report.all_ok());
-  EXPECT_EQ(a_notified, 1) << "the healthy group still notified";
-  EXPECT_EQ(qss.Health("A").polls_failed, 0u);
-  EXPECT_EQ(qss.Health("C").polls_failed, 1u);
+  EXPECT_EQ(NotesOf(run, "A").size(), 1u) << "the healthy group still notified";
+  EXPECT_EQ(GroupOf(run, "A").health.polls_failed, 0u);
+  EXPECT_EQ(GroupOf(run, "C").health.polls_failed, 1u);
 }
 
 // Regression (seed bug): one member's filter-query failure starved every
 // remaining member of its poll group.
 TEST(QssFaultTest, FilterErrorDoesNotStarveOtherMembers) {
   ScriptedSource source(BuildGuide().db, GuideHistory());
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
   std::vector<PollError> errors;
   QssOptions opts;
   // The translated strategy cannot evaluate annotated exists ranges
@@ -654,21 +537,22 @@ TEST(QssFaultTest, FilterErrorDoesNotStarveOtherMembers) {
   // evaluation time — exactly a runtime filter error.
   opts.strategy = chorel::Strategy::kTranslated;
   opts.fault_tolerance.on_error = [&](const PollError& e) { errors.push_back(e); };
-  QuerySubscriptionService qss(&source, t0, opts);
+  QuerySubscriptionService qss(&source, kDec30, opts);
 
   int b_notified = 0;
-  ASSERT_TRUE(qss.Subscribe(
-                     MakeSub("A", "select guide.restaurant",
-                             "select R from A.restaurant R where "
-                             "exists C in R.<add>comment : C = \"x\""),
-                     nullptr)
+  ASSERT_TRUE(qss.Subscribe(Sub("A", "select guide.restaurant",
+                                "select R from A.restaurant R where "
+                                "exists C in R.<add>comment : C = \"x\""),
+                            nullptr)
                   .ok());
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("B"),
+  ASSERT_TRUE(qss.Subscribe(Sub("B", "select guide.restaurant",
+                                "select B.restaurant<cre at T> "
+                                "where T > t[-1]"),
                             [&](const Notification&) { ++b_notified; })
                   .ok());
   ASSERT_EQ(qss.GroupCount(), 1u) << "A and B share one poll group";
 
-  ASSERT_TRUE(qss.AdvanceTo(t0).ok());
+  ASSERT_TRUE(qss.AdvanceTo(kDec30).ok());
   EXPECT_EQ(b_notified, 1)
       << "B's notification must survive A's filter error";
   ASSERT_EQ(errors.size(), 1u);
@@ -688,7 +572,9 @@ TEST(QssFaultTest, ClockAndScheduleStayConsistentUnderFailure) {
 
   int notified = 0;
   QuerySubscriptionService qss(&source, Timestamp(0));
-  ASSERT_TRUE(qss.Subscribe(MakeCreSub("R"),
+  ASSERT_TRUE(qss.Subscribe(Sub("R", "select guide.restaurant",
+                                "select R.restaurant<cre at T> "
+                                "where T > t[-1]"),
                             [&](const Notification&) { ++notified; })
                   .ok());
 
@@ -711,122 +597,83 @@ TEST(QssFaultTest, ClockAndScheduleStayConsistentUnderFailure) {
 // The acceptance scenario: a 3-subscription, 2-group service survives a
 // source that fails two polls and recovers.
 TEST(QssFaultTest, EndToEndOutageScenario) {
-  // The source changes once, at day 4 — after the outage window — so the
-  // faulty and faultless runs must build identical DOEM histories.
-  OemDatabase base = BuildGuide().db;
-  ChangeSet day4;
-  day4.push_back(ChangeOp::CreNode(100, Value::Complex()));
-  day4.push_back(ChangeOp::CreNode(101, Value::String("NewPlace")));
-  day4.push_back(ChangeOp::AddArc(4, "restaurant", 100));
-  day4.push_back(ChangeOp::AddArc(100, "name", 101));
-  OemHistory script;
-  ASSERT_TRUE(script.Append(Timestamp(4), day4).ok());
-
-  QssOptions opts;
-  opts.notify_empty = true;  // healthy members hear from every tick
-  opts.fault_tolerance.retry.max_attempts = 2;
-  opts.fault_tolerance.quarantine_after = 2;
-  opts.fault_tolerance.quarantine_cooldown_ticks = 2;
-
-  auto subscribe_all = [](QuerySubscriptionService* qss, int* a, int* b,
-                          std::vector<Notification>* c_log) {
-    ASSERT_TRUE(qss->Subscribe(MakeCreSub("A"),
-                               [a](const Notification&) { ++*a; })
-                    .ok());
-    ASSERT_TRUE(qss->Subscribe(MakeCreSub("B"),
-                               [b](const Notification&) { ++*b; })
-                    .ok());
-    ASSERT_TRUE(
-        qss->Subscribe(MakeSub("C", "select guide.restaurant.name",
-                               "select C.name<cre at T> where T > t[-1]"),
-                       [c_log](const Notification& n) {
-                         c_log->push_back(n);
-                       })
-            .ok());
-    ASSERT_EQ(qss->GroupCount(), 2u);
-  };
-
-  // --- Faulty run: C's group fails its day-1 and day-2 polls (each poll
-  // is two attempts), is quarantined, misses day 3, and recovers via the
-  // day-4 half-open probe.
-  ScriptedSource inner(base, script);
-  FaultInjectingSource source(&inner);
-  source.FailPolls(/*skip=*/1, /*count=*/4, Status::Unavailable("outage"),
-                   /*query_contains=*/".name");
-  QuerySubscriptionService qss(&source, Timestamp(0), opts);
-  int a_notified = 0, b_notified = 0;
-  std::vector<Notification> c_log;
-  subscribe_all(&qss, &a_notified, &b_notified, &c_log);
-
-  PollReport report;
-  for (int64_t day = 0; day <= 6; ++day) {
-    ASSERT_TRUE(qss.AdvanceTo(Timestamp(day), &report).ok()) << day;
-  }
+  // The guide changes once in the window, at day 4 (1Jan97, Hakata) —
+  // after the outage — so the faulty and faultless runs must build
+  // identical DOEM histories. C's group fails its day-1 and day-2 polls
+  // (each poll is two attempts), is quarantined, misses day 3, and
+  // recovers via the day-4 half-open probe.
+  const Timestamp day0 = Timestamp::FromDate(1996, 12, 28);
+  auto day = [&](int64_t n) { return Timestamp(day0.ticks + n); };
+  oracle::Scenario s = PaperGuide(
+      day0, {{.skip = 1, .count = 4, .error = Status::Unavailable("outage"),
+              .query_contains = ".name"}});
+  s.notify_empty = true;  // healthy members hear from every tick
+  s.tolerance.retry.max_attempts = 2;
+  s.tolerance.quarantine_after = 2;
+  s.tolerance.quarantine_cooldown_ticks = 2;
+  s.Sub("A", "", 1);
+  s.Sub("B", "", 1);
+  s.Sub("C", "name", 1);
+  s.Advance({0, 1, 1, 1, 1, 1, 1});
+  const oracle::Output run = oracle::Execute(s, {});
+  ASSERT_EQ(run.group_count, 2u);
+  EXPECT_TRUE(run.op_errors.empty());
 
   // The unaffected group notified on every tick; no notification was
   // lost for healthy members.
-  EXPECT_EQ(a_notified, 7);
-  EXPECT_EQ(b_notified, 7);
+  EXPECT_EQ(NotesOf(run, "A").size(), 7u);
+  EXPECT_EQ(NotesOf(run, "B").size(), 7u);
   // C heard from every successful poll: days 0, 4 (probe), 5, 6 — with
   // real rows on day 0 (both initial names) and day 4 (the new name).
-  ASSERT_EQ(c_log.size(), 4u);
-  EXPECT_EQ(c_log[0].poll_time, Timestamp(0));
-  EXPECT_EQ(c_log[0].result.rows.size(), 2u);
-  EXPECT_EQ(c_log[1].poll_time, Timestamp(4));
-  EXPECT_EQ(c_log[1].result.rows.size(), 1u)
+  const std::vector<std::string> c = NotesOf(run, "C");
+  ASSERT_EQ(c.size(), 4u);
+  EXPECT_TRUE(PolledAt(c[0], day(0)));
+  EXPECT_EQ(Rows(c[0]), 2u);
+  EXPECT_TRUE(PolledAt(c[1], day(4)));
+  EXPECT_EQ(Rows(c[1]), 1u)
       << "the change that happened at recovery time is seen exactly once";
-  EXPECT_EQ(c_log[2].result.rows.size(), 0u);
+  EXPECT_EQ(Rows(c[2]), 0u);
 
   // Health reports the exact failure/retry/missed counts.
-  PollHealth hc = qss.Health("C");
+  const PollHealth& hc = GroupOf(run, "C").health;
   EXPECT_EQ(hc.state, CircuitState::kClosed);
   EXPECT_EQ(hc.polls_attempted, 6u);  // days 0,1,2 + probe 4 + 5,6
   EXPECT_EQ(hc.polls_failed, 2u);
   EXPECT_EQ(hc.polls_succeeded, 4u);
   EXPECT_EQ(hc.retries, 2u);
   ASSERT_EQ(hc.missed.size(), 1u);
-  EXPECT_EQ(hc.missed[0].time, Timestamp(3));
-  PollHealth ha = qss.Health("A");
+  EXPECT_EQ(hc.missed[0].time, day(3));
+  const PollHealth& ha = GroupOf(run, "A").health;
   EXPECT_EQ(ha.polls_attempted, 7u);
   EXPECT_EQ(ha.polls_failed, 0u);
   EXPECT_EQ(ha.retries, 0u);
   EXPECT_TRUE(ha.missed.empty());
 
   // The aggregated report saw the whole story.
-  EXPECT_EQ(report.polls_attempted, 13u);
-  EXPECT_EQ(report.polls_ok, 11u);
-  EXPECT_EQ(report.polls_failed, 2u);
-  EXPECT_EQ(report.polls_missed, 1u);
-  EXPECT_EQ(report.retries, 2u);
-  EXPECT_EQ(report.notifications, 18u);
-  EXPECT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(run.report.polls_attempted, 13u);
+  EXPECT_EQ(run.report.polls_ok, 11u);
+  EXPECT_EQ(run.report.polls_failed, 2u);
+  EXPECT_EQ(run.report.polls_missed, 1u);
+  EXPECT_EQ(run.report.retries, 2u);
+  EXPECT_EQ(run.report.notifications, 18u);
+  EXPECT_EQ(run.report.errors.size(), 2u);
 
-  // --- Faultless twin run: identical except that no fault is injected.
-  ScriptedSource clean_source(base, script);
-  QuerySubscriptionService clean(&clean_source, Timestamp(0), opts);
-  int ca = 0, cb = 0;
-  std::vector<Notification> cc_log;
-  subscribe_all(&clean, &ca, &cb, &cc_log);
-  for (int64_t day = 0; day <= 6; ++day) {
-    ASSERT_TRUE(clean.AdvanceTo(Timestamp(day)).ok());
-  }
-
-  // The recovered group's DOEM history equals the faultless one; only
-  // the polling times differ, by exactly the failed + missed polls.
-  const DoemDatabase* faulty_c = qss.History("C");
-  const DoemDatabase* clean_c = clean.History("C");
-  ASSERT_NE(faulty_c, nullptr);
-  ASSERT_NE(clean_c, nullptr);
-  EXPECT_TRUE(faulty_c->Equals(*clean_c))
+  // The same scenario without the fault: the recovered group's DOEM
+  // history equals the faultless one; only the polling times differ, by
+  // exactly the failed + missed polls.
+  oracle::Scenario faultless = s;
+  faultless.faults.clear();
+  const oracle::Output clean = oracle::Execute(faultless, {});
+  EXPECT_EQ(GroupOf(run, "C").history, GroupOf(clean, "C").history)
       << "an outage must not corrupt or diverge the change history";
-  EXPECT_EQ(clean.PollingTimes("C").size(), 7u);
-  std::vector<Timestamp> faulty_polls = qss.PollingTimes("C");
+  EXPECT_EQ(GroupOf(clean, "C").polls.size(), 7u);
+  const std::vector<Timestamp>& faulty_polls = GroupOf(run, "C").polls;
   ASSERT_EQ(faulty_polls.size(), 4u);
-  EXPECT_EQ(faulty_polls[0], Timestamp(0));
-  EXPECT_EQ(faulty_polls[1], Timestamp(4));
+  EXPECT_EQ(faulty_polls[0], day(0));
+  EXPECT_EQ(faulty_polls[1], day(4));
   // 7 scheduled = 4 polled + 2 failed + 1 missed.
   EXPECT_EQ(faulty_polls.size() + hc.polls_failed + hc.missed.size(), 7u);
-  EXPECT_TRUE(qss.History("A")->Equals(*clean.History("A")));
+  EXPECT_EQ(GroupOf(run, "A").history, GroupOf(clean, "A").history);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include "htmldiff/html.h"
 #include "lorel/lorel.h"
 #include "oem/oem_text.h"
-#include "qss/fault.h"
+#include "oracle.h"
 #include "qss/qss.h"
 #include "testing/guide.h"
 
@@ -132,11 +132,8 @@ TEST(RobustnessTest, QssSurvivesSourceErrors) {
   qss::ScriptedSource source(BuildGuide().db, GuideHistory());
   qss::QuerySubscriptionService service(&source,
                                         Timestamp::FromDate(1996, 12, 30));
-  qss::Subscription sub;
-  sub.name = "Ghost";
-  sub.frequency = *qss::FrequencySpec::Parse("every day");
-  sub.polling_query = "select nonexistent.entry";
-  sub.filter_query = "select Ghost.entry<cre at T> where T > t[-1]";
+  const qss::Subscription sub{"Ghost", "", {1, ""}, "select nonexistent.entry",
+                              "select Ghost.entry<cre at T> where T > t[-1]"};
   int notified = 0;
   ASSERT_TRUE(service
                   .Subscribe(sub, [&](const qss::Notification&) {
@@ -240,88 +237,62 @@ TEST(RobustnessTest, ScriptedSourceOutOfOrderScriptRejected) {
   EXPECT_EQ(r2.status().message(), r.status().message());
 }
 
+/// The paper's guide polled daily from 30Dec96 under one fault.
+oracle::Scenario GuideUnder(const qss::FaultSpec& fault) {
+  oracle::Scenario s;
+  s.source = oracle::Scenario::Source::kPaperGuide;
+  s.start = Timestamp::FromDate(1996, 12, 30);
+  s.faults = {fault};
+  s.Sub("R", "", 1);
+  return s;
+}
+
 TEST(RobustnessTest, QssGarbageSnapshotIsCleanFailureThenRecovers) {
   // A wrapper that dies mid-transfer delivers a truncated snapshot; QSS
   // must treat it as a failed poll (clean Unavailable), keep the DOEM
   // history intact, and resume on the next healthy poll.
-  qss::ScriptedSource inner(BuildGuide().db, GuideHistory());
-  qss::FaultInjectingSource source(&inner);
-  source.GarbagePolls(/*skip=*/0, /*count=*/1);
+  oracle::Scenario s = GuideUnder(
+      {.kind = qss::FaultKind::kGarbage, .count = 1, .query_contains = ""});
+  s.Advance({1});
+  const oracle::Output run = oracle::Execute(s, {});
 
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  std::vector<qss::PollError> errors;
-  qss::QssOptions opts;
-  opts.fault_tolerance.on_error = [&](const qss::PollError& e) { errors.push_back(e); };
-  qss::QuerySubscriptionService service(&source, t0, opts);
-  qss::Subscription sub;
-  sub.name = "R";
-  sub.frequency = *qss::FrequencySpec::Parse("every day");
-  sub.polling_query = "select guide.restaurant";
-  sub.filter_query = "select R.restaurant<cre at T> where T > t[-1]";
-  int notified = 0;
-  ASSERT_TRUE(service
-                  .Subscribe(sub, [&](const qss::Notification&) {
-                    ++notified;
-                  })
-                  .ok());
-
-  ASSERT_TRUE(service.AdvanceTo(Timestamp::FromDate(1996, 12, 31)).ok());
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(errors[0].status.message().find("malformed snapshot"),
-            std::string::npos);
-  EXPECT_EQ(source.injected_garbage(), 1u);
-  EXPECT_EQ(notified, 1) << "the day-2 poll recovered and notified";
-  const DoemDatabase* d = service.History("R");
-  ASSERT_NE(d, nullptr);
-  EXPECT_TRUE(d->IsFeasible()) << "garbage never reached the history";
-  EXPECT_EQ(service.PollingTimes("R").size(), 1u);
-  qss::PollHealth h = service.Health("R");
-  EXPECT_EQ(h.polls_failed, 1u);
-  EXPECT_EQ(h.polls_succeeded, 1u);
+  ASSERT_EQ(run.report.errors.size(), 1u);
+  const Status& error = run.report.errors[0].status;
+  EXPECT_EQ(error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(error.message().find("malformed snapshot"), std::string::npos);
+  EXPECT_EQ(run.injected_garbage, 1u);
+  EXPECT_EQ(run.notifications.size(), 1u)
+      << "the day-2 poll recovered and notified";
+  const oracle::GroupOutcome& r = run.groups.at(run.group_of.at("R"));
+  EXPECT_TRUE(r.feasible) << "garbage never reached the history";
+  EXPECT_EQ(r.polls.size(), 1u);
+  EXPECT_EQ(r.health.polls_failed, 1u);
+  EXPECT_EQ(r.health.polls_succeeded, 1u);
 }
 
 TEST(RobustnessTest, QssPersistentOutageDoesNotStarveOtherGroups) {
   // One group's source path is down for good; with quarantine enabled the
   // service stops hammering it, keeps its history intact, and the other
   // group never misses a beat.
-  qss::ScriptedSource inner(BuildGuide().db, GuideHistory());
-  qss::FaultInjectingSource source(&inner);
-  source.FailPolls(/*skip=*/0, /*count=*/0, Status::Unavailable("down"),
-                   /*query_contains=*/".name");
+  oracle::Scenario s =
+      GuideUnder({.count = 0, .error = Status::Unavailable("down"),
+                  .query_contains = ".name"});
+  s.tolerance.quarantine_after = 2;
+  s.tolerance.quarantine_cooldown_ticks = 5;
+  s.Sub("N", "name", 1);
+  s.Advance({11});
+  const oracle::Output run = oracle::Execute(s, {});
 
-  qss::QssOptions opts;
-  opts.fault_tolerance.quarantine_after = 2;
-  opts.fault_tolerance.quarantine_cooldown_ticks = 5;
-  opts.fault_tolerance.on_error = [](const qss::PollError&) {};
-  Timestamp t0 = Timestamp::FromDate(1996, 12, 30);
-  qss::QuerySubscriptionService service(&source, t0, opts);
-  qss::Subscription healthy;
-  healthy.name = "R";
-  healthy.frequency = *qss::FrequencySpec::Parse("every day");
-  healthy.polling_query = "select guide.restaurant";
-  healthy.filter_query = "select R.restaurant<cre at T> where T > t[-1]";
-  qss::Subscription doomed;
-  doomed.name = "N";
-  doomed.frequency = *qss::FrequencySpec::Parse("every day");
-  doomed.polling_query = "select guide.restaurant.name";
-  doomed.filter_query = "select N.name<cre at T> where T > t[-1]";
-  int notified = 0;
-  ASSERT_TRUE(service
-                  .Subscribe(healthy, [&](const qss::Notification&) {
-                    ++notified;
-                  })
-                  .ok());
-  ASSERT_TRUE(service.Subscribe(doomed, nullptr).ok());
-
-  ASSERT_TRUE(service.AdvanceTo(Timestamp::FromDate(1997, 1, 10)).ok());
-  EXPECT_EQ(notified, 2) << "initial creations + Hakata on 1Jan";
-  EXPECT_EQ(service.PollingTimes("R").size(), 12u);
-  qss::PollHealth h = service.Health("N");
-  EXPECT_EQ(h.state, qss::CircuitState::kOpen);
-  EXPECT_GT(h.missed.size(), 0u) << "quarantine suppressed scheduled polls";
-  EXPECT_LT(h.polls_attempted, 12u) << "the breaker stopped the hammering";
-  EXPECT_TRUE(service.History("N")->IsFeasible());
+  EXPECT_EQ(run.notifications.size(), 2u)
+      << "R hears of the initial creations + Hakata on 1Jan";
+  EXPECT_EQ(run.groups.at(run.group_of.at("R")).polls.size(), 12u);
+  const oracle::GroupOutcome& n = run.groups.at(run.group_of.at("N"));
+  EXPECT_EQ(n.health.state, qss::CircuitState::kOpen);
+  EXPECT_GT(n.health.missed.size(), 0u)
+      << "quarantine suppressed scheduled polls";
+  EXPECT_LT(n.health.polls_attempted, 12u)
+      << "the breaker stopped the hammering";
+  EXPECT_TRUE(n.feasible);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // DESIGN.md §6f guard tests: the bytecode VM must be observationally
 // identical to the tree-walking evaluator — byte-identical rows (order
 // included), packaged answers, and error statuses — across the random
-// query corpus, Chorel time-bound queries with polling times, and full
-// QSS twin runs; cost-based step reordering must never change the rows;
-// and uncovered constructs must fall back to the walker transparently.
+// query corpus, Chorel time-bound queries with polling times, and whole
+// QSS runs (an oracle instance); cost-based step reordering must never
+// change the rows; and uncovered constructs must fall back to the
+// walker transparently.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -15,11 +15,9 @@
 #include "chorel/doem_view.h"
 #include "doem/annotation_index.h"
 #include "doem/doem.h"
-#include "encoding/doem_text.h"
 #include "lorel/eval.h"
 #include "obs/metrics.h"
-#include "qss/qss.h"
-#include "qss/source.h"
+#include "oracle.h"
 #include "testing/generators.h"
 #include "vm/bytecode.h"
 #include "vm/compile.h"
@@ -358,87 +356,20 @@ TEST(VmBytecodeTest, DisassembleListsOpcodes) {
   EXPECT_NE(listing.find("Halt"), std::string::npos) << listing;
 }
 
-// ------------------------------------------ QSS twin runs
+// ------------------------------------------ QSS runs
 
-// End-to-end: a subscription service filtering on the VM produces
-// byte-identical histories, notification rows, and report counters to
-// one pinned to the tree walker. The VM run also self-checks every
-// filter evaluation (verify_vm_filter), so any divergence fails twice.
-struct QssRun {
-  std::map<std::string, std::string> history_text;
-  std::vector<std::string> notifications;
-  std::vector<std::string> errors;
-  size_t polls_ok = 0;
-  size_t polls_failed = 0;
-};
-
-QssRun RunQssScenario(bool vm) {
-  OemDatabase base = testing::SyntheticGuide(12);
-  OemHistory script = testing::SyntheticGuideHistory(base, 10, 4);
-  qss::ScriptedSource source(base, script, /*preserve_ids=*/true);
-  Timestamp start = Timestamp::FromDate(1997, 1, 1);
-
-  qss::QssOptions opts;
-  opts.acceleration.vm_filter = vm;
-  opts.acceleration.verify_vm_filter = vm;
-  qss::QuerySubscriptionService service(&source, start, opts);
-
-  QssRun out;
-  auto subscribe = [&](const std::string& name, const std::string& filter) {
-    qss::Subscription sub;
-    sub.name = name;
-    sub.frequency = *qss::FrequencySpec::Parse("every 1 ticks");
-    sub.polling_query = "select guide.restaurant";
-    sub.filter_query = filter;
-    Status st = service.Subscribe(
-        sub, [&out, name](const qss::Notification& n) {
-          out.notifications.push_back(
-              name + "@" + std::to_string(n.poll_time.ticks) + "#" +
-              std::to_string(n.poll_index) + "\n" + n.result.RowsToString());
-        });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  };
-  subscribe("Cre", "select Cre.restaurant<cre at T> where T > t[-1]");
-  subscribe("Upd",
-            "select T, OV, NV from Upd.restaurant.price"
-            "<upd at T from OV to NV> where T > t[-1]");
-  subscribe("Rem",
-            "select R, T from Rem.restaurant.<rem at T>parking R "
-            "where T > t[-1]");
-  if (::testing::Test::HasFatalFailure()) return out;
-
-  qss::PollReport report;
-  for (int i = 0; i < 10; ++i) {
-    Timestamp t(service.now().ticks + 1);
-    Status st = service.AdvanceTo(t, &report);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  for (const std::string name : {"Cre", "Upd", "Rem"}) {
-    const DoemDatabase* d = service.History(name);
-    if (d != nullptr) out.history_text[name] = WriteDoemText(*d);
-  }
-  for (const qss::PollError& e : report.errors) {
-    out.errors.push_back(e.subject + "@" + std::to_string(e.time.ticks) +
-                         ":" + e.status.ToString());
-  }
-  out.polls_ok = report.polls_ok;
-  out.polls_failed = report.polls_failed;
-  return out;
-}
-
+// End-to-end: a subscription service filtering on the VM, verifying
+// every evaluation against the tree walker, matches one pinned to the
+// walker byte for byte (an oracle instance, tests/oracle.h).
 TEST(VmQssTest, VmFilteredServiceMatchesWalkerFilteredService) {
-  QssRun vm = RunQssScenario(true);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  QssRun walker = RunQssScenario(false);
-  EXPECT_TRUE(vm.errors.empty())
-      << "verify_vm_filter tripped: " << vm.errors.front();
+  const oracle::Scenario s = oracle::FilterScenario(12, 10);
+  const oracle::Output vm =
+      oracle::ExpectSame(s, {}, oracle::Execute(s, {}), {.vm = true});
+  EXPECT_TRUE(vm.report.errors.empty())
+      << "verify_vm_filter tripped: "
+      << vm.report.errors.front().status.ToString();
   EXPECT_FALSE(vm.notifications.empty())
       << "comparison is vacuous: no notifications fired";
-  EXPECT_EQ(vm.history_text, walker.history_text);
-  EXPECT_EQ(vm.notifications, walker.notifications);
-  EXPECT_EQ(vm.errors, walker.errors);
-  EXPECT_EQ(vm.polls_ok, walker.polls_ok);
-  EXPECT_EQ(vm.polls_failed, walker.polls_failed);
 }
 
 }  // namespace
