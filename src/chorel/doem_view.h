@@ -152,7 +152,7 @@ class DoemView : public lorel::GraphView {
   }
 
   bool HasLiveArc(NodeId p, const std::string& l, NodeId c) const override {
-    return d_.graph().HasArc(p, l, c) && d_.ArcCurrentlyLive(p, l, c);
+    return d_.ArcCurrentlyLive(p, l, c);
   }
 
   bool SupportsTimeTravel() const override { return true; }

@@ -12,10 +12,6 @@ namespace {
 const AnnotationList kNoAnnotations;
 }  // namespace
 
-std::string DoemDatabase::ArcKey(NodeId p, const std::string& l, NodeId c) {
-  return std::to_string(p) + "\x1f" + l + "\x1f" + std::to_string(c);
-}
-
 Result<DoemDatabase> DoemDatabase::FromSnapshot(OemDatabase base) {
   Status s = base.Validate();
   if (!s.ok()) {
@@ -93,8 +89,7 @@ Result<DoemDatabase> DoemDatabase::FromParts(
   d.node_annots_ = std::move(node_annots);
   for (auto& [arc, annots] : arc_annots) {
     if (!annots.empty()) {
-      d.arc_annots_[ArcKey(arc.parent, arc.label, arc.child)] =
-          std::move(annots);
+      d.arc_annots_[std::move(arc)] = std::move(annots);
     }
   }
   d.last_time_ = last;
@@ -110,7 +105,7 @@ const AnnotationList& DoemDatabase::NodeAnnotations(NodeId n) const {
 const AnnotationList& DoemDatabase::ArcAnnotations(NodeId p,
                                                    const std::string& l,
                                                    NodeId c) const {
-  auto it = arc_annots_.find(ArcKey(p, l, c));
+  auto it = arc_annots_.find(ArcRef{p, l, c});
   return it == arc_annots_.end() ? kNoAnnotations : it->second;
 }
 
@@ -186,8 +181,7 @@ Status DoemDatabase::ApplyOne(Timestamp t, const ChangeOp& op) {
       if (!graph_.HasArc(a.parent, a.label, a.child)) {
         DOEM_RETURN_IF_ERROR(graph_.AddArc(a.parent, a.label, a.child));
       }
-      arc_annots_[ArcKey(a.parent, a.label, a.child)].push_back(
-          Annotation::Add(t));
+      arc_annots_[a].push_back(Annotation::Add(t));
       return Status::OK();
     }
     case ChangeOp::Kind::kRemArc: {
@@ -198,8 +192,7 @@ Status DoemDatabase::ApplyOne(Timestamp t, const ChangeOp& op) {
       }
       // The arc is not physically removed; it gets a rem annotation
       // (Section 3.1).
-      arc_annots_[ArcKey(a.parent, a.label, a.child)].push_back(
-          Annotation::Rem(t));
+      arc_annots_[a].push_back(Annotation::Rem(t));
       return Status::OK();
     }
   }
@@ -227,10 +220,13 @@ void DoemDatabase::RefreshDeleted(std::optional<Timestamp> t) {
   // make the Section 5.1 encoding unreachable from its root). Arcs touching
   // a stillborn node were necessarily added in the same set and are erased
   // with their annotations.
+  std::vector<NodeId> unreachable;
+  for (NodeId n : graph_.NodeIds()) {
+    if (!live.contains(n)) unreachable.push_back(n);
+  }
   std::unordered_set<NodeId> stillborn;
   if (t.has_value()) {
-    for (NodeId n : graph_.NodeIds()) {
-      if (live.contains(n)) continue;
+    for (NodeId n : unreachable) {
       auto cre = CreTime(n);
       if (cre.has_value() && *cre == *t) stillborn.insert(n);
     }
@@ -240,21 +236,19 @@ void DoemDatabase::RefreshDeleted(std::optional<Timestamp> t) {
             stillborn.contains(arc.child)) {
           Status s = graph_.RemArc(arc.parent, arc.label, arc.child);
           (void)s;
-          arc_annots_.erase(ArcKey(arc.parent, arc.label, arc.child));
+          arc_annots_.erase(arc);
         }
       }
       for (NodeId n : stillborn) {
         node_annots_.erase(n);
-        // Physically drop the node: route through a scratch GC-free path
-        // by rebuilding values; OemDatabase has no raw erase, so mark via
-        // CollectGarbage below would be unsafe (it would also drop kept
-        // deleted nodes). Instead we remove it directly.
+        // Erase just this node: CollectGarbage would also drop the
+        // deleted nodes the DOEM graph keeps as history.
         graph_.EraseNodeForce(n);
       }
     }
   }
-  for (NodeId n : graph_.NodeIds()) {
-    if (!live.contains(n)) deleted_.insert(n);
+  for (NodeId n : unreachable) {
+    if (!stillborn.contains(n)) deleted_.insert(n);
   }
 }
 
@@ -313,32 +307,26 @@ OemDatabase DoemDatabase::SnapshotAt(Timestamp t) const {
   NodeId root = graph_.root();
   if (root == kInvalidNode) return snap;
 
-  // Discover nodes reachable at time t. Arcs are traversed only out of
+  // Discover nodes reachable at time t, creating them in discovery order;
+  // arcs are added once both ends exist. Arcs are traversed only out of
   // nodes that are complex at t; in a feasible database a node with live
   // out-arcs is necessarily complex, so this is defensive.
   std::unordered_set<NodeId> seen{root};
   std::deque<NodeId> queue{root};
-  std::vector<NodeId> order;
+  std::vector<Arc> arcs;
   while (!queue.empty()) {
     NodeId n = queue.front();
     queue.pop_front();
-    order.push_back(n);
-    if (!ValueAt(n, t).is_complex()) continue;
-    for (const OutArc& a : ArcsLiveAt(n, t)) {
+    Value v = ValueAt(n, t);
+    const bool complex = v.is_complex();
+    snap.CreNode(n, std::move(v));
+    if (!complex) continue;
+    for (OutArc& a : ArcsLiveAt(n, t)) {
       if (seen.insert(a.child).second) queue.push_back(a.child);
+      arcs.push_back(Arc{n, std::move(a.label), a.child});
     }
   }
-  for (NodeId n : order) {
-    Status s = snap.CreNode(n, ValueAt(n, t));
-    (void)s;
-  }
-  for (NodeId n : order) {
-    if (!ValueAt(n, t).is_complex()) continue;
-    for (const OutArc& a : ArcsLiveAt(n, t)) {
-      Status s = snap.AddArc(n, a.label, a.child);
-      (void)s;
-    }
-  }
+  for (const Arc& a : arcs) snap.AddArc(a.parent, a.label, a.child);
   // Preserve the id allocator position so snapshots can be extended
   // without clashing with ids the DOEM graph already burned.
   snap.ReserveIdsBelow(graph_.PeekNextId());
@@ -385,27 +373,12 @@ std::vector<UpdRecord> DoemDatabase::UpdRecords(NodeId n) const {
   return out;
 }
 
-std::vector<std::pair<Timestamp, NodeId>> DoemDatabase::AddAnnotated(
-    NodeId n, const std::string& label) const {
+std::vector<std::pair<Timestamp, NodeId>> DoemDatabase::ArcEvents(
+    NodeId n, const std::string& label, Annotation::Kind kind) const {
   std::vector<std::pair<Timestamp, NodeId>> out;
   for (NodeId c : graph_.Children(n, label)) {
     for (const Annotation& ann : ArcAnnotations(n, label, c)) {
-      if (ann.kind == Annotation::Kind::kAdd) {
-        out.emplace_back(ann.time, c);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<Timestamp, NodeId>> DoemDatabase::RemAnnotated(
-    NodeId n, const std::string& label) const {
-  std::vector<std::pair<Timestamp, NodeId>> out;
-  for (NodeId c : graph_.Children(n, label)) {
-    for (const Annotation& ann : ArcAnnotations(n, label, c)) {
-      if (ann.kind == Annotation::Kind::kRem) {
-        out.emplace_back(ann.time, c);
-      }
+      if (ann.kind == kind) out.emplace_back(ann.time, c);
     }
   }
   return out;
@@ -476,13 +449,8 @@ bool DoemDatabase::Equals(const DoemDatabase& other) const {
     if (annots.empty()) continue;
     if (other.NodeAnnotations(n) != annots) return false;
   }
-  if (nonempty(arc_annots_) != nonempty(other.arc_annots_)) return false;
-  for (const auto& [key, annots] : arc_annots_) {
-    if (annots.empty()) continue;
-    auto it = other.arc_annots_.find(key);
-    if (it == other.arc_annots_.end() || it->second != annots) return false;
-  }
-  return true;
+  // Arc annotation lists are never empty (FromParts drops empty ones).
+  return arc_annots_ == other.arc_annots_;
 }
 
 std::string DoemDatabase::ToString() const {

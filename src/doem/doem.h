@@ -165,17 +165,23 @@ class DoemDatabase {
   /// addFun(n, l): (t, c) pairs such that arc (n, l, c) has an add(t)
   /// annotation — regardless of whether the arc is currently live.
   std::vector<std::pair<Timestamp, NodeId>> AddAnnotated(
-      NodeId n, const std::string& label) const;
+      NodeId n, const std::string& label) const {
+    return ArcEvents(n, label, Annotation::Kind::kAdd);
+  }
   /// remFun(n, l): analogous for rem annotations.
   std::vector<std::pair<Timestamp, NodeId>> RemAnnotated(
-      NodeId n, const std::string& label) const;
+      NodeId n, const std::string& label) const {
+    return ArcEvents(n, label, Annotation::Kind::kRem);
+  }
 
-  /// All arcs (p,l,c) of the raw graph, plus liveness filtering helpers,
-  /// used by the encoder.
+  /// A readable dump: the raw graph in OEM text, then every non-empty
+  /// node and arc annotation set.
   std::string ToString() const;
 
  private:
-  static std::string ArcKey(NodeId p, const std::string& l, NodeId c);
+  /// (t, c) for each `kind` annotation on an arc (n, label, c).
+  std::vector<std::pair<Timestamp, NodeId>> ArcEvents(
+      NodeId n, const std::string& label, Annotation::Kind kind) const;
 
   /// Recomputes the deleted set: non-deleted nodes unreachable from the
   /// root via currently-live arcs become deleted. Nodes created in the
@@ -189,7 +195,7 @@ class DoemDatabase {
 
   OemDatabase graph_;
   std::unordered_map<NodeId, AnnotationList> node_annots_;
-  std::unordered_map<std::string, AnnotationList> arc_annots_;
+  ArcMap<AnnotationList> arc_annots_;
   std::unordered_set<NodeId> deleted_;
   // Largest timestamp applied so far (annotation timestamps are strictly
   // increasing across change sets).

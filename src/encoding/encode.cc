@@ -26,10 +26,6 @@ bool LabelFromHistory(const std::string& encoded, std::string* label) {
   return true;
 }
 
-std::string EncodeArcKey(NodeId p, const std::string& l, NodeId c) {
-  return std::to_string(p) + "\x1f" + l + "\x1f" + std::to_string(c);
-}
-
 Result<OemDatabase> EncodeDoem(const DoemDatabase& d) {
   return EncodeDoem(d, 0, nullptr);
 }
@@ -91,7 +87,7 @@ Result<OemDatabase> EncodeDoem(const DoemDatabase& d, NodeId aux_floor,
       }
       NodeId hist = out.NewComplex();
       if (tables != nullptr) {
-        tables->arc_history[EncodeArcKey(n, a.label, a.child)] = hist;
+        tables->arc_history[Arc{n, a.label, a.child}] = hist;
       }
       DOEM_RETURN_IF_ERROR(out.AddArc(n, HistoryLabelFor(a.label), hist));
       DOEM_RETURN_IF_ERROR(out.AddArc(hist, "&target", a.child));

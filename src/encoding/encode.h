@@ -2,7 +2,6 @@
 #define DOEM_ENCODING_ENCODE_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "doem/doem.h"
@@ -48,9 +47,9 @@ Result<OemDatabase> EncodeDoem(const DoemDatabase& d);
 /// Side tables produced while encoding, for O(delta) incremental
 /// maintenance (encode_incremental.h).
 struct EncodeTables {
-  /// (parent, label, child) — keyed as DoemDatabase's internal arc key —
-  /// to the id of the arc's &l-history object.
-  std::unordered_map<std::string, NodeId> arc_history;
+  /// Each DOEM arc (parent, label, child) to the id of its &l-history
+  /// object.
+  ArcMap<NodeId> arc_history;
 };
 
 /// As EncodeDoem, with two extensions used by the incremental maintainer:
@@ -59,9 +58,6 @@ struct EncodeTables {
 /// non-null it receives the arc-history lookup table.
 Result<OemDatabase> EncodeDoem(const DoemDatabase& d, NodeId aux_floor,
                                EncodeTables* tables);
-
-/// The arc-history table key for (p, l, c).
-std::string EncodeArcKey(NodeId p, const std::string& l, NodeId c);
 
 /// Reconstructs the DOEM database from its encoding. Validates structural
 /// consistency (every encoding object has exactly one &val; current arcs

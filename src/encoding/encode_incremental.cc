@@ -111,14 +111,14 @@ Status IncrementalEncoder::PatchAddArc(const DoemDatabase& d, Timestamp t,
   if (annots.size() == 1) {
     // First annotation ever: a brand-new physical arc, new history object.
     NodeId hist = NewAuxComplex();
-    arc_history_[EncodeArcKey(a.parent, a.label, a.child)] = hist;
+    arc_history_[a] = hist;
     DOEM_RETURN_IF_ERROR(
         enc_.AddArc(a.parent, HistoryLabelFor(a.label), hist));
     DOEM_RETURN_IF_ERROR(enc_.AddArc(hist, "&target", a.child));
     return enc_.AddArc(hist, "&add", NewAux(Value::Time(t)));
   }
   // Re-add of a previously removed arc: append to its history object.
-  auto it = arc_history_.find(EncodeArcKey(a.parent, a.label, a.child));
+  auto it = arc_history_.find(a);
   if (it == arc_history_.end()) {
     return Status::Internal("re-added arc has no history object");
   }
@@ -139,7 +139,7 @@ Status IncrementalEncoder::PatchRemArc(Timestamp t, const ChangeOp& op) {
   const Arc& a = op.arc;
   // Create indexed every physical arc's history object, and PatchAddArc
   // indexes new ones, so a live arc always has an entry.
-  auto it = arc_history_.find(EncodeArcKey(a.parent, a.label, a.child));
+  auto it = arc_history_.find(a);
   if (it == arc_history_.end()) {
     return Status::Internal("removed arc has no history object");
   }

@@ -2,7 +2,6 @@
 #define DOEM_ENCODING_ENCODE_INCREMENTAL_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "doem/doem.h"
@@ -73,7 +72,7 @@ class IncrementalEncoder {
   // (parent, label, child) -> &l-history object id, so re-adds and
   // removals reach their history object without scanning same-label
   // siblings.
-  std::unordered_map<std::string, NodeId> arc_history_;
+  ArcMap<NodeId> arc_history_;
 };
 
 }  // namespace doem

@@ -198,7 +198,7 @@ class OemView : public GraphView {
   }
   const std::vector<NodeId>* ChildrenRef(
       NodeId n, const std::string& label) const override {
-    // Every OEM arc is live, so the by_label_ bucket is the child list.
+    // Every OEM arc is live, so the node's label bucket is the child list.
     return db_.ChildBucket(n, label);
   }
   std::vector<OutArc> LiveOutArcs(NodeId n) const override {

@@ -124,8 +124,20 @@ Result<PollGroup*> PollGroupManager::Acquire(
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::string key = GroupKey(polling_query, frequency, subscriber_name);
   auto it = groups_.find(key);
-  if (it != groups_.end() && !it->second->retired) {
+  if (it != groups_.end()) {
     PollGroup* group = it->second.get();
+    if (group->retired) {
+      // Subscribed again inside the tick that retired it. A wave may still
+      // hold the group, so revive it in place rather than replace it: one
+      // key never has two groups (or two stores).
+      group->retired = false;
+      std::erase(retired_keys_, key);
+      CircuitState state = group->health.state;
+      if (state == CircuitState::kOpen) AddGauge(ins_.circuits_open, 1);
+      if (state == CircuitState::kHalfOpen) {
+        AddGauge(ins_.circuits_half_open, 1);
+      }
+    }
     ++group->subscriber_count;
     auto eit = std::find_if(
         group->entries.begin(), group->entries.end(),

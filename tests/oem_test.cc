@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "oem/change.h"
 #include "oem/graph_compare.h"
 #include "oem/history.h"
@@ -262,6 +270,249 @@ TEST(OemDatabaseTest, EqualsIsExact) {
   EXPECT_TRUE(a.db.Equals(b.db));
   ASSERT_TRUE(b.db.UpdNode(b.bangkok_price, Value::Int(11)).ok());
   EXPECT_FALSE(a.db.Equals(b.db));
+}
+
+// A brute-force OemDatabase: values by id, every arc in one list in
+// insertion order, and the erased ids.
+struct OemModel {
+  std::map<NodeId, Value> values;
+  std::vector<Arc> arcs;
+  std::set<NodeId> erased;
+  NodeId root = kInvalidNode;
+  NodeId next_id = 1;
+
+  bool Live(NodeId n) const { return values.contains(n); }
+  bool Burned(NodeId n) const { return Live(n) || erased.contains(n); }
+  bool HasArc(const Arc& a) const {
+    return std::find(arcs.begin(), arcs.end(), a) != arcs.end();
+  }
+  bool HasIncoming(NodeId n) const {
+    return std::any_of(arcs.begin(), arcs.end(),
+                       [&](const Arc& a) { return a.child == n; });
+  }
+  std::vector<OutArc> Out(NodeId p) const {
+    std::vector<OutArc> out;
+    for (const Arc& a : arcs) {
+      if (a.parent == p) out.push_back({a.label, a.child});
+    }
+    return out;
+  }
+  std::vector<NodeId> Children(NodeId p, const std::string& l) const {
+    std::vector<NodeId> out;
+    for (const Arc& a : arcs) {
+      if (a.parent == p && a.label == l) out.push_back(a.child);
+    }
+    return out;
+  }
+  NodeId NewNode(const Value& v) {
+    while (Burned(next_id)) ++next_id;
+    values[next_id] = v;
+    return next_id++;
+  }
+  std::vector<NodeId> CollectGarbage() {
+    std::set<NodeId> seen;
+    std::deque<NodeId> queue;
+    if (Live(root)) queue.push_back(root);
+    seen.insert(root);
+    while (!queue.empty()) {
+      NodeId n = queue.front();
+      queue.pop_front();
+      for (const OutArc& a : Out(n)) {
+        if (seen.insert(a.child).second) queue.push_back(a.child);
+      }
+    }
+    std::vector<NodeId> removed;
+    for (const auto& [id, v] : values) {
+      if (!seen.contains(id)) removed.push_back(id);
+    }
+    for (NodeId id : removed) {
+      values.erase(id);
+      erased.insert(id);
+    }
+    std::erase_if(arcs, [&](const Arc& a) { return !seen.contains(a.parent); });
+    return removed;
+  }
+};
+
+const std::vector<std::string> kModelLabels = {"a", "b", "c"};
+
+// Compares every accessor of `db` with the model.
+void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
+  ASSERT_EQ(db.root(), m.root);
+  ASSERT_EQ(db.node_count(), m.values.size());
+  ASSERT_EQ(db.arc_count(), m.arcs.size());
+  ASSERT_EQ(db.PeekNextId(), m.next_id);
+  std::vector<NodeId> ids;
+  for (const auto& [id, v] : m.values) ids.push_back(id);
+  ASSERT_EQ(db.NodeIds(), ids);
+  std::vector<Arc> by_parent = m.arcs;
+  std::stable_sort(by_parent.begin(), by_parent.end(),
+                   [](const Arc& x, const Arc& y) {
+                     return x.parent < y.parent;
+                   });
+  ASSERT_EQ(db.AllArcs(), by_parent);
+
+  std::vector<NodeId> probes = ids;
+  probes.push_back(kInvalidNode);
+  probes.push_back(m.next_id + 1);
+  if (!m.erased.empty()) probes.push_back(*m.erased.rbegin());
+  for (NodeId n : probes) {
+    ASSERT_EQ(db.HasNode(n), m.Live(n)) << n;
+    const Value* v = db.GetValue(n);
+    ASSERT_EQ(v != nullptr, m.Live(n)) << n;
+    if (v != nullptr) {
+      ASSERT_EQ(*v, m.values.at(n)) << n;
+    }
+    ASSERT_EQ(db.OutArcs(n), m.Out(n)) << n;
+    for (const std::string& l : kModelLabels) {
+      std::vector<NodeId> children = m.Children(n, l);
+      ASSERT_EQ(db.Children(n, l), children) << n << l;
+      const std::vector<NodeId>* bucket = db.ChildBucket(n, l);
+      ASSERT_EQ(bucket == nullptr, children.empty()) << n << l;
+      if (bucket != nullptr) {
+        ASSERT_EQ(*bucket, children) << n << l;
+      }
+      ASSERT_EQ(db.LabelChildCount(n, l), children.size()) << n << l;
+      ASSERT_EQ(db.Child(n, l),
+                children.empty() ? kInvalidNode : children.front());
+      for (NodeId c : probes) {
+        ASSERT_EQ(db.HasArc(n, l, c), m.HasArc({n, l, c})) << n << l << c;
+      }
+    }
+  }
+
+  size_t distinct = 0;
+  for (const std::string& l : kModelLabels) {
+    size_t count = std::count_if(m.arcs.begin(), m.arcs.end(),
+                                 [&](const Arc& a) { return a.label == l; });
+    ASSERT_EQ(db.ArcCountForLabel(l), count) << l;
+    if (count > 0) ++distinct;
+  }
+  ASSERT_EQ(db.DistinctLabelCount(), distinct);
+
+  for (NodeId n : m.erased) {
+    OemDatabase probe = db;
+    ASSERT_EQ(probe.CreNode(n, Value::Complex()).code(),
+              StatusCode::kInvalidChange)
+        << n;
+  }
+
+  OemDatabase rebuilt;
+  for (const auto& [id, v] : m.values) ASSERT_TRUE(rebuilt.CreNode(id, v).ok());
+  for (const Arc& a : m.arcs) {
+    ASSERT_TRUE(rebuilt.AddArc(a.parent, a.label, a.child).ok());
+  }
+  ASSERT_TRUE(rebuilt.SetRoot(m.root).ok());
+  ASSERT_TRUE(db.Equals(rebuilt));
+  ASSERT_TRUE(rebuilt.Equals(db));
+}
+
+// Applies one random operation to both `db` and `m`, and checks that
+// both accept or reject it alike.
+void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
+  auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
+  };
+  auto any_id = [&] { return static_cast<NodeId>(pick(m->next_id + 3)); };
+  auto any_value = [&] {
+    switch (pick(4)) {
+      case 0:
+        return Value::Int(static_cast<int64_t>(pick(5)));
+      case 1:
+        return Value::String("s" + std::to_string(pick(3)));
+      default:
+        return Value::Complex();
+    }
+  };
+  const std::string& label = kModelLabels[pick(kModelLabels.size())];
+  switch (pick(10)) {
+    case 0: {
+      Value v = any_value();
+      ASSERT_EQ(db->NewNode(v), m->NewNode(v));
+      break;
+    }
+    case 1: {
+      NodeId n = any_id();
+      Value v = any_value();
+      bool ok = n != kInvalidNode && !m->Burned(n);
+      ASSERT_EQ(db->CreNode(n, v).ok(), ok) << n;
+      if (ok) {
+        m->values[n] = v;
+        m->next_id = std::max(m->next_id, n + 1);
+      }
+      break;
+    }
+    case 2: {
+      NodeId n = any_id();
+      if (n == m->root) break;  // the root stays complex
+      Value v = any_value();
+      bool ok = m->Live(n) && m->Out(n).empty();
+      ASSERT_EQ(db->UpdNode(n, v).ok(), ok) << n;
+      if (ok) m->values[n] = v;
+      break;
+    }
+    case 3:
+    case 4:
+    case 5: {
+      Arc a{any_id(), label, any_id()};
+      bool ok = m->Live(a.parent) && m->values[a.parent].is_complex() &&
+                m->Live(a.child) && !m->HasArc(a);
+      ASSERT_EQ(db->AddArc(a.parent, a.label, a.child).ok(), ok)
+          << a.ToString();
+      if (ok) m->arcs.push_back(a);
+      break;
+    }
+    case 6:
+    case 7: {
+      Arc a = !m->arcs.empty() && pick(4) != 0
+                  ? m->arcs[pick(m->arcs.size())]
+                  : Arc{any_id(), label, any_id()};
+      bool ok = m->HasArc(a);
+      ASSERT_EQ(db->RemArc(a.parent, a.label, a.child).ok(), ok)
+          << a.ToString();
+      if (ok) std::erase(m->arcs, a);
+      break;
+    }
+    case 8: {
+      // The contract: no incident arcs. Out-arcs are checked; in-arcs and
+      // the root are the caller's to avoid.
+      NodeId n = any_id();
+      if (n == m->root || m->HasIncoming(n)) break;
+      bool ok = m->Live(n) && m->Out(n).empty();
+      ASSERT_EQ(db->EraseNodeForce(n).ok(), ok) << n;
+      if (ok) {
+        m->values.erase(n);
+        m->erased.insert(n);
+      }
+      break;
+    }
+    case 9:
+      ASSERT_EQ(db->CollectGarbage(), m->CollectGarbage());
+      break;
+  }
+}
+
+TEST(OemDatabaseTest, IndexesMatchBruteForceModel) {
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    OemDatabase db;
+    OemModel m;
+    m.root = m.NewNode(Value::Complex());
+    ASSERT_EQ(db.NewComplex(), m.root);
+    ASSERT_TRUE(db.SetRoot(m.root).ok());
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      // Mutate a copy; the original must not notice.
+      OemDatabase copy = db;
+      OemModel next = m;
+      RandomStep(&rng, &copy, &next);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db, m));
+      db = std::move(copy);
+      m = std::move(next);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db, m));
+    }
+  }
 }
 
 // ------------------------------------------------------------- ChangeOps
