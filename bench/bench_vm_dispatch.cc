@@ -105,9 +105,9 @@ BENCHMARK(BM_VmChorelFilter)
     ->ArgNames({"history", "vm"})
     ->Unit(benchmark::kMicrosecond);
 
-// Same shape, direct strategy with index seeding — the configuration
-// where the VM's kSeedAnn opcode and the walker's seeded enumeration
-// both read the same annotation-index postings.
+// Same shape, direct strategy with index seeding on: vm:1 seeds the
+// kSeedAnn step from the annotation index; vm:0 is the tree walker, which
+// never seeds and scans every price instead.
 void BM_VmDirectSeeded(benchmark::State& state) {
   size_t history = static_cast<size_t>(state.range(0));
   bool vm = state.range(1) != 0;

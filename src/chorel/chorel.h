@@ -82,10 +82,11 @@ struct ChorelEngineOptions {
   /// baseline), ApplyDelta merely invalidates and the next run rebuilds
   /// from scratch.
   bool incremental = true;
-  /// Attach the annotation index to direct-strategy evaluation so
-  /// time-bounded annotation expressions enumerate candidates from index
-  /// postings (DESIGN.md §6c). Off by default: seeded enumeration can
-  /// reorder result rows relative to the legacy scan order.
+  /// Attach the annotation index to direct-strategy evaluation so the
+  /// bytecode VM enumerates candidates of time-bounded annotation
+  /// expressions from index postings (DESIGN.md §6c). Speed only: rows,
+  /// their order and errors are the same either way. The tree walker
+  /// never seeds.
   bool seed_from_index = false;
   /// Debug cross-check: after every ApplyDelta, decode the patched
   /// encoding back to a DOEM database and rebuild the index from scratch,

@@ -1,9 +1,10 @@
 #ifndef DOEM_CHOREL_DOEM_VIEW_H_
 #define DOEM_CHOREL_DOEM_VIEW_H_
 
+#include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,10 +21,11 @@ namespace chorel {
 /// annotations to Chorel annotation expressions, and virtual <at T>
 /// annotations time-travel via the snapshot rules of Section 3.2.
 ///
-/// When an AnnotationIndex is attached, the *InRange seeding hooks answer
-/// from its postings, letting the evaluator enumerate candidates for
-/// time-bounded annotation expressions in O(matching annotations) instead
-/// of scanning every child (DESIGN.md §6c). The index must have been
+/// When an AnnotationIndex is attached, the seeding hooks answer from its
+/// postings, letting the bytecode VM enumerate candidates for time-bounded
+/// annotation expressions in O(postings in range) instead of scanning
+/// every child (DESIGN.md §6c). They order their answer by the graph's
+/// arc sequence numbers, which is scan order. The index must have been
 /// built from (and kept current with) the same database.
 class DoemView : public lorel::GraphView {
  public:
@@ -111,48 +113,53 @@ class DoemView : public lorel::GraphView {
     return AnyLabel(n, Annotation::Kind::kRem);
   }
 
-  std::optional<std::vector<NodeId>> CreatedInRange(
-      Timestamp from, Timestamp to) const override {
+  std::optional<std::vector<NodeId>> AnnotatedChildren(
+      NodeId p, const std::string& label, AnnotStat kind, Timestamp from,
+      Timestamp to, size_t* postings) const override {
     if (index_ == nullptr) return std::nullopt;
+    auto entries = kind == AnnotStat::kCre ? index_->CreatedIn(from, to)
+                                           : index_->UpdatedIn(from, to);
+    *postings += entries.size();
+    // (arc sequence number, child): ascending sequence is Children order.
+    std::vector<std::pair<uint64_t, NodeId>> hits;
+    for (const auto& e : entries) {
+      auto seq = d_.graph().ArcSeq({p, label, e.node});
+      if (seq && d_.ArcCurrentlyLive(p, label, e.node)) {
+        hits.emplace_back(*seq, e.node);
+      }
+    }
+    // A node updated more than once in range is one candidate.
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
     std::vector<NodeId> out;
-    for (const auto& e : index_->CreatedIn(from, to)) out.push_back(e.node);
+    out.reserve(hits.size());
+    for (const auto& hit : hits) out.push_back(hit.second);
     return out;
   }
 
-  std::optional<std::vector<NodeId>> UpdatedInRange(
-      Timestamp from, Timestamp to) const override {
+  std::optional<std::vector<std::pair<Timestamp, NodeId>>> AnnotatedArcs(
+      NodeId p, const std::string* label, AnnotStat kind, Timestamp from,
+      Timestamp to, size_t* postings) const override {
     if (index_ == nullptr) return std::nullopt;
-    // A node may carry several upd annotations in range; report it once.
-    std::vector<NodeId> out;
-    std::unordered_set<NodeId> seen;
-    for (const auto& e : index_->UpdatedIn(from, to)) {
-      if (seen.insert(e.node).second) out.push_back(e.node);
+    auto entries = kind == AnnotStat::kAdd ? index_->AddedIn(from, to)
+                                           : index_->RemovedIn(from, to);
+    *postings += entries.size();
+    // (arc sequence number, time, child): ascending sequence is the arc
+    // order of AddAnnotated and AddAnnotatedAny, then time within an arc.
+    std::vector<std::tuple<uint64_t, Timestamp, NodeId>> hits;
+    for (const auto& e : entries) {
+      if (e.arc.parent != p || (label != nullptr && e.arc.label != *label)) {
+        continue;
+      }
+      if (auto seq = d_.graph().ArcSeq(e.arc)) {
+        hits.emplace_back(*seq, e.time, e.arc.child);
+      }
     }
+    std::sort(hits.begin(), hits.end());
+    std::vector<std::pair<Timestamp, NodeId>> out;
+    out.reserve(hits.size());
+    for (const auto& [seq, t, c] : hits) out.emplace_back(t, c);
     return out;
-  }
-
-  std::optional<std::vector<std::pair<Timestamp, Arc>>> AddedInRange(
-      Timestamp from, Timestamp to) const override {
-    if (index_ == nullptr) return std::nullopt;
-    std::vector<std::pair<Timestamp, Arc>> out;
-    for (const auto& e : index_->AddedIn(from, to)) {
-      out.emplace_back(e.time, e.arc);
-    }
-    return out;
-  }
-
-  std::optional<std::vector<std::pair<Timestamp, Arc>>> RemovedInRange(
-      Timestamp from, Timestamp to) const override {
-    if (index_ == nullptr) return std::nullopt;
-    std::vector<std::pair<Timestamp, Arc>> out;
-    for (const auto& e : index_->RemovedIn(from, to)) {
-      out.emplace_back(e.time, e.arc);
-    }
-    return out;
-  }
-
-  bool HasLiveArc(NodeId p, const std::string& l, NodeId c) const override {
-    return d_.ArcCurrentlyLive(p, l, c);
   }
 
   bool SupportsTimeTravel() const override { return true; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,7 +24,6 @@ class Evaluator {
   Result<QueryResult> Run() {
     QueryResult result;
     result.labels = q_.labels;
-    PrepareSeeding();
     Env env;
     Status s = EnumDefs(0, &env, &result);
     if (s.ok() && opts_.package_results) {
@@ -42,9 +40,7 @@ class Evaluator {
   Status EnumDefs(size_t idx, Env* env, QueryResult* result) {
     if (idx == q_.defs.size()) return TestAndEmit(*env, result);
     const RangeDef& def = q_.defs[idx];
-    auto matches =
-        MatchStep(*env, def.source_var, def.step, def.var,
-                  /*allow_seeding=*/true);
+    auto matches = MatchStep(*env, def.source_var, def.step, def.var);
     if (!matches.ok()) return matches.status();
     for (Bindings& b : *matches) {
       if (def.bind_value) {
@@ -63,16 +59,13 @@ class Evaluator {
 
   /// Enumerates one step from the source variable's binding, producing
   /// for each match the variable bindings it introduces (the endpoint
-  /// node variable plus any annotation variables). `allow_seeding` is set
-  /// only for top-level range definitions, whose annotation variables are
-  /// the ones the where clause's top-level conjuncts constrain; lazy
-  /// paths (inside exists / comparisons) bind variables with their own
-  /// scopes and always scan.
+  /// node variable plus any annotation variables). Every step scans: the
+  /// walker is the reference semantics, and annotation-index seeding is
+  /// the bytecode VM's plan choice (DESIGN.md §6c).
   Result<std::vector<Bindings>> MatchStep(const Env& env,
                                           const std::string& source_var,
                                           const PathStep& step,
-                                          const std::string& end_var,
-                                          bool allow_seeding = false) {
+                                          const std::string& end_var) {
     std::vector<Bindings> out;
     NodeId source;
     if (source_var.empty()) {
@@ -89,9 +82,6 @@ class Evaluator {
     }
 
     // 1. Candidate children (and arc-annotation bindings).
-    // `seeded_step` feeds the EvalStats seeded-vs-scanned tally for
-    // annotation steps.
-    bool seeded_step = false;
     std::vector<std::pair<NodeId, Bindings>> candidates;
     if (!step.arc_annot) {
       if (step.wildcard) {
@@ -104,9 +94,6 @@ class Evaluator {
           if (skip_amp && !a.label.empty() && a.label[0] == '&') continue;
           candidates.push_back({a.child, {}});
         }
-      } else if (auto seeded = SeedNodeCandidates(allow_seeding, source, step)) {
-        seeded_step = true;
-        for (NodeId c : *seeded) candidates.push_back({c, {}});
       } else {
         for (NodeId c : view_.Children(source, step.label)) {
           ++stats_.arcs_expanded;
@@ -135,10 +122,7 @@ class Evaluator {
               "this view has no annotations");
         }
         std::vector<std::pair<Timestamp, NodeId>> pairs;
-        if (auto seeded = SeedArcPairs(allow_seeding, source, step, a)) {
-          seeded_step = true;
-          pairs = std::move(*seeded);
-        } else if (step.wildcard_one) {
+        if (step.wildcard_one) {
           pairs = a.kind == AnnotKind::kAdd ? view_.AddAnnotatedAny(source)
                                             : view_.RemAnnotatedAny(source);
         } else {
@@ -146,7 +130,7 @@ class Evaluator {
                       ? view_.AddAnnotated(source, step.label)
                       : view_.RemAnnotated(source, step.label);
         }
-        if (!seeded_step) stats_.arcs_expanded += pairs.size();
+        stats_.arcs_expanded += pairs.size();
         for (auto& [t, c] : pairs) {
           Bindings b;
           if (!a.time_var.empty()) {
@@ -157,18 +141,9 @@ class Evaluator {
       }
     }
 
-    // EvalStats: endpoint candidates considered, and whether an
-    // annotation step came from the index or a scan (<at T> time travel
-    // has no index; it always counts as scanned).
+    // EvalStats: endpoint candidates considered; annotation steps scan.
     stats_.nodes_visited += candidates.size();
-    bool annot_step = step.arc_annot.has_value() || step.node_annot.has_value();
-    if (annot_step) {
-      if (seeded_step) {
-        ++stats_.steps_index_seeded;
-      } else {
-        ++stats_.steps_scanned;
-      }
-    }
+    if (step.arc_annot || step.node_annot) ++stats_.steps_scanned;
 
     // 2. Node-annotation filtering/extension on each candidate.
     for (auto& [child, arc_bindings] : candidates) {
@@ -255,192 +230,6 @@ class Evaluator {
       }
     }
     return order;
-  }
-
-  // ---- annotation-index seeding ----------------------------------------
-  //
-  // When the where clause range-bounds an annotation time variable via
-  // top-level AND conjuncts (T > t[-1], T <= 1997-03-01, ...), candidates
-  // for the step that binds T can be enumerated annotation-first from the
-  // view's index postings instead of scanning every child: any candidate
-  // whose annotation time falls outside the bounds would bind a T that
-  // fails the conjunct, so restricting to the bounded range is sound.
-  // Seeding is attempted only for plain-label steps of top-level defs,
-  // only for variables bound by exactly one def step (a reused name would
-  // be rebound later, making the pruned binding unobservable by the where
-  // clause), and falls back to scanning whenever the view has no index.
-
-  void PrepareSeeding() {
-    // A variable qualifies only if bound by exactly one top-level def —
-    // def vars count double so any collision disqualifies.
-    std::unordered_map<std::string, int> counts;
-    for (const RangeDef& def : q_.defs) {
-      counts[def.var] += 2;
-      for (const AnnotExpr* annot :
-           {def.step.arc_annot ? &*def.step.arc_annot : nullptr,
-            def.step.node_annot ? &*def.step.node_annot : nullptr}) {
-        if (annot == nullptr) continue;
-        for (const std::string* v :
-             {&annot->time_var, &annot->from_var, &annot->to_var}) {
-          if (!v->empty()) counts[*v] += 1;
-        }
-      }
-    }
-    for (const auto& [name, n] : counts) {
-      if (n == 1) seedable_vars_.insert(name);
-    }
-    if (q_.where) CollectConjunctBounds(q_.where);
-  }
-
-  void CollectConjunctBounds(const ExprPtr& e) {
-    if (e->kind != Expr::Kind::kBinary) return;
-    if (e->op == BinOp::kAnd) {
-      CollectConjunctBounds(e->lhs);
-      CollectConjunctBounds(e->rhs);
-      return;
-    }
-    // Orient as Var op Bound.
-    BinOp op = e->op;
-    const Expr* var = nullptr;
-    const Expr* bound = nullptr;
-    if (e->lhs->kind == Expr::Kind::kVar) {
-      var = e->lhs.get();
-      bound = e->rhs.get();
-    } else if (e->rhs->kind == Expr::Kind::kVar) {
-      var = e->rhs.get();
-      bound = e->lhs.get();
-      switch (op) {
-        case BinOp::kLt: op = BinOp::kGt; break;
-        case BinOp::kLe: op = BinOp::kGe; break;
-        case BinOp::kGt: op = BinOp::kLt; break;
-        case BinOp::kGe: op = BinOp::kLe; break;
-        default: break;
-      }
-    } else {
-      return;
-    }
-    // The bound must be a constant with timestamp meaning. Int and
-    // parseable-string literals qualify: the bounded variable is only
-    // ever an annotation time variable (timestamp-valued), and comparing
-    // a timestamp against those coerces them exactly this way
-    // (CompareValues's timestamp context).
-    Timestamp t;
-    if (bound->kind == Expr::Kind::kTimeRef) {
-      auto r = ResolveTimeRef(bound->time_ref);
-      if (!r.ok()) return;  // no polling times: no bound from this conjunct
-      t = *r;
-    } else if (bound->kind == Expr::Kind::kLiteral) {
-      switch (bound->literal.kind()) {
-        case Value::Kind::kTimestamp:
-          t = bound->literal.AsTime();
-          break;
-        case Value::Kind::kInt:
-          t = Timestamp(bound->literal.AsInt());
-          break;
-        case Value::Kind::kString:
-          if (!Timestamp::Parse(bound->literal.AsString(), &t)) return;
-          break;
-        default:
-          return;
-      }
-    } else {
-      return;
-    }
-    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-    auto it = time_bounds_.find(var->var);
-    if (it == time_bounds_.end()) {
-      it = time_bounds_
-               .emplace(var->var, std::make_pair(Timestamp(kMin),
-                                                 Timestamp(kMax)))
-               .first;
-    }
-    auto& [lo, hi] = it->second;
-    switch (op) {
-      case BinOp::kGt:
-        // Strict bounds saturate at the tick limits, which only ever
-        // widens the range — still a sound over-approximation.
-        lo = std::max(lo, Timestamp(t.ticks == kMax ? kMax : t.ticks + 1));
-        break;
-      case BinOp::kGe:
-        lo = std::max(lo, t);
-        break;
-      case BinOp::kLt:
-        hi = std::min(hi, Timestamp(t.ticks == kMin ? kMin : t.ticks - 1));
-        break;
-      case BinOp::kLe:
-        hi = std::min(hi, t);
-        break;
-      case BinOp::kEq:
-        lo = std::max(lo, t);
-        hi = std::min(hi, t);
-        break;
-      default:
-        // kNe / kLike constrain nothing rangewise; drop the entry if this
-        // conjunct was the only mention.
-        if (it->second ==
-            std::make_pair(Timestamp(kMin), Timestamp(kMax))) {
-          time_bounds_.erase(it);
-        }
-        break;
-    }
-  }
-
-  /// The [lo, hi] range for a seedable, range-bounded variable, or null.
-  const std::pair<Timestamp, Timestamp>* BoundsFor(
-      const std::string& var) const {
-    if (var.empty() || !seedable_vars_.contains(var)) return nullptr;
-    auto it = time_bounds_.find(var);
-    return it == time_bounds_.end() ? nullptr : &it->second;
-  }
-
-  /// Candidates for a plain-label step with a time-bounded <cre at T> /
-  /// <upd ...> node annotation: nodes the index reports in range,
-  /// restricted to live label-children of the source. nullopt = seeding
-  /// not applicable; scan.
-  std::optional<std::vector<NodeId>> SeedNodeCandidates(
-      bool allow_seeding, NodeId source, const PathStep& step) {
-    if (!allow_seeding || !step.node_annot) return std::nullopt;
-    const AnnotExpr& a = *step.node_annot;
-    const auto* bounds = BoundsFor(a.time_var);
-    if (bounds == nullptr) return std::nullopt;
-    std::optional<std::vector<NodeId>> in_range;
-    if (a.kind == AnnotKind::kCre) {
-      in_range = view_.CreatedInRange(bounds->first, bounds->second);
-    } else if (a.kind == AnnotKind::kUpd) {
-      in_range = view_.UpdatedInRange(bounds->first, bounds->second);
-    }
-    if (!in_range) return std::nullopt;
-    stats_.postings_scanned += in_range->size();
-    std::vector<NodeId> out;
-    for (NodeId c : *in_range) {
-      if (view_.HasLiveArc(source, step.label, c)) out.push_back(c);
-    }
-    return out;
-  }
-
-  /// (time, child) pairs for a time-bounded <add at T> / <rem at T> arc
-  /// annotation, from the index's in-range arc postings filtered to the
-  /// source (and label, unless the step is the '%' wildcard). nullopt =
-  /// seeding not applicable; scan.
-  std::optional<std::vector<std::pair<Timestamp, NodeId>>> SeedArcPairs(
-      bool allow_seeding, NodeId source, const PathStep& step,
-      const AnnotExpr& a) {
-    if (!allow_seeding) return std::nullopt;
-    const auto* bounds = BoundsFor(a.time_var);
-    if (bounds == nullptr) return std::nullopt;
-    auto in_range = a.kind == AnnotKind::kAdd
-                        ? view_.AddedInRange(bounds->first, bounds->second)
-                        : view_.RemovedInRange(bounds->first, bounds->second);
-    if (!in_range) return std::nullopt;
-    stats_.postings_scanned += in_range->size();
-    std::vector<std::pair<Timestamp, NodeId>> out;
-    for (const auto& [t, arc] : *in_range) {
-      if (arc.parent != source) continue;
-      if (!step.wildcard_one && arc.label != step.label) continue;
-      out.emplace_back(t, arc.child);
-    }
-    return out;
   }
 
   // ---- where-clause evaluation ------------------------------------------
@@ -682,9 +471,7 @@ class Evaluator {
     if (opts_.stats == nullptr) return;
     opts_.stats->nodes_visited += stats_.nodes_visited;
     opts_.stats->arcs_expanded += stats_.arcs_expanded;
-    opts_.stats->steps_index_seeded += stats_.steps_index_seeded;
     opts_.stats->steps_scanned += stats_.steps_scanned;
-    opts_.stats->postings_scanned += stats_.postings_scanned;
   }
 
   const NormQuery& q_;
@@ -693,11 +480,6 @@ class Evaluator {
   // Profiling tallies, folded into opts_.stats by FlushStats. Kept local
   // so the hot path costs one unconditional increment, not a branch.
   EvalStats stats_;
-  // Annotation variables eligible for index seeding and their where-derived
-  // time bounds (PrepareSeeding).
-  std::unordered_set<std::string> seedable_vars_;
-  std::unordered_map<std::string, std::pair<Timestamp, Timestamp>>
-      time_bounds_;
   std::unordered_set<std::string> seen_rows_;
 };
 

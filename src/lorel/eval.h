@@ -76,13 +76,14 @@ struct EvalStats {
   /// plain-label child lookups).
   size_t arcs_expanded = 0;
   /// Annotation steps whose candidates were seeded from the annotation
-  /// index (the DESIGN.md §6c fast path).
+  /// index (the DESIGN.md §6c fast path). Only the bytecode VM seeds.
   size_t steps_index_seeded = 0;
-  /// Annotation steps that fell back to scanning children/annotations
-  /// (no index, unbounded time variable, or a non-seedable step shape).
+  /// Annotation steps that scanned children/annotations: every one in
+  /// the tree walker; in the VM, those with no index, no range-bounded
+  /// time variable, or a step shape that cannot seed.
   size_t steps_scanned = 0;
-  /// Index postings inspected by seeded enumeration, including postings
-  /// filtered out by the source/label restriction.
+  /// Index postings read by seeded steps, including postings of other
+  /// sources and labels.
   size_t postings_scanned = 0;
 };
 

@@ -101,38 +101,33 @@ class GraphView {
 
   // ---- Annotation-index seeding (default: no index) -------------------
   //
-  // Views backed by an annotation index answer "which nodes/arcs carry a
-  // cre/upd/add/rem annotation in [from, to]?" from time-sorted postings.
-  // The evaluator uses these to enumerate candidates annotation-first
-  // when a step's time variable is range-bounded by the where clause,
-  // instead of scanning every child. nullopt = no index; the evaluator
-  // falls back to scanning.
+  // Views backed by an annotation index answer "which of p's children
+  // carry a cre/upd/add/rem annotation in [from, to]?" from time-sorted
+  // postings instead of a scan of every child. The bytecode VM seeds a
+  // step from these when the where clause range-bounds its time variable
+  // (DESIGN.md §6c). Answers come in the order of the scan they replace
+  // (Children, AddAnnotated, AddAnnotatedAny), so a seeded step yields
+  // the scan's candidates minus those with no annotation in range, in the
+  // same order. nullopt = no index; the caller scans. Both hooks add the
+  // number of index postings they read to `*postings`.
 
-  virtual std::optional<std::vector<NodeId>> CreatedInRange(
-      Timestamp, Timestamp) const {
+  /// Which annotation postings a seeding hook or AnnotCountInRange reads.
+  enum class AnnotStat { kCre, kUpd, kAdd, kRem };
+
+  /// p's live `label`-children with a `kind` (kCre or kUpd) annotation in
+  /// [from, to], each once, in Children(p, label) order.
+  virtual std::optional<std::vector<NodeId>> AnnotatedChildren(
+      NodeId, const std::string&, AnnotStat, Timestamp, Timestamp,
+      size_t*) const {
     return std::nullopt;
   }
-  /// Distinct nodes with at least one upd annotation in range.
-  virtual std::optional<std::vector<NodeId>> UpdatedInRange(
-      Timestamp, Timestamp) const {
+  /// (time, child) for each `kind` (kAdd or kRem) annotation in [from, to]
+  /// on p's `label`-arcs, or on all of p's arcs when `label` is null, in
+  /// AddAnnotated (AddAnnotatedAny) order.
+  virtual std::optional<std::vector<std::pair<Timestamp, NodeId>>>
+  AnnotatedArcs(NodeId, const std::string*, AnnotStat, Timestamp, Timestamp,
+                size_t*) const {
     return std::nullopt;
-  }
-  virtual std::optional<std::vector<std::pair<Timestamp, Arc>>> AddedInRange(
-      Timestamp, Timestamp) const {
-    return std::nullopt;
-  }
-  virtual std::optional<std::vector<std::pair<Timestamp, Arc>>>
-  RemovedInRange(Timestamp, Timestamp) const {
-    return std::nullopt;
-  }
-  /// Membership probe used by seeded enumeration: is c a live l-child of
-  /// p? Default derives from Children; concrete views override with O(1)
-  /// lookups.
-  virtual bool HasLiveArc(NodeId p, const std::string& l, NodeId c) const {
-    for (NodeId x : Children(p, l)) {
-      if (x == c) return true;
-    }
-    return false;
   }
 
   // ---- Cardinality estimates (bytecode-VM cost model; DESIGN.md §6f) --
@@ -143,9 +138,6 @@ class GraphView {
   // left-to-right position, so views without statistics lose nothing.
 
   static constexpr size_t kUnknownCardinality = static_cast<size_t>(-1);
-
-  /// Which annotation postings AnnotCountInRange estimates.
-  enum class AnnotStat { kCre, kUpd, kAdd, kRem };
 
   /// Approximate node count of the database (wildcard-step cardinality).
   virtual size_t TotalNodeEstimate() const { return kUnknownCardinality; }
@@ -212,9 +204,6 @@ class OemView : public GraphView {
   size_t ChildCountEstimate(NodeId n,
                             const std::string& label) const override {
     return db_.LabelChildCount(n, label);
-  }
-  bool HasLiveArc(NodeId p, const std::string& l, NodeId c) const override {
-    return db_.HasArc(p, l, c);
   }
   NodeId IdFloor() const override { return db_.PeekNextId(); }
 

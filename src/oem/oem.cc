@@ -101,11 +101,12 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   if (!HasNode(child)) {
     return Status::NotFound("addArc: no child node " + std::to_string(child));
   }
-  if (!arcs_.insert(Arc{parent, label, child}).second) {
+  if (!arcs_.try_emplace(Arc{parent, label, child}, next_arc_seq_).second) {
     return Status::InvalidChange("addArc: arc " +
                                  Arc{parent, label, child}.ToString() +
                                  " already exists");
   }
+  ++next_arc_seq_;
   p->out.push_back(OutArc{label, child});
   p->by_label[label].push_back(child);
   ++label_counts_[label];
@@ -136,6 +137,12 @@ Status OemDatabase::RemArc(NodeId parent, const std::string& label,
 bool OemDatabase::HasArc(NodeId parent, const std::string& label,
                          NodeId child) const {
   return arcs_.contains(ArcRef{parent, label, child});
+}
+
+std::optional<uint64_t> OemDatabase::ArcSeq(ArcRef arc) const {
+  auto it = arcs_.find(arc);
+  if (it == arcs_.end()) return std::nullopt;
+  return it->second;
 }
 
 const Value* OemDatabase::GetValue(NodeId node) const {
@@ -274,7 +281,7 @@ bool OemDatabase::Equals(const OemDatabase& other) const {
     const Value* ov = other.GetValue(id);
     if (ov == nullptr || !(*ov == n.value)) return false;
   }
-  for (const Arc& a : arcs_) {
+  for (const auto& [a, seq] : arcs_) {
     if (!other.arcs_.contains(a)) return false;
   }
   return true;

@@ -2,6 +2,7 @@
 #define DOEM_OEM_OEM_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -156,6 +157,12 @@ class OemDatabase {
   /// Value of `node`; null if the node does not exist.
   const Value* GetValue(NodeId node) const;
 
+  /// The arc's insertion sequence number, or nullopt if there is no such
+  /// arc. Every AddArc takes the next number and none is reused; out-arc
+  /// lists and label buckets only append and erase, so both list their
+  /// arcs in ascending sequence order.
+  std::optional<uint64_t> ArcSeq(ArcRef arc) const;
+
   /// Outgoing arcs of `node` in insertion order; empty if none/unknown.
   const std::vector<OutArc>& OutArcs(NodeId node) const;
 
@@ -243,9 +250,10 @@ class OemDatabase {
   }
 
   std::unordered_map<NodeId, Node> nodes_;
-  // Every arc, for O(1) AddArc/HasArc even when one label has many
-  // children under one parent.
-  std::unordered_set<Arc, ArcHash, ArcEq> arcs_;
+  // Every arc with its insertion sequence number (ArcSeq), for O(1)
+  // AddArc/HasArc even when one label has many children under one parent.
+  ArcMap<uint64_t> arcs_;
+  uint64_t next_arc_seq_ = 0;
   // Global per-label arc tallies for the VM cost model's cardinality
   // estimates. Derived state, maintained by AddArcForce / RemArc /
   // CollectGarbage; entries are erased when they reach zero.

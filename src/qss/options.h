@@ -52,7 +52,8 @@ struct QssOptions {
     /// Seed direct-strategy annotation expressions whose time variables
     /// are range-bounded by the where clause (the QSS shape: T > t[-1])
     /// from the annotation index, instead of scanning every child per
-    /// step.
+    /// step. Applies to filters that run on the VM (vm_filter). Rows,
+    /// their order and notifications are identical either way.
     bool seed_filter_from_index = true;
     /// Debug cross-check: after every poll, verify the incrementally
     /// maintained caches against from-scratch rebuilds; divergence

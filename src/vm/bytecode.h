@@ -105,9 +105,12 @@ struct SelectArg {
   int32_t index = 0;
 };
 
-/// A symbolic record of one where-conjunct time bound (the compile-time
-/// half of lorel's CollectConjunctBounds). The numeric fold is replayed
-/// per run because t[i] bounds depend on the polling times.
+/// A symbolic record of one time bound from a top-level AND conjunct of
+/// the where clause (T > t[-1], T <= 1997-03-01, ...). A candidate whose
+/// annotation time falls outside the folded bounds binds a T that fails
+/// the conjunct, so seeding the step from the index range is sound. The
+/// numeric fold is replayed per run because t[i] bounds depend on the
+/// polling times.
 struct BoundTerm {
   std::string var;
   lorel::BinOp op = lorel::BinOp::kEq;  // oriented as var-op-bound

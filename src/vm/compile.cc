@@ -60,9 +60,10 @@ class Compiler {
     int32_t slot = -1;  // defining slot
   };
 
-  /// Mirrors the tree walker's PrepareSeeding eligibility rule: a
-  /// variable qualifies only if bound by exactly one top-level def (def
-  /// vars count double so any collision disqualifies).
+  /// Index-seeding eligibility: a variable qualifies only if bound by
+  /// exactly one def (def vars count double so any collision
+  /// disqualifies). A reused name would be rebound later, so the where
+  /// clause could not observe the binding seeding prunes.
   void CollectSeedable() {
     std::unordered_map<std::string, int> counts;
     for (const RangeDef& def : q_.defs) {
@@ -230,8 +231,8 @@ class Compiler {
       }
     }
 
-    // Seed-variable eligibility (the walker's BoundsFor preconditions);
-    // the presence of actual bounds is a per-run question.
+    // Seed-variable eligibility; whether the where clause bounds it is
+    // a per-run question (ReplayBounds).
     if (sp.open == Op::kSeedAnn || sp.open == Op::kSeedArc) {
       const AnnotExpr& a =
           sp.open == Op::kSeedArc ? *st.arc_annot : *st.node_annot;
@@ -376,7 +377,7 @@ class Compiler {
     return Status::OK();
   }
 
-  // ---- symbolic bound terms (the walker's CollectConjunctBounds) -------
+  // ---- symbolic bound terms (top-level AND conjuncts) -------------------
 
   void CollectBoundTerms(const ExprPtr& e) {
     if (e == nullptr || e->kind != Expr::Kind::kBinary) return;

@@ -25,8 +25,7 @@ BoundsMap ReplayBounds(const Program& p, const std::vector<Timestamp>& times) {
     auto& [lo, hi] = it->second;
     switch (bt.op) {
       case BinOp::kGt:
-        // Strict bounds saturate at the tick limits — a sound widening,
-        // same as the tree walker.
+        // Strict bounds saturate at the tick limits — a sound widening.
         lo = std::max(lo, Timestamp(t.ticks == kMax ? kMax : t.ticks + 1));
         break;
       case BinOp::kGe:

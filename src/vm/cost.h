@@ -17,10 +17,8 @@ namespace vm {
 using BoundsMap =
     std::unordered_map<std::string, std::pair<Timestamp, Timestamp>>;
 
-/// Replays the program's where-derived time bounds for one run — the
-/// runtime half of the tree walker's CollectConjunctBounds, folding the
-/// same terms in the same order. `times` holds the run's resolved time
-/// slots (t[i] values).
+/// Folds the program's where-derived time bounds (BoundTerm) for one run.
+/// `times` holds the run's resolved time slots (t[i] values).
 BoundsMap ReplayBounds(const Program& p, const std::vector<Timestamp>& times);
 
 /// Estimated candidate cardinality of one slot: annotation-index posting

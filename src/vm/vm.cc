@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -22,6 +23,7 @@ using lorel::GraphView;
 using lorel::QueryResult;
 using lorel::RtVal;
 using lorel::UpdEntry;
+using AnnotStat = GraphView::AnnotStat;
 
 /// One match of an annotated step: the endpoint node plus the annotation
 /// payloads its registers bind (arc time for add/rem, node time and
@@ -302,87 +304,65 @@ class Machine {
     return ExpandNodeAnnot(sp, st);
   }
 
+  /// The slot's where-derived [lo, hi] time range when it may seed from
+  /// the annotation index this run, or null.
+  const std::pair<Timestamp, Timestamp>* SeedRange(const SlotPlan& sp) const {
+    if (sp.seed_var.empty()) return nullptr;
+    auto b = bounds_.find(sp.seed_var);
+    return b == bounds_.end() ? nullptr : &b->second;
+  }
+
   Status OpenSeedAnn(const SlotPlan& sp, SlotState& st) {
     NodeId src;
     if (!SlotSource(sp, &src)) return Status::OK();
-    const AnnotExpr& a = *sp.step.node_annot;
-    bool seeded = false;
-    if (!sp.seed_var.empty()) {
-      auto b = bounds_.find(sp.seed_var);
-      if (b != bounds_.end()) {
-        auto in_range = a.kind == AnnotKind::kCre
-                            ? view_.CreatedInRange(b->second.first,
-                                                   b->second.second)
-                            : view_.UpdatedInRange(b->second.first,
-                                                   b->second.second);
-        if (in_range) {
-          seeded = true;
-          stats_.postings_scanned += in_range->size();
-          for (NodeId c : *in_range) {
-            if (view_.HasLiveArc(src, sp.step.label, c)) {
-              st.own_nodes.push_back(c);
-            }
-          }
-        }
-      }
+    std::optional<std::vector<NodeId>> seeded;
+    if (const auto* range = SeedRange(sp)) {
+      seeded = view_.AnnotatedChildren(
+          src, sp.step.label,
+          sp.step.node_annot->kind == AnnotKind::kCre ? AnnotStat::kCre
+                                                      : AnnotStat::kUpd,
+          range->first, range->second, &stats_.postings_scanned);
     }
-    if (!seeded) {
-      for (NodeId c : view_.Children(src, sp.step.label)) {
-        ++stats_.arcs_expanded;
-        st.own_nodes.push_back(c);
-      }
-    }
-    stats_.nodes_visited += st.own_nodes.size();
     if (seeded) {
+      st.own_nodes = std::move(*seeded);
       ++stats_.steps_index_seeded;
     } else {
+      st.own_nodes = view_.Children(src, sp.step.label);
+      stats_.arcs_expanded += st.own_nodes.size();
       ++stats_.steps_scanned;
     }
+    stats_.nodes_visited += st.own_nodes.size();
     return ExpandNodeAnnot(sp, st);
   }
 
   Status OpenSeedArc(const SlotPlan& sp, SlotState& st) {
     NodeId src;
     if (!SlotSource(sp, &src)) return Status::OK();
-    const AnnotExpr& a = *sp.step.arc_annot;
-    bool seeded = false;
+    const bool add = sp.step.arc_annot->kind == AnnotKind::kAdd;
+    const std::string* label =
+        sp.step.wildcard_one ? nullptr : &sp.step.label;
+    std::optional<std::vector<std::pair<Timestamp, NodeId>>> seeded;
+    if (const auto* range = SeedRange(sp)) {
+      seeded = view_.AnnotatedArcs(src, label,
+                                   add ? AnnotStat::kAdd : AnnotStat::kRem,
+                                   range->first, range->second,
+                                   &stats_.postings_scanned);
+    }
     std::vector<std::pair<Timestamp, NodeId>> pairs;
-    if (!sp.seed_var.empty()) {
-      auto b = bounds_.find(sp.seed_var);
-      if (b != bounds_.end()) {
-        auto in_range = a.kind == AnnotKind::kAdd
-                            ? view_.AddedInRange(b->second.first,
-                                                 b->second.second)
-                            : view_.RemovedInRange(b->second.first,
-                                                   b->second.second);
-        if (in_range) {
-          seeded = true;
-          stats_.postings_scanned += in_range->size();
-          for (const auto& [t, arc] : *in_range) {
-            if (arc.parent != src) continue;
-            if (!sp.step.wildcard_one && arc.label != sp.step.label) continue;
-            pairs.emplace_back(t, arc.child);
-          }
-        }
-      }
-    }
-    if (!seeded) {
-      if (sp.step.wildcard_one) {
-        pairs = a.kind == AnnotKind::kAdd ? view_.AddAnnotatedAny(src)
-                                          : view_.RemAnnotatedAny(src);
-      } else {
-        pairs = a.kind == AnnotKind::kAdd
-                    ? view_.AddAnnotated(src, sp.step.label)
-                    : view_.RemAnnotated(src, sp.step.label);
-      }
-      stats_.arcs_expanded += pairs.size();
-    }
-    stats_.nodes_visited += pairs.size();
     if (seeded) {
+      pairs = std::move(*seeded);
       ++stats_.steps_index_seeded;
     } else {
+      if (label == nullptr) {
+        pairs = add ? view_.AddAnnotatedAny(src) : view_.RemAnnotatedAny(src);
+      } else {
+        pairs = add ? view_.AddAnnotated(src, *label)
+                    : view_.RemAnnotated(src, *label);
+      }
+      stats_.arcs_expanded += pairs.size();
       ++stats_.steps_scanned;
     }
+    stats_.nodes_visited += pairs.size();
 
     st.rich_mode = true;
     if (!sp.step.node_annot) {

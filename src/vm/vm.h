@@ -21,10 +21,13 @@ struct RunInfo {
 
 /// Executes a compiled program against a view. Produces byte-identical
 /// results to lorel::Evaluate on the same NormQuery — including row
-/// order, dedup, max_rows behavior, answer packaging, and EvalStats for
-/// identity-order runs. Any error (unsupported view capability, time
-/// operand failure, max_rows) should be handled by falling back to the
-/// tree walker, whose result is authoritative.
+/// order, dedup, max_rows behavior and answer packaging. Steps seed from
+/// the view's annotation index when it has one; the seeding hooks answer
+/// in scan order, so seeding changes only the work done. EvalStats match
+/// the walker's for identity-order runs that seed no step. Any error
+/// (unsupported view capability, time operand failure, max_rows) should
+/// be handled by falling back to the tree walker, whose result is
+/// authoritative.
 Result<lorel::QueryResult> Run(const Program& p, const lorel::GraphView& view,
                                const lorel::EvalOptions& opts = {},
                                RunInfo* info = nullptr);

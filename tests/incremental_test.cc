@@ -185,8 +185,8 @@ TEST(IncrementalEncoderTest, RejectsDoemIdsInTheAuxiliaryBand) {
 using oracle::SortedRows;
 
 // Every corpus query, both strategies: an engine with index seeding
-// enabled returns exactly the rows of a plain engine (order may differ;
-// compare as sorted keys), and agrees on which queries fail.
+// enabled returns exactly the rows of a plain engine, in the same order,
+// and agrees on which queries fail.
 TEST(IndexSeedingTest, SeededRowsMatchScanRowsOnCorpus) {
   for (uint32_t seed = 1; seed <= 4; ++seed) {
     testing::DatabaseOptions dbo;
@@ -210,7 +210,7 @@ TEST(IndexSeedingTest, SeededRowsMatchScanRowsOnCorpus) {
             << (a.ok() ? b.status().ToString() : a.status().ToString())
             << ")";
         if (!a.ok()) continue;
-        EXPECT_EQ(SortedRows(*a), SortedRows(*b)) << query;
+        EXPECT_EQ(a->RowsToString(), b->RowsToString()) << query;
       }
     }
   }
@@ -250,11 +250,79 @@ TEST(IndexSeedingTest, SeededRowsMatchScanWithPollingTimes) {
       auto b = seeded.Run(query, strategy, opts);
       ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
       ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
-      EXPECT_EQ(SortedRows(*a), SortedRows(*b)) << query;
+      EXPECT_EQ(a->RowsToString(), b->RowsToString()) << query;
       total_rows += a->rows.size();
     }
   }
   EXPECT_GT(total_rows, 0u) << "comparison is vacuous: no query matched";
+}
+
+// A parent whose children's annotation times run against its arc order:
+// P's `l` and `m` buckets are [B, A], but A is created, added, updated
+// and removed before B. B's `l` arc is removed at 4 and re-added at 5
+// (B stays reachable through `m`), so its in-range add postdates A's.
+DoemDatabase AnnotationsAgainstArcOrder() {
+  OemDatabase base;
+  const NodeId root = base.NewComplex();
+  const NodeId p = base.NewComplex();
+  EXPECT_TRUE(base.SetRoot(root).ok());
+  EXPECT_TRUE(base.AddArc(root, "p", p).ok());
+  const NodeId a = base.PeekNextId();
+  const NodeId b = a + 1;
+  OemHistory h;
+  auto step = [&](int64_t t, ChangeSet ops) {
+    EXPECT_TRUE(h.Append(Timestamp(t), std::move(ops)).ok()) << t;
+  };
+  step(1, {ChangeOp::CreNode(a, Value::Int(1)), ChangeOp::AddArc(root, "x", a)});
+  step(2, {ChangeOp::CreNode(b, Value::Int(2)), ChangeOp::AddArc(p, "l", b),
+           ChangeOp::AddArc(p, "m", b)});
+  step(3, {ChangeOp::AddArc(p, "l", a), ChangeOp::AddArc(p, "m", a)});
+  step(4, {ChangeOp::RemArc(p, "l", b)});
+  step(5, {ChangeOp::AddArc(p, "l", b)});
+  step(6, {ChangeOp::UpdNode(a, Value::Int(10))});
+  step(7, {ChangeOp::UpdNode(b, Value::Int(20))});
+  step(8, {ChangeOp::RemArc(p, "m", a)});
+  step(9, {ChangeOp::RemArc(p, "m", b)});
+  auto d = DoemDatabase::Build(base, h);
+  EXPECT_TRUE(d.ok()) << d.status().ToString();
+  return std::move(d).value();
+}
+
+// Seeding never reorders rows: for every seedable annotation form the
+// seeded VM returns the scan's rows in the scan's order, although the
+// index postings come in the opposite (time) order.
+TEST(IndexSeedingTest, SeededRowsKeepScanOrder) {
+  const DoemDatabase d = AnnotationsAgainstArcOrder();
+  chorel::ChorelEngineOptions walker_opts;
+  walker_opts.use_vm = false;
+  chorel::ChorelEngineOptions seeded_opts;
+  seeded_opts.seed_from_index = true;
+  chorel::ChorelEngine walker(d, walker_opts);
+  chorel::ChorelEngine scanned(d);
+  chorel::ChorelEngine seeded(d, seeded_opts);
+  for (const char* query : {
+           "select X, T from p.l<cre at T> X where T > 0",
+           "select X, T from p.l<upd at T> X where T > 5",
+           "select X, T from p.<add at T>l X where T > 2",
+           "select X, T from p.<rem at T>m X where T > 7",
+           "select X, T from p.<add at T>% X where T > 2",
+           "select X, T from p.<rem at T>% X where T > 7",
+       }) {
+    SCOPED_TRACE(query);
+    lorel::EvalStats stats;
+    lorel::EvalOptions opts;
+    opts.stats = &stats;
+    auto a = seeded.Run(query, chorel::Strategy::kDirect, opts);
+    auto b = scanned.Run(query, chorel::Strategy::kDirect);
+    auto c = walker.Run(query, chorel::Strategy::kDirect);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_EQ(stats.steps_index_seeded, 1u);
+    EXPECT_EQ(a->rows.size(), 2u);
+    EXPECT_EQ(a->RowsToString(), c->RowsToString());
+    EXPECT_EQ(b->RowsToString(), c->RowsToString());
+  }
 }
 
 // ------------------------------------------ ChorelEngine::ApplyDelta

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -336,6 +337,27 @@ struct OemModel {
 
 const std::vector<std::string> kModelLabels = {"a", "b", "c"};
 
+// Whether `arcs`, out-arcs of `n`, all exist and have strictly ascending
+// insertion sequence numbers.
+::testing::AssertionResult InSequenceOrder(const OemDatabase& db, NodeId n,
+                                           const std::vector<OutArc>& arcs) {
+  std::optional<uint64_t> prev;
+  for (const OutArc& a : arcs) {
+    std::optional<uint64_t> seq = db.ArcSeq({n, a.label, a.child});
+    if (!seq) {
+      return ::testing::AssertionFailure()
+             << "no sequence number for " << Arc{n, a.label, a.child}.ToString();
+    }
+    if (prev && *seq <= *prev) {
+      return ::testing::AssertionFailure()
+             << Arc{n, a.label, a.child}.ToString() << " has sequence " << *seq
+             << " after " << *prev;
+    }
+    prev = seq;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // Compares every accessor of `db` with the model.
 void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
   ASSERT_EQ(db.root(), m.root);
@@ -364,9 +386,13 @@ void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
       ASSERT_EQ(*v, m.values.at(n)) << n;
     }
     ASSERT_EQ(db.OutArcs(n), m.Out(n)) << n;
+    ASSERT_TRUE(InSequenceOrder(db, n, db.OutArcs(n))) << n;
     for (const std::string& l : kModelLabels) {
       std::vector<NodeId> children = m.Children(n, l);
       ASSERT_EQ(db.Children(n, l), children) << n << l;
+      std::vector<OutArc> bucket_arcs;
+      for (NodeId c : db.Children(n, l)) bucket_arcs.push_back({l, c});
+      ASSERT_TRUE(InSequenceOrder(db, n, bucket_arcs)) << n << l;
       const std::vector<NodeId>* bucket = db.ChildBucket(n, l);
       ASSERT_EQ(bucket == nullptr, children.empty()) << n << l;
       if (bucket != nullptr) {
@@ -377,6 +403,7 @@ void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
                 children.empty() ? kInvalidNode : children.front());
       for (NodeId c : probes) {
         ASSERT_EQ(db.HasArc(n, l, c), m.HasArc({n, l, c})) << n << l << c;
+        ASSERT_EQ(db.ArcSeq({n, l, c}).has_value(), m.HasArc({n, l, c}));
       }
     }
   }

@@ -42,6 +42,8 @@ struct SubSpec {
   std::string leaf;
   int64_t interval = 1;
   Filter filter = Filter::kCre;
+  /// The filter's window: T > t[-window].
+  int window = 1;
   /// Subscribed before the first op (otherwise a kSubscribe op joins it).
   bool initially = true;
 };
@@ -86,7 +88,6 @@ struct Scenario {
   qss::HistoryRetention retention = qss::HistoryRetention::kFull;
   bool merge_similar_polls = true;
   bool notify_empty = false;
-  bool seed_filter_from_index = true;
 
   SubSpec& Sub(const std::string& name, const std::string& leaf,
                int64_t interval, Filter filter = Filter::kCre,
@@ -105,9 +106,10 @@ qss::Subscription ToSubscription(const SubSpec& spec);
 std::vector<std::string> SortedRows(const lorel::QueryResult& result);
 
 /// A random scenario: keyed or structural source over a growing or
-/// churning guide, 2–4 poll groups with cohorts and all four filter
-/// shapes, scoped faults (or none), and a driving script mixing clock
-/// jumps, PollNow, NotifySourceChanged and subscribe/unsubscribe churn.
+/// churning guide, 2–4 poll groups with cohorts, all four filter shapes
+/// over t[-1] or t[-2] windows, scoped faults (or none), and a driving
+/// script mixing clock jumps, PollNow, NotifySourceChanged and
+/// subscribe/unsubscribe churn.
 Scenario DrawScenario(uint32_t seed);
 
 /// Cre, Upd and Rem filters over the whole guide, polled every tick for
@@ -115,8 +117,8 @@ Scenario DrawScenario(uint32_t seed);
 Scenario FilterScenario(size_t restaurants, size_t polls);
 
 /// One point of the option lattice. Default-constructed it is the
-/// reference: inline executor, incremental and VM off, no store, no
-/// observability, the facade.
+/// reference: inline executor, incremental, VM and index seeding off, no
+/// store, no observability, the facade.
 struct Config {
   enum class Executor { kInline, kSerial, kPool };
   enum class Store { kNone, kMemory, kCrash };
@@ -126,6 +128,8 @@ struct Config {
   bool incremental = false;
   /// VM filters on, each evaluation verified against the walker.
   bool vm = false;
+  /// Filters seed from the annotation index (only VM filters seed).
+  bool seed_filter_from_index = false;
   Store store = Store::kNone;
   /// kCrash: the process dies after this many kAdvance ops — or at the
   /// first later one where every group's circuit is closed with no

@@ -204,6 +204,54 @@ TEST(QssTest, UpdateNotificationWithOldAndNewValue) {
   EXPECT_EQ(log[0].result.rows[0][2].value, Value::Int(20));
 }
 
+// Index seeding never reorders a notification's rows. One group polls
+// four price siblings; poll 2 updates the last and poll 3 the first, so
+// at poll 3 the t[-2] window's update postings run against the arc order.
+TEST(QssTest, SeedingKeepsNotificationRowOrder) {
+  OemDatabase base;
+  const NodeId root = base.NewComplex();
+  const NodeId p = base.NewComplex();
+  ASSERT_TRUE(base.SetRoot(root).ok());
+  ASSERT_TRUE(base.AddArc(root, "p", p).ok());
+  std::vector<NodeId> prices;
+  for (int64_t i = 1; i <= 4; ++i) {
+    prices.push_back(base.NewInt(10 * i));
+    ASSERT_TRUE(base.AddArc(p, "price", prices.back()).ok());
+  }
+  OemHistory script;
+  ASSERT_TRUE(script
+                  .Append(Timestamp(101),
+                          {ChangeOp::UpdNode(prices[3], Value::Int(41))})
+                  .ok());
+  ASSERT_TRUE(script
+                  .Append(Timestamp(102),
+                          {ChangeOp::UpdNode(prices[0], Value::Int(11))})
+                  .ok());
+
+  std::vector<std::vector<std::string>> runs;
+  for (bool seed : {false, true}) {
+    ScriptedSource source(base, script);
+    QssOptions options;
+    options.acceleration.seed_filter_from_index = seed;
+    QuerySubscriptionService qss(&source, Timestamp(100), options);
+    std::vector<std::string> notes;
+    ASSERT_TRUE(
+        qss.Subscribe(Sub("S", "select p",
+                          "select S.p.price<upd at T> where T > t[-2]"),
+                      [&](const Notification& n) {
+                        notes.push_back(std::to_string(n.poll_index) + "\n" +
+                                        n.result.RowsToString());
+                      })
+            .ok());
+    ASSERT_TRUE(qss.AdvanceTo(Timestamp(102)).ok());
+    runs.push_back(std::move(notes));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+  ASSERT_EQ(runs[1].size(), 2u);
+  EXPECT_EQ(runs[1][1], "3\nprice=n" + std::to_string(prices[0]) +
+                            "\nprice=n" + std::to_string(prices[3]) + "\n");
+}
+
 TEST(QssTest, DeletionVisibleViaRemAnnotation) {
   ScriptedSource source(BuildGuide().db, GuideHistory());
   QuerySubscriptionService qss(&source, kDec30);
