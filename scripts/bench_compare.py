@@ -9,8 +9,9 @@ offender — when CURRENT's real_time exceeds BASELINE's by more than the
 threshold. Benchmarks present on only one side are reported but never
 fail the gate, so adding or retiring benchmarks doesn't break CI.
 
-Captures from different cmake_build_type contexts are refused outright:
-comparing Debug against Release numbers would make the gate pure noise.
+Captures from different cmake_build_type or num_cpus contexts are
+refused outright: comparing Debug against Release numbers, or a 1-CPU
+box against a 4-CPU one, would make the gate pure noise.
 """
 
 import argparse
@@ -40,11 +41,13 @@ def main():
     base_ctx, base = load(args.baseline)
     cur_ctx, cur = load(args.current)
 
-    bt, ct = base_ctx.get("cmake_build_type"), cur_ctx.get("cmake_build_type")
-    if bt != ct:
-        print(f"error: build types differ (baseline={bt}, current={ct}); "
-              "refusing to compare", file=sys.stderr)
-        return 2
+    for key, what in (("cmake_build_type", "build types"),
+                      ("num_cpus", "CPU counts")):
+        bv, cv = base_ctx.get(key), cur_ctx.get(key)
+        if bv != cv:
+            print(f"error: {what} differ (baseline={bv}, current={cv}); "
+                  "refusing to compare", file=sys.stderr)
+            return 2
 
     regressions = []
     for name, b in sorted(base.items()):

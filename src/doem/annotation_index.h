@@ -46,9 +46,9 @@ class AnnotationIndex {
   /// Incrementally appends the postings of one change set that was just
   /// applied to `d` at time `t` (i.e. call `d.ApplyChangeSet(t, ops)`
   /// first, then `index.Apply(d, t, ops)`). Ops whose node/arc is no
-  /// longer physically present in `d` — stillborn nodes pruned by
-  /// RefreshDeleted and their incident arcs — are skipped, exactly as a
-  /// fresh build over `d` would never see them. `t` must exceed every
+  /// longer physically present in `d` — stillborn nodes the apply erased
+  /// and their incident arcs — are skipped, exactly as a fresh build over
+  /// `d` would never see them. `t` must exceed every
   /// timestamp already indexed.
   Status Apply(const DoemDatabase& d, Timestamp t, const ChangeSet& ops);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <unordered_set>
 
 #include "oem/oem_text.h"
 
@@ -18,7 +19,8 @@ Result<DoemDatabase> DoemDatabase::FromSnapshot(OemDatabase base) {
     return Status(s.code(), "DoemDatabase::FromSnapshot: " + s.message());
   }
   DoemDatabase d;
-  d.graph_ = std::move(base);
+  d.graph_ = base;
+  d.current_ = std::move(base);
   return d;
 }
 
@@ -93,7 +95,16 @@ Result<DoemDatabase> DoemDatabase::FromParts(
     }
   }
   d.last_time_ = last;
-  d.RefreshDeleted();
+  // The current snapshot is the graph minus its removed arcs and the
+  // objects they left unreachable; it keeps the graph's arc order and
+  // burned ids, and burns the deleted ones.
+  d.current_ = d.graph_;
+  for (const auto& [arc, annots] : d.arc_annots_) {
+    if (annots.back().kind == Annotation::Kind::kRem) {
+      d.current_.RemArc(arc.parent, arc.label, arc.child);
+    }
+  }
+  d.current_.CollectGarbage();
   return d;
 }
 
@@ -115,17 +126,34 @@ Status DoemDatabase::ApplyChangeSet(Timestamp t, const ChangeSet& ops) {
         "change-set timestamps must be strictly increasing: " +
         t.ToString() + " after " + last_time_->ToString());
   }
-  DOEM_RETURN_IF_ERROR(CheckChangeSetConflicts(ops));
-  DoemDatabase scratch = *this;
-  for (const ChangeOp& op : CanonicalOrder(ops)) {
-    Status s = scratch.ApplyOne(t, op);
-    if (!s.ok()) {
-      return Status(s.code(), op.ToString() + ": " + s.message());
+  // The OEM rules decide: current_ takes U whole or not at all, and
+  // reports the objects U left unreachable.
+  std::vector<NodeId> gone;
+  DOEM_RETURN_IF_ERROR(doem::ApplyChangeSet(&current_, ops, &gone));
+  for (const ChangeOp& op : CanonicalOrder(ops)) ApplyOne(t, op);
+  // Stillborn nodes: created by U and already unreachable. They never
+  // existed in any snapshot, so they are erased physically rather than
+  // kept as history (keeping them would make the Section 5.1 encoding
+  // unreachable from its root), together with their incident arcs, which
+  // only U can have added. Every other node in `gone` stays in graph_ as
+  // deleted.
+  std::unordered_set<NodeId> stillborn;
+  for (NodeId n : gone) {
+    if (CreTime(n) == t) stillborn.insert(n);
+  }
+  for (const ChangeOp& op : ops) {
+    const Arc& a = op.arc;
+    if (op.kind == ChangeOp::Kind::kAddArc &&
+        (stillborn.contains(a.parent) || stillborn.contains(a.child))) {
+      graph_.RemArc(a.parent, a.label, a.child);
+      arc_annots_.erase(a);
     }
   }
-  scratch.RefreshDeleted(t);
-  scratch.last_time_ = t;
-  *this = std::move(scratch);
+  for (NodeId n : stillborn) {
+    node_annots_.erase(n);
+    graph_.EraseNodeForce(n);
+  }
+  last_time_ = t;
   return Status::OK();
 }
 
@@ -136,119 +164,37 @@ Status DoemDatabase::ApplyHistory(const OemHistory& h) {
   return Status::OK();
 }
 
-Status DoemDatabase::ApplyOne(Timestamp t, const ChangeOp& op) {
+void DoemDatabase::ApplyOne(Timestamp t, const ChangeOp& op) {
+  // current_ has accepted U, so none of these writes can fail: graph_
+  // burns the same ids as current_ and holds every node current_ does.
   switch (op.kind) {
-    case ChangeOp::Kind::kCreNode: {
-      DOEM_RETURN_IF_ERROR(graph_.CreNode(op.node, op.value));
+    case ChangeOp::Kind::kCreNode:
+      graph_.CreNode(op.node, op.value);
       node_annots_[op.node].push_back(Annotation::Cre(t));
-      return Status::OK();
-    }
-    case ChangeOp::Kind::kUpdNode: {
-      if (!graph_.HasNode(op.node)) {
-        return Status::NotFound("no node " + std::to_string(op.node));
-      }
-      if (deleted_.contains(op.node)) {
-        return Status::InvalidChange("node " + std::to_string(op.node) +
-                                     " was deleted");
-      }
-      if (!LiveArcs(op.node).empty()) {
-        return Status::InvalidChange(
-            "node " + std::to_string(op.node) +
-            " has live subobjects; remove them before updating");
-      }
-      Value old = CurrentValue(op.node);
-      DOEM_RETURN_IF_ERROR(graph_.SetValueForce(op.node, op.value));
-      node_annots_[op.node].push_back(Annotation::Upd(t, std::move(old)));
-      return Status::OK();
-    }
+      return;
+    case ChangeOp::Kind::kUpdNode:
+      node_annots_[op.node].push_back(
+          Annotation::Upd(t, CurrentValue(op.node)));
+      graph_.SetValueForce(op.node, op.value);
+      return;
     case ChangeOp::Kind::kAddArc: {
+      // A re-added arc moves to the end of its parent's lists, where
+      // current_ just appended it, so the live graph, its snapshots and a
+      // decoded copy all list arcs in one order. Its annotations are keyed
+      // by the arc and stay.
       const Arc& a = op.arc;
-      if (!graph_.HasNode(a.parent) || !graph_.HasNode(a.child)) {
-        return Status::NotFound("missing endpoint of " + a.ToString());
+      if (graph_.HasArc(a.parent, a.label, a.child)) {
+        graph_.RemArc(a.parent, a.label, a.child);
       }
-      if (deleted_.contains(a.parent) || deleted_.contains(a.child)) {
-        return Status::InvalidChange("endpoint of " + a.ToString() +
-                                     " was deleted");
-      }
-      if (!CurrentValue(a.parent).is_complex()) {
-        return Status::InvalidChange("parent of " + a.ToString() +
-                                     " is atomic");
-      }
-      if (ArcCurrentlyLive(a.parent, a.label, a.child)) {
-        return Status::InvalidChange("arc " + a.ToString() +
-                                     " already exists");
-      }
-      if (!graph_.HasArc(a.parent, a.label, a.child)) {
-        DOEM_RETURN_IF_ERROR(graph_.AddArc(a.parent, a.label, a.child));
-      }
+      graph_.AddArcForce(a.parent, a.label, a.child);
       arc_annots_[a].push_back(Annotation::Add(t));
-      return Status::OK();
+      return;
     }
-    case ChangeOp::Kind::kRemArc: {
-      const Arc& a = op.arc;
-      if (!ArcCurrentlyLive(a.parent, a.label, a.child)) {
-        return Status::InvalidChange("arc " + a.ToString() +
-                                     " does not exist");
-      }
+    case ChangeOp::Kind::kRemArc:
       // The arc is not physically removed; it gets a rem annotation
       // (Section 3.1).
-      arc_annots_[a].push_back(Annotation::Rem(t));
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unknown ChangeOp kind");
-}
-
-void DoemDatabase::RefreshDeleted(std::optional<Timestamp> t) {
-  std::unordered_set<NodeId> live;
-  NodeId root = graph_.root();
-  if (root != kInvalidNode && graph_.HasNode(root)) {
-    std::deque<NodeId> queue{root};
-    live.insert(root);
-    while (!queue.empty()) {
-      NodeId n = queue.front();
-      queue.pop_front();
-      for (const OutArc& a : graph_.OutArcs(n)) {
-        if (!ArcCurrentlyLive(n, a.label, a.child)) continue;
-        if (live.insert(a.child).second) queue.push_back(a.child);
-      }
-    }
-  }
-  // Stillborn nodes: created in the set that just ended (cre at time t)
-  // and already unreachable. They never existed in any snapshot, so they
-  // are erased physically rather than kept as history (keeping them would
-  // make the Section 5.1 encoding unreachable from its root). Arcs touching
-  // a stillborn node were necessarily added in the same set and are erased
-  // with their annotations.
-  std::vector<NodeId> unreachable;
-  for (NodeId n : graph_.NodeIds()) {
-    if (!live.contains(n)) unreachable.push_back(n);
-  }
-  std::unordered_set<NodeId> stillborn;
-  if (t.has_value()) {
-    for (NodeId n : unreachable) {
-      auto cre = CreTime(n);
-      if (cre.has_value() && *cre == *t) stillborn.insert(n);
-    }
-    if (!stillborn.empty()) {
-      for (const Arc& arc : graph_.AllArcs()) {
-        if (stillborn.contains(arc.parent) ||
-            stillborn.contains(arc.child)) {
-          Status s = graph_.RemArc(arc.parent, arc.label, arc.child);
-          (void)s;
-          arc_annots_.erase(arc);
-        }
-      }
-      for (NodeId n : stillborn) {
-        node_annots_.erase(n);
-        // Erase just this node: CollectGarbage would also drop the
-        // deleted nodes the DOEM graph keeps as history.
-        graph_.EraseNodeForce(n);
-      }
-    }
-  }
-  for (NodeId n : unreachable) {
-    if (!stillborn.contains(n)) deleted_.insert(n);
+      arc_annots_[op.arc].push_back(Annotation::Rem(t));
+      return;
   }
 }
 
@@ -436,7 +382,6 @@ bool DoemDatabase::IsFeasible() const {
 
 bool DoemDatabase::Equals(const DoemDatabase& other) const {
   if (!graph_.Equals(other.graph_)) return false;
-  if (deleted_ != other.deleted_) return false;
   auto nonempty = [](const auto& m) {
     size_t n = 0;
     for (const auto& [k, v] : m) {
@@ -460,7 +405,7 @@ std::string DoemDatabase::ToString() const {
     const AnnotationList& annots = NodeAnnotations(n);
     if (annots.empty()) continue;
     out += "&" + std::to_string(n) + ": " + AnnotationListToString(annots);
-    if (deleted_.contains(n)) out += " (deleted)";
+    if (IsDeleted(n)) out += " (deleted)";
     out += "\n";
   }
   out += "-- arc annotations --\n";

@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -41,8 +40,10 @@ struct UpdRecord {
 /// All snapshot accessors apply liveness filtering.
 ///
 /// Construction follows Section 3.1: start from a base snapshot
-/// (FromSnapshot) and apply history steps (ApplyHistory / ApplyChangeSet),
-/// which performs the change and attaches the corresponding annotation.
+/// (FromSnapshot) and apply history steps (ApplyHistory / ApplyChangeSet).
+/// The database keeps the current snapshot as a plain OemDatabase with the
+/// same ids; each set U is applied to it under the OEM rules, then
+/// recorded in the superset graph and its annotations.
 class DoemDatabase {
  public:
   DoemDatabase() = default;
@@ -61,8 +62,8 @@ class DoemDatabase {
   /// decoder's entry point (Section 5.1), also usable to construct
   /// *infeasible* databases for testing IsFeasible. `graph` is the raw
   /// superset graph; `arc_annots` entries must reference arcs present in
-  /// it. Annotation lists must be time-ordered; the deleted set is
-  /// recomputed from current-liveness reachability.
+  /// it. Annotation lists must be time-ordered. The current snapshot is
+  /// the graph minus its removed arcs and what they left unreachable.
   static Result<DoemDatabase> FromParts(
       OemDatabase graph,
       std::unordered_map<NodeId, AnnotationList> node_annots,
@@ -72,8 +73,13 @@ class DoemDatabase {
 
   /// Applies the set U at time t, attaching annotations. Transactional:
   /// on error the database is unchanged. t must exceed every timestamp
-  /// already present. Validity of U is checked against the *current
-  /// snapshot*, mirroring Definition 2.2.
+  /// already present. U is applied to the current snapshot by the OEM
+  /// module's ApplyChangeSet (Definition 2.2), so an error has that
+  /// module's kind: an op on a deleted object, or a remArc of an arc that
+  /// is not live, is kNotFound, because neither exists in the current
+  /// snapshot. Nodes U creates that end up unreachable ("stillborn") are
+  /// erased from graph() with their arcs; other unreachable nodes stay in
+  /// it as deleted.
   Status ApplyChangeSet(Timestamp t, const ChangeSet& ops);
 
   /// Applies all steps of `h` in order.
@@ -83,10 +89,14 @@ class DoemDatabase {
 
   /// The full annotated graph, including removed arcs and deleted nodes.
   const OemDatabase& graph() const { return graph_; }
-  /// Raises graph()'s id allocator to at least `floor`, so ids burned by
-  /// nodes a rebase dropped are not handed out again. Recovery restores
-  /// the position a checkpoint recorded with it.
-  void ReserveIdsBelow(NodeId floor) { graph_.ReserveIdsBelow(floor); }
+  /// Raises the id allocators of graph() and the current snapshot to at
+  /// least `floor`, so ids burned by nodes a rebase dropped are not handed
+  /// out again. Recovery restores the position a checkpoint recorded with
+  /// it.
+  void ReserveIdsBelow(NodeId floor) {
+    graph_.ReserveIdsBelow(floor);
+    current_.ReserveIdsBelow(floor);
+  }
   NodeId root() const { return graph_.root(); }
 
   /// fN(n): annotations on node n (time-ordered). Empty if none.
@@ -120,9 +130,11 @@ class DoemDatabase {
   }
 
   /// True if the object was deleted (became unreachable at some change-set
-  /// boundary). Deleted objects stay in graph() but no longer participate
-  /// in history (Section 2.2).
-  bool IsDeleted(NodeId n) const { return deleted_.contains(n); }
+  /// boundary): it is in graph() but not in the current snapshot. Deleted
+  /// objects no longer participate in history (Section 2.2).
+  bool IsDeleted(NodeId n) const {
+    return graph_.HasNode(n) && !current_.HasNode(n);
+  }
 
   // ---- Snapshots (Section 3.2) ----------------------------------------
 
@@ -132,10 +144,10 @@ class DoemDatabase {
   OemDatabase OriginalSnapshot() const {
     return SnapshotAt(Timestamp::NegativeInfinity());
   }
-  /// The current snapshot.
-  OemDatabase CurrentSnapshot() const {
-    return SnapshotAt(Timestamp::PositiveInfinity());
-  }
+  /// The current snapshot, kept up to date by ApplyChangeSet. Lists arcs
+  /// in the order SnapshotAt(+inf) does, and shares graph()'s id
+  /// allocator position.
+  const OemDatabase& CurrentSnapshot() const { return current_; }
 
   // ---- History extraction & feasibility (Section 3.2) ------------------
 
@@ -150,8 +162,8 @@ class DoemDatabase {
   /// may not be.
   bool IsFeasible() const;
 
-  /// Structural equality: same graph (ids, values, arcs, root), same
-  /// annotation sets, same deleted set.
+  /// Structural equality: same graph (ids, values, arcs, root) and same
+  /// annotation sets, which determine the current snapshot.
   bool Equals(const DoemDatabase& other) const;
 
   // ---- Chorel support ---------------------------------------------------
@@ -183,20 +195,16 @@ class DoemDatabase {
   std::vector<std::pair<Timestamp, NodeId>> ArcEvents(
       NodeId n, const std::string& label, Annotation::Kind kind) const;
 
-  /// Recomputes the deleted set: non-deleted nodes unreachable from the
-  /// root via currently-live arcs become deleted. Nodes created in the
-  /// change set that just ended and already unreachable ("stillborn" —
-  /// they never existed in any snapshot) are physically pruned together
-  /// with their incident arcs and annotations; `t` is that set's
-  /// timestamp.
-  void RefreshDeleted(std::optional<Timestamp> t = std::nullopt);
-
-  Status ApplyOne(Timestamp t, const ChangeOp& op);
+  /// Records one op of a set current_ has accepted in graph_ and the
+  /// annotations, at time t.
+  void ApplyOne(Timestamp t, const ChangeOp& op);
 
   OemDatabase graph_;
   std::unordered_map<NodeId, AnnotationList> node_annots_;
   ArcMap<AnnotationList> arc_annots_;
-  std::unordered_set<NodeId> deleted_;
+  // The current snapshot: graph_'s live part, with graph_'s ids, burned
+  // ids and live-arc order.
+  OemDatabase current_;
   // Largest timestamp applied so far (annotation timestamps are strictly
   // increasing across change sets).
   std::optional<Timestamp> last_time_;

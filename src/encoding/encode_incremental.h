@@ -46,9 +46,9 @@ class IncrementalEncoder {
 
   /// Patches the encoding with one change set. Call *after* the change
   /// set has been applied to `d` (i.e. `d` is the post-state of
-  /// `d.ApplyChangeSet(t, ops)`). Ops whose node/arc was stillborn-pruned
-  /// from `d` are skipped, matching what a fresh encode of `d` would
-  /// produce. On error the encoding is unusable; rebuild via Create.
+  /// `d.ApplyChangeSet(t, ops)`). Ops whose node/arc the apply erased
+  /// from `d` as stillborn are skipped, matching what a fresh encode of
+  /// `d` would produce. On error the encoding is unusable; rebuild via Create.
   Status ApplyDelta(const DoemDatabase& d, Timestamp t, const ChangeSet& ops);
 
   const OemDatabase& encoding() const { return enc_; }
