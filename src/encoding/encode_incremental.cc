@@ -117,11 +117,16 @@ Status IncrementalEncoder::PatchAddArc(const DoemDatabase& d, Timestamp t,
     DOEM_RETURN_IF_ERROR(enc_.AddArc(hist, "&target", a.child));
     return enc_.AddArc(hist, "&add", NewAux(Value::Time(t)));
   }
-  // Re-add of a previously removed arc: append to its history object.
+  // Re-add of a previously removed arc: append to its history object,
+  // and move the history arc to the end of the parent's lists, as the
+  // re-added arc moved in the DOEM graph (a fresh encode lists it there).
   auto it = arc_history_.find(a);
   if (it == arc_history_.end()) {
     return Status::Internal("re-added arc has no history object");
   }
+  const std::string history_label = HistoryLabelFor(a.label);
+  DOEM_RETURN_IF_ERROR(enc_.RemArc(a.parent, history_label, it->second));
+  DOEM_RETURN_IF_ERROR(enc_.AddArc(a.parent, history_label, it->second));
   return enc_.AddArc(it->second, "&add", NewAux(Value::Time(t)));
 }
 

@@ -224,6 +224,10 @@ class OemDatabase {
   /// with a value below `floor`. Used when merging databases.
   void ReserveIdsBelow(NodeId floor);
 
+  /// Lets the ids of erased nodes be created again with CreNode. NewNode
+  /// still never hands out an id below PeekNextId().
+  void ForgetErasedIds() { erased_.clear(); }
+
   /// The next identifier NewNode would hand out.
   NodeId PeekNextId() const { return next_id_; }
 

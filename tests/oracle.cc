@@ -244,8 +244,9 @@ void Fold(qss::PollHealth* h, const qss::PollHealth& before,
 
 qss::Subscription ToSubscription(const SubSpec& spec) {
   const std::string leaf = spec.leaf.empty() ? "" : "." + spec.leaf;
+  const std::string where = spec.where.empty() ? "" : " where " + spec.where;
   return {spec.name, spec.entry, {spec.interval, ""},
-          "select guide.restaurant" + leaf, FilterText(spec)};
+          "select guide.restaurant" + leaf + where, FilterText(spec)};
 }
 
 std::vector<std::string> SortedRows(const lorel::QueryResult& result) {
@@ -296,7 +297,8 @@ bool Scenario::Resurrects() const {
   std::set<std::string> retired;
   auto key = [&](size_t i) {
     return merge_similar_polls
-               ? subs[i].leaf + "|" + std::to_string(subs[i].interval)
+               ? ToSubscription(subs[i]).polling_query + "|" +
+                     std::to_string(subs[i].interval)
                : subs[i].name;
   };
   for (size_t i = 0; i < subs.size(); ++i) live[key(i)] += subs[i].initially;
@@ -475,7 +477,7 @@ Output Execute(const Scenario& s, const Config& c, const Hooks& hooks) {
   OemHistory script;
   if (s.source == Scenario::Source::kPaperGuide) {
     base = testing::BuildGuide().db;
-    script = testing::GuideHistory();
+    script = s.script ? *s.script : testing::GuideHistory();
   } else {
     base = testing::SyntheticGuide(s.restaurants, s.guide_seed);
     script = s.source == Scenario::Source::kGuideChurn

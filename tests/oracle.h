@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,8 @@ struct SubSpec {
   int window = 1;
   /// Subscribed before the first op (otherwise a kSubscribe op joins it).
   bool initially = true;
+  /// Appended to the polling query as " where " + where, when not empty.
+  std::string where = "";
 };
 
 struct Op {
@@ -68,6 +71,9 @@ struct Scenario {
   uint32_t seed = 0;
   enum class Source { kGuideHistory, kGuideChurn, kPaperGuide };
   Source source = Source::kGuideHistory;
+  /// kPaperGuide: the edits the source goes through (default
+  /// GuideHistory()).
+  std::optional<OemHistory> script;
   size_t restaurants = 12;
   size_t steps = 10;
   size_t ops_per_step = 3;
@@ -98,7 +104,8 @@ struct Scenario {
 };
 
 /// The subscription a SubSpec describes: polling query
-/// "select guide.restaurant[.leaf]" and the filter of its shape.
+/// "select guide.restaurant[.leaf] [where ...]" and the filter of its
+/// shape.
 qss::Subscription ToSubscription(const SubSpec& spec);
 
 /// A query result's rows as sorted value keys: the digest for two

@@ -65,6 +65,38 @@ TEST(QssStoreTest, CrashAndReopenIsByteIdenticalToUninterruptedRun) {
   }
 }
 
+// A keyed filter whose membership changes drops an object at one poll
+// and brings it back, with its id, at a later one. Under kTwoSnapshots
+// each poll starts the history over at R_{k-1}, so the ids deleted
+// before it can be created again: the group never fails, and a group
+// reopened after a crash polls exactly as an uninterrupted one.
+TEST(QssStoreTest, TwoSnapshotGroupReadmitsADroppedObject) {
+  // Bangkok's price (n1) goes 10 -> 20 -> 10 -> 20 -> 10.
+  OemHistory script;
+  for (int d = 1; d <= 4; ++d) {
+    ASSERT_TRUE(
+        script.Append(Day(d), {ChangeOp::UpdNode(1, Value::Int(d % 2 ? 20 : 10))})
+            .ok());
+  }
+  oracle::Scenario s = GuideScenario(6);
+  s.script = script;
+  s.retention = HistoryRetention::kTwoSnapshots;
+  s.subs[0].where = "guide.restaurant.price < 15";
+  const oracle::Output ref = oracle::Execute(s, {});
+  ASSERT_EQ(ref.groups.size(), 1u);
+  const oracle::GroupOutcome& group = ref.groups.begin()->second;
+  EXPECT_EQ(group.polls.size(), 6u);
+  EXPECT_EQ(group.health.polls_failed, 0u);
+  EXPECT_TRUE(ref.op_errors.empty());
+  // Bangkok is created at Day(0) and re-created at Day(2) and Day(4).
+  ASSERT_EQ(ref.notifications.size(), 3u);
+  for (size_t crash_at = 0; crash_at <= 6; ++crash_at) {
+    const oracle::Output crashed = oracle::ExpectSame(
+        s, {}, ref, {.store = Store::kCrash, .crash_at = crash_at});
+    EXPECT_TRUE(crashed.crashed) << "crash_at=" << crash_at;
+  }
+}
+
 TEST(QssStoreTest, TornLastRecordIsRepolledDeterministically) {
   const oracle::Scenario s = GuideScenario(6);
   const oracle::Output ref = oracle::Execute(s, {});
