@@ -5,12 +5,14 @@
 //
 // BM_DoemApply_*: the per-poll DOEM core cost, swept over restaurants
 // {100, 1k, 10k} x ops per change set {1, 16}. ChangeSet times one
-// SyntheticGuideChurn step through ApplyChangeSet; CurrentSnapshot times
-// a copy of the kept current snapshot (QSS diffs against it by reference;
-// a two-snapshot rebase pays three such copies: the base, the rebased
-// database's graph, and the OEM apply's scratch copy). An O(delta) core is flat in
-// `restaurants` (ROADMAP); scripts/bench.sh writes both to
-// BENCH_doem_apply.json.
+// SyntheticGuideChurn step through ApplyChangeSet, walking a 1,024-step
+// churn so that the untimed reset to the base is rare; CurrentSnapshot
+// times a copy of the kept current snapshot (QSS diffs against it by
+// reference); TwoSnapshotRebase times a kTwoSnapshots poll's DOEM work:
+// the copy of the current snapshot, FromSnapshot (which copies it once
+// more into the graph) and the apply. An O(delta) core is flat in
+// `restaurants` (ROADMAP); the apply is, the rebase is not yet.
+// scripts/bench.sh writes all three to BENCH_doem_apply.json.
 //
 // BM_OemWideNode: one node with `labels` distinct out-labels, built arc by
 // arc and then probed label by label, as a merged QSS poll group's wrapper
@@ -104,7 +106,7 @@ BENCHMARK(BM_DoemIncrementalStep)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-constexpr size_t kChurnSteps = 32;
+constexpr size_t kChurnSteps = 1024;
 
 struct ChurnWorkload {
   DoemDatabase base;
@@ -166,6 +168,32 @@ void BM_DoemApply_CurrentSnapshot(benchmark::State& state) {
       static_cast<double>(w.churned.graph().node_count());
 }
 BENCHMARK(BM_DoemApply_CurrentSnapshot)
+    ->ArgNames({"restaurants", "ops"})
+    ->ArgsProduct({{100, 1000, 10000}, {1, 16}})
+    ->Unit(benchmark::kMicrosecond);
+
+// As PollGroupManager does under HistoryRetention::kTwoSnapshots: each
+// set starts a fresh history at the previous current snapshot, so the
+// churn steps cycle without a reset.
+void BM_DoemApply_TwoSnapshotRebase(benchmark::State& state) {
+  const ChurnWorkload& w = Churn(static_cast<size_t>(state.range(0)),
+                                 static_cast<size_t>(state.range(1)));
+  const auto& steps = w.churn.steps();
+  DoemDatabase d = w.base;
+  size_t next = 0;
+  for (auto _ : state) {
+    OemDatabase base = d.CurrentSnapshot();
+    base.ForgetErasedIds();
+    auto rebased = DoemDatabase::FromSnapshot(std::move(base));
+    Status s = rebased->ApplyChangeSet(steps[next].time, steps[next].changes);
+    benchmark::DoNotOptimize(s.ok());
+    d = std::move(rebased).value();
+    next = (next + 1) % steps.size();
+  }
+  state.counters["graph_nodes"] =
+      static_cast<double>(w.base.graph().node_count());
+}
+BENCHMARK(BM_DoemApply_TwoSnapshotRebase)
     ->ArgNames({"restaurants", "ops"})
     ->ArgsProduct({{100, 1000, 10000}, {1, 16}})
     ->Unit(benchmark::kMicrosecond);

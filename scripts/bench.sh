@@ -20,7 +20,8 @@
 #                                  up to 1M filters / 100 groups) +
 #                                  BM_QssFanOutTwinCheck
 #   BENCH_doem_apply.json          BM_DoemApply_ChangeSet /
-#                                  BM_DoemApply_CurrentSnapshot (per-poll
+#                                  BM_DoemApply_CurrentSnapshot /
+#                                  BM_DoemApply_TwoSnapshotRebase (per-poll
 #                                  DOEM core cost vs. graph size) +
 #                                  BM_OemWideNode (many labels on one node)
 #
@@ -38,7 +39,8 @@
 # (DESIGN.md §6d overhead budget). In BENCH_store_recovery.json,
 # append cost is flat in history length and log_bytes shrinks as the
 # checkpoint interval grows. In BENCH_doem_apply.json, an O(delta) DOEM
-# core is flat in `restaurants`; today both rows grow with the graph.
+# core is flat in `restaurants`; the ChangeSet rows are, while the
+# CurrentSnapshot and TwoSnapshotRebase rows still grow with the graph.
 #
 # Numbers from unoptimized builds are not comparable: the script reads
 # CMAKE_BUILD_TYPE from the build tree's actual CMakeCache.txt, records

@@ -97,15 +97,33 @@ ChangeSet CanonicalOrder(const ChangeSet& ops) {
 Status ApplyChangeSet(OemDatabase* db, const ChangeSet& ops,
                       std::vector<NodeId>* deleted) {
   DOEM_RETURN_IF_ERROR(CheckChangeSetConflicts(ops));
-  OemDatabase scratch = *db;
-  for (const ChangeOp& op : CanonicalOrder(ops)) {
-    DOEM_RETURN_IF_ERROR(op.ApplyTo(&scratch));
+  const ChangeSet ordered = CanonicalOrder(ops);
+  const NodeId next_id = db->next_id_;
+  const uint64_t next_arc_seq = db->next_arc_seq_;
+  std::vector<OemDatabase::Undo> log;
+  log.reserve(ordered.size());
+  for (const ChangeOp& op : ordered) {
+    OemDatabase::Undo undo{&op, Value(), {}};
+    Status s;
+    if (op.kind == ChangeOp::Kind::kRemArc) {
+      s = db->RemArc(op.arc.parent, op.arc.label, op.arc.child, &undo.slot);
+    } else {
+      const Value* old = op.kind == ChangeOp::Kind::kUpdNode
+                             ? db->GetValue(op.node)
+                             : nullptr;
+      if (old != nullptr) undo.old_value = *old;
+      s = op.ApplyTo(db);
+    }
+    if (!s.ok()) {
+      db->RollBack(&log, next_id, next_arc_seq);
+      return s;
+    }
+    log.push_back(std::move(undo));
   }
-  std::vector<NodeId> removed = scratch.CollectGarbage();
+  std::vector<NodeId> removed = db->CollectGarbageBelow(log);
   if (deleted != nullptr) {
     deleted->insert(deleted->end(), removed.begin(), removed.end());
   }
-  *db = std::move(scratch);
   return Status::OK();
 }
 

@@ -78,7 +78,22 @@ ChangeSet CanonicalOrder(const ChangeSet& ops);
 /// unchanged and the paper-level reason is reported. On success,
 /// unreachable objects are deleted ("persistence is by reachability",
 /// applied at change-set boundaries per Section 2.2); their ids are
-/// appended to `*deleted` if non-null.
+/// appended to `*deleted` if non-null, sorted.
+///
+/// Costs O(|U|) probes, a scan of each parent U removes an arc from, and a
+/// walk of the part of the graph below U's removed arcs and created nodes,
+/// not O(graph): U is applied in place in canonical order,
+/// each op through its OemDatabase mutator (so those stay the one
+/// statement of the op rules and their errors), and an undo log restores
+/// the exact pre-state (arc order, ArcSeq, label counts, burned ids, id
+/// floor) on the first failure, whose Status is returned unchanged.
+/// Garbage is then collected only in the out-closure of the created nodes
+/// and of the removed arcs' children.
+///
+/// Precondition: every object of `db` is reachable from its root, as
+/// after any previous ApplyChangeSet. (Otherwise objects that were
+/// already unreachable may survive; OemDatabase::CollectGarbage, the
+/// full sweep and the reference for this one, deletes them.)
 Status ApplyChangeSet(OemDatabase* db, const ChangeSet& ops,
                       std::vector<NodeId>* deleted = nullptr);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "oem/change.h"
+
 namespace doem {
 
 std::string Arc::ToString() const {
@@ -98,7 +100,8 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
     return Status::NotFound("addArc: no parent node " +
                             std::to_string(parent));
   }
-  if (!HasNode(child)) {
+  Node* c = Find(*this, child);
+  if (c == nullptr) {
     return Status::NotFound("addArc: no child node " + std::to_string(child));
   }
   if (!arcs_.try_emplace(Arc{parent, label, child}, next_arc_seq_).second) {
@@ -110,27 +113,41 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   p->out.push_back(OutArc{label, child});
   p->by_label[label].push_back(child);
   ++label_counts_[label];
+  ++c->in;
   return Status::OK();
 }
 
 Status OemDatabase::RemArc(NodeId parent, const std::string& label,
                            NodeId child) {
+  return RemArc(parent, label, child, nullptr);
+}
+
+Status OemDatabase::RemArc(NodeId parent, const std::string& label,
+                           NodeId child, ArcSlot* slot) {
   auto arc = arcs_.find(ArcRef{parent, label, child});
   if (arc == arcs_.end()) {
     return Status::NotFound("remArc: no arc " +
                             Arc{parent, label, child}.ToString());
   }
+  uint64_t seq = arc->second;
   arcs_.erase(arc);
   Node& p = *Find(*this, parent);
-  p.out.erase(std::find_if(p.out.begin(), p.out.end(), [&](const OutArc& a) {
+  auto out = std::find_if(p.out.begin(), p.out.end(), [&](const OutArc& a) {
     return a.child == child && a.label == label;
-  }));
+  });
   auto bucket = p.by_label.find(label);
   auto& children = bucket->second;
-  children.erase(std::find(children.begin(), children.end(), child));
+  auto in_bucket = std::find(children.begin(), children.end(), child);
+  if (slot != nullptr) {
+    *slot = ArcSlot{seq, static_cast<size_t>(out - p.out.begin()),
+                    static_cast<size_t>(in_bucket - children.begin())};
+  }
+  p.out.erase(out);
+  children.erase(in_bucket);
   if (children.empty()) p.by_label.erase(bucket);
   auto lc = label_counts_.find(label);
   if (lc != label_counts_.end() && --lc->second == 0) label_counts_.erase(lc);
+  --Find(*this, child)->in;
   return Status::OK();
 }
 
@@ -181,6 +198,11 @@ size_t OemDatabase::ArcCountForLabel(const std::string& label) const {
   return it == label_counts_.end() ? 0 : it->second;
 }
 
+size_t OemDatabase::InDegree(NodeId node) const {
+  const Node* n = Find(*this, node);
+  return n == nullptr ? 0 : n->in;
+}
+
 NodeId OemDatabase::Child(NodeId node, const std::string& label) const {
   const std::vector<NodeId>* bucket = ChildBucket(node, label);
   return bucket == nullptr ? kInvalidNode : bucket->front();
@@ -227,7 +249,12 @@ std::vector<NodeId> OemDatabase::CollectGarbage() {
     if (!live.contains(id)) removed.push_back(id);
   }
   std::sort(removed.begin(), removed.end());
-  for (NodeId id : removed) {
+  EraseUnreachable(removed);
+  return removed;
+}
+
+void OemDatabase::EraseUnreachable(const std::vector<NodeId>& dead) {
+  for (NodeId id : dead) {
     auto it = nodes_.find(id);
     for (const OutArc& a : it->second.out) {
       arcs_.erase(arcs_.find(ArcRef{id, a.label, a.child}));
@@ -235,13 +262,114 @@ std::vector<NodeId> OemDatabase::CollectGarbage() {
       if (lc != label_counts_.end() && --lc->second == 0) {
         label_counts_.erase(lc);
       }
+      if (Node* c = Find(*this, a.child)) --c->in;
     }
     nodes_.erase(it);
     erased_.insert(id);
   }
-  // Arcs from live nodes to dead nodes cannot exist: a dead target would
+  // Arcs from live nodes to dead nodes cannot exist: a live parent would
   // make the target reachable. So only dead parents' arcs were removed.
-  return removed;
+}
+
+void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
+                           uint64_t next_arc_seq) {
+  for (auto undo = log->rbegin(); undo != log->rend(); ++undo) {
+    const ChangeOp& op = *undo->op;
+    const Arc& arc = op.arc;
+    switch (op.kind) {
+      case ChangeOp::Kind::kCreNode:
+        // Every arc the set added at the node is undone by now.
+        nodes_.erase(op.node);
+        break;
+      case ChangeOp::Kind::kUpdNode:
+        Find(*this, op.node)->value = std::move(undo->old_value);
+        break;
+      case ChangeOp::Kind::kAddArc: {
+        // The arc is the newest of its parent's, so last in both lists.
+        arcs_.erase(arc);
+        Node& p = *Find(*this, arc.parent);
+        p.out.pop_back();
+        auto bucket = p.by_label.find(arc.label);
+        bucket->second.pop_back();
+        if (bucket->second.empty()) p.by_label.erase(bucket);
+        auto lc = label_counts_.find(arc.label);
+        if (--lc->second == 0) label_counts_.erase(lc);
+        --Find(*this, arc.child)->in;
+        break;
+      }
+      case ChangeOp::Kind::kRemArc: {
+        const ArcSlot& slot = undo->slot;
+        arcs_.emplace(arc, slot.seq);
+        Node& p = *Find(*this, arc.parent);
+        p.out.insert(p.out.begin() + slot.out_pos, OutArc{arc.label, arc.child});
+        std::vector<NodeId>& children = p.by_label[arc.label];
+        children.insert(children.begin() + slot.bucket_pos, arc.child);
+        ++label_counts_[arc.label];
+        ++Find(*this, arc.child)->in;
+        break;
+      }
+    }
+  }
+  next_id_ = next_id;
+  next_arc_seq_ = next_arc_seq;
+}
+
+std::vector<NodeId> OemDatabase::CollectGarbageBelow(
+    const std::vector<Undo>& log) {
+  // Only the set's created nodes and the children of its removed arcs can
+  // have lost (or never had) reachability, and only nodes below them can
+  // depend on it: every other node keeps its path from the root. D is the
+  // out-closure of those candidates, in discovery order, with the number
+  // of arcs each member receives from inside D.
+  struct Member {
+    size_t in_from_d = 0;
+    bool live = false;
+  };
+  std::unordered_map<NodeId, Member> d;
+  std::vector<NodeId> order;
+  auto reach = [&](NodeId n) -> Member& {
+    auto [it, fresh] = d.try_emplace(n);
+    if (fresh) order.push_back(n);
+    return it->second;
+  };
+  for (const Undo& undo : log) {
+    if (undo.op->kind == ChangeOp::Kind::kCreNode) reach(undo.op->node);
+    if (undo.op->kind == ChangeOp::Kind::kRemArc) reach(undo.op->arc.child);
+  }
+  if (order.empty()) return {};
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (const OutArc& a : Find(*this, order[i])->out) {
+      ++reach(a.child).in_from_d;
+    }
+  }
+  // A member is live if it is the root, has a parent outside D (which is
+  // live), or is reachable inside D from such a member.
+  std::vector<NodeId> stack;
+  for (NodeId n : order) {
+    Member& m = d.at(n);
+    if (n == root_ || Find(*this, n)->in > m.in_from_d) {
+      m.live = true;
+      stack.push_back(n);
+    }
+  }
+  while (!stack.empty()) {
+    NodeId n = stack.back();
+    stack.pop_back();
+    for (const OutArc& a : Find(*this, n)->out) {
+      Member& m = d.at(a.child);
+      if (!m.live) {
+        m.live = true;
+        stack.push_back(a.child);
+      }
+    }
+  }
+  std::vector<NodeId> dead;
+  for (NodeId n : order) {
+    if (!d.at(n).live) dead.push_back(n);
+  }
+  std::sort(dead.begin(), dead.end());
+  EraseUnreachable(dead);
+  return dead;
 }
 
 Status OemDatabase::Validate() const {

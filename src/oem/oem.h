@@ -16,6 +16,8 @@
 
 namespace doem {
 
+struct ChangeOp;  // oem/change.h
+
 /// Opaque object identifier. Identifiers of deleted objects are never
 /// reused (paper Section 2.2). 0 is reserved as "invalid".
 using NodeId = uint64_t;
@@ -83,8 +85,9 @@ using ArcMap = std::unordered_map<Arc, V, ArcHash, ArcEq>;
 ///
 /// The paper's "persistence is by reachability" rule is *not* enforced
 /// eagerly — within a set of changes objects may be temporarily
-/// unreachable (Section 2.2). Call CollectGarbage() at change-set
-/// boundaries to delete unreachable objects, or Validate() to check full
+/// unreachable (Section 2.2). ApplyChangeSet (change.h) deletes them at
+/// the set's boundary; CollectGarbage() deletes every unreachable object
+/// of a database built op by op, and Validate() checks full
 /// well-formedness including reachability.
 class OemDatabase {
  public:
@@ -180,6 +183,9 @@ class OemDatabase {
   /// single-valued `&` arcs with it.
   NodeId Child(NodeId node, const std::string& label) const;
 
+  /// Number of arcs into `node` (its in-degree); 0 if none/unknown.
+  size_t InDegree(NodeId node) const;
+
   size_t node_count() const { return nodes_.size(); }
   size_t arc_count() const { return arcs_.size(); }
 
@@ -209,6 +215,12 @@ class OemDatabase {
   /// Deletes all nodes unreachable from the root (and their arcs),
   /// implementing "persistence by reachability". Returns the ids removed,
   /// sorted. Removed ids remain burned: they can never be re-created.
+  ///
+  /// A full sweep: O(graph). ApplyChangeSet collects only below the arcs
+  /// and nodes its set touched, which is exact when the pre-state had no
+  /// unreachable node; this sweep is the reference it is tested against,
+  /// and builds that start from arbitrary parts (the DOEM decoder,
+  /// DoemDatabase::FromParts) use it.
   std::vector<NodeId> CollectGarbage();
 
   /// Checks full well-formedness: a complex root exists, every arc's
@@ -240,7 +252,47 @@ class OemDatabase {
     Value value;
     std::vector<OutArc> out;
     std::unordered_map<std::string, std::vector<NodeId>> by_label;
+    // Number of arcs into this node, for ApplyChangeSet's local garbage
+    // collection. Maintained by AddArcForce, RemArc, garbage collection
+    // and rollback.
+    size_t in = 0;
   };
+
+  // ApplyChangeSet (change.h) applies a set in place: it runs each op
+  // through the mutators above, logs how to undo it, rolls the log back
+  // on the first failure, and collects garbage locally on success.
+  friend Status ApplyChangeSet(OemDatabase* db,
+                               const std::vector<ChangeOp>& ops,
+                               std::vector<NodeId>* deleted);
+
+  /// Where an arc sat: its ArcSeq and its index in its parent's out-arc
+  /// list and label bucket, so an undone remArc puts it back exactly.
+  struct ArcSlot {
+    uint64_t seq = 0;
+    size_t out_pos = 0;
+    size_t bucket_pos = 0;
+  };
+  /// What undoes one applied op of a change set.
+  struct Undo {
+    const ChangeOp* op = nullptr;
+    Value old_value;  // updNode: the value it replaced
+    ArcSlot slot;     // remArc: where the arc sat
+  };
+
+  /// RemArc that also reports where the arc sat, if `slot` is non-null.
+  Status RemArc(NodeId parent, const std::string& label, NodeId child,
+                ArcSlot* slot);
+  /// Undoes `log` newest first and restores the id floor and the arc
+  /// sequence counter to the values saved before its first op.
+  void RollBack(std::vector<Undo>* log, NodeId next_id,
+                uint64_t next_arc_seq);
+  /// Persistence by reachability after the set `log` applied, looking
+  /// only at the out-closure of the nodes it created and the children of
+  /// the arcs it removed. Exact if every node was reachable before.
+  std::vector<NodeId> CollectGarbageBelow(const std::vector<Undo>& log);
+  /// Deletes `dead` (sorted, unreachable) with their out-arcs and burns
+  /// their ids.
+  void EraseUnreachable(const std::vector<NodeId>& dead);
 
   /// The record of `node`, or null; as const as `self`.
   template <typename Self>
@@ -259,8 +311,8 @@ class OemDatabase {
   ArcMap<uint64_t> arcs_;
   uint64_t next_arc_seq_ = 0;
   // Global per-label arc tallies for the VM cost model's cardinality
-  // estimates. Derived state, maintained by AddArcForce / RemArc /
-  // CollectGarbage; entries are erased when they reach zero.
+  // estimates. Derived state, maintained by AddArcForce, RemArc, garbage
+  // collection and rollback; entries are erased when they reach zero.
   std::unordered_map<std::string, size_t> label_counts_;
   // Ids of erased nodes.
   std::unordered_set<NodeId> erased_;

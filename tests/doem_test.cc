@@ -575,6 +575,60 @@ std::vector<ChangeOp> FailingOps(const DoemDatabase& d, const ChangeSet& ops) {
   return out;
 }
 
+// The ids up to one past `db`'s id floor that creNode refuses.
+std::vector<NodeId> BurnedIds(const OemDatabase& db) {
+  OemDatabase probe = db;
+  std::vector<NodeId> burned;
+  for (NodeId n = 1; n <= db.PeekNextId(); ++n) {
+    if (!probe.CreNode(n, Value::Int(0)).ok()) burned.push_back(n);
+  }
+  return burned;
+}
+
+// `db` lists the same arcs as `want` in the same order (out-arc lists and
+// label buckets) with the same ArcSeq, and has the same in-degrees, id
+// floor and burned ids.
+void ExpectSameBookkeeping(const OemDatabase& db, const OemDatabase& want,
+                           const std::string& where) {
+  std::vector<Arc> arcs = want.AllArcs();
+  EXPECT_EQ(db.AllArcs(), arcs) << where;
+  for (const Arc& a : arcs) {
+    EXPECT_EQ(db.ArcSeq(a), want.ArcSeq(a)) << where << " " << a.ToString();
+    EXPECT_EQ(db.Children(a.parent, a.label), want.Children(a.parent, a.label))
+        << where << " " << a.ToString();
+  }
+  for (NodeId n : want.NodeIds()) {
+    EXPECT_EQ(db.InDegree(n), want.InDegree(n)) << where << " node " << n;
+  }
+  EXPECT_EQ(db.PeekNextId(), want.PeekNextId()) << where;
+  EXPECT_EQ(BurnedIds(db), BurnedIds(want)) << where;
+}
+
+// Applies `ops` to a copy of `pre` and expects it to fail and leave the
+// copy exactly as `pre`; then applies `good` to the copy and expects the
+// same outcome as on an untouched copy of `pre`.
+void ExpectRollback(const DoemDatabase& pre, Timestamp t,
+                    const ChangeSet& ops, const ChangeSet& good,
+                    const std::string& where) {
+  DoemDatabase d = pre;
+  EXPECT_FALSE(d.ApplyChangeSet(t, ops).ok()) << where;
+  EXPECT_TRUE(d.Equals(pre)) << where;
+  EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
+            WriteOemText(pre.CurrentSnapshot()))
+      << where;
+  ExpectSameBookkeeping(d.CurrentSnapshot(), pre.CurrentSnapshot(), where);
+
+  DoemDatabase fresh = pre;
+  ASSERT_TRUE(fresh.ApplyChangeSet(t, good).ok()) << where;
+  ASSERT_TRUE(d.ApplyChangeSet(t, good).ok()) << where;
+  EXPECT_TRUE(d.Equals(fresh)) << where;
+  EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
+            WriteOemText(fresh.CurrentSnapshot()))
+      << where;
+  ExpectSameBookkeeping(d.CurrentSnapshot(), fresh.CurrentSnapshot(),
+                        where + " (good set after the failure)");
+}
+
 TEST(DoemCurrentTest, FailedChangeSetLeavesDatabaseUnchanged) {
   SetsWithPreStates sets;
   OemDatabase guide = testing::SyntheticGuide(20);
@@ -596,23 +650,43 @@ TEST(DoemCurrentTest, FailedChangeSetLeavesDatabaseUnchanged) {
   for (size_t i = 0; i < sets.steps.size(); ++i) {
     const DoemDatabase& pre = sets.pre[i];
     const HistoryStep& step = sets.steps[i];
-    const std::string text = WriteOemText(pre.CurrentSnapshot());
+    // A creNode above the id floor, which the failure must lower again.
+    const ChangeOp above_floor = ChangeOp::CreNode(
+        pre.CurrentSnapshot().PeekNextId() + 1000, Value::Int(1));
     for (const ChangeOp& bad : FailingOps(pre, step.changes)) {
       if (bad.kind == ChangeOp::Kind::kAddArc) ++on_deleted;
       for (size_t at = 0; at <= step.changes.size(); ++at) {
         ChangeSet ops = step.changes;
         ops.insert(ops.begin() + at, bad);
-        DoemDatabase d = pre;
-        EXPECT_FALSE(d.ApplyChangeSet(step.time, ops).ok())
-            << bad.ToString() << " in " << ChangeSetToString(ops);
-        EXPECT_TRUE(d.Equals(pre)) << bad.ToString();
-        EXPECT_EQ(WriteOemText(d.CurrentSnapshot()), text) << bad.ToString();
-        ++injected;
+        const std::string where = bad.ToString() + " in " +
+                                  ChangeSetToString(ops);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectRollback(pre, step.time, ops, step.changes, where));
+        ops.push_back(above_floor);
+        ASSERT_NO_FATAL_FAILURE(ExpectRollback(
+            pre, step.time, ops, step.changes, where + " + creNode"));
+        injected += 2;
       }
     }
   }
   EXPECT_GT(on_deleted, 0u) << "no set ran against a deleted node";
-  EXPECT_GT(injected, 100u);
+  EXPECT_GT(injected, 200u);
+
+  // remArcs in the middle of the guide's wide `restaurant` bucket, then a
+  // failing updNode of the guide, which still has subobjects.
+  const DoemDatabase& pre = sets.pre.front();
+  const OemDatabase& current = pre.CurrentSnapshot();
+  NodeId g = current.Child(current.root(), "guide");
+  std::vector<NodeId> restaurants = current.Children(g, "restaurant");
+  ASSERT_GE(restaurants.size(), 10u);
+  ChangeSet good = {
+      ChangeOp::RemArc(g, "restaurant", restaurants[restaurants.size() / 2]),
+      ChangeOp::RemArc(g, "restaurant", restaurants[3]),
+      ChangeOp::CreNode(current.PeekNextId() + 7, Value::Int(1)),
+      ChangeOp::AddArc(g, "note", current.PeekNextId() + 7)};
+  ChangeSet ops = good;
+  ops.push_back(ChangeOp::UpdNode(g, Value::Int(0)));
+  ExpectRollback(pre, sets.steps.front().time, ops, good, "wide parent");
 }
 
 }  // namespace

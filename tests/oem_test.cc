@@ -13,9 +13,11 @@
 #include "oem/graph_compare.h"
 #include "oem/history.h"
 #include "oem/oem.h"
+#include "oem/oem_text.h"
 #include "oem/subgraph.h"
 #include "oem/timestamp.h"
 #include "oem/value.h"
+#include "testing/generators.h"
 #include "testing/guide.h"
 
 namespace doem {
@@ -387,6 +389,10 @@ void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
     }
     ASSERT_EQ(db.OutArcs(n), m.Out(n)) << n;
     ASSERT_TRUE(InSequenceOrder(db, n, db.OutArcs(n))) << n;
+    ASSERT_EQ(db.InDegree(n),
+              std::count_if(m.arcs.begin(), m.arcs.end(),
+                            [&](const Arc& a) { return a.child == n; }))
+        << n;
     for (const std::string& l : kModelLabels) {
       std::vector<NodeId> children = m.Children(n, l);
       ASSERT_EQ(db.Children(n, l), children) << n << l;
@@ -632,13 +638,202 @@ TEST(ChangeSetTest, AtomicToComplexAllowsArcAdds) {
   EXPECT_TRUE(db.HasArc(atom, "child", root));
 }
 
+// The ids below `db`'s id floor (and one past it) that creNode refuses.
+std::vector<NodeId> BurnedIds(const OemDatabase& db) {
+  OemDatabase probe = db;
+  std::vector<NodeId> burned;
+  for (NodeId n = 1; n <= db.PeekNextId(); ++n) {
+    if (!probe.CreNode(n, Value::Int(0)).ok()) burned.push_back(n);
+  }
+  return burned;
+}
+
+// Everything an apply keeps besides the graph itself: arc order in the
+// out-arc lists and label buckets, ArcSeq, in-degrees, label counts, the
+// id floor and the burned ids.
+void ExpectSameState(const OemDatabase& db, const OemDatabase& want,
+                     const std::string& where) {
+  EXPECT_TRUE(db.Equals(want)) << where;
+  std::vector<Arc> arcs = want.AllArcs();
+  EXPECT_EQ(db.AllArcs(), arcs) << where;
+  std::map<std::string, size_t> labels;
+  std::map<NodeId, size_t> in;
+  for (const Arc& a : arcs) {
+    EXPECT_EQ(db.ArcSeq(a), want.ArcSeq(a)) << where << " " << a.ToString();
+    EXPECT_EQ(db.Children(a.parent, a.label), want.Children(a.parent, a.label))
+        << where << " " << a.ToString();
+    ++labels[a.label];
+    ++in[a.child];
+  }
+  for (NodeId n : want.NodeIds()) {
+    EXPECT_EQ(db.InDegree(n), in[n]) << where << " node " << n;
+  }
+  for (const auto& [label, count] : labels) {
+    EXPECT_EQ(db.ArcCountForLabel(label), count) << where << " " << label;
+  }
+  EXPECT_EQ(db.DistinctLabelCount(), labels.size()) << where;
+  EXPECT_EQ(db.PeekNextId(), want.PeekNextId()) << where;
+  EXPECT_EQ(BurnedIds(db), BurnedIds(want)) << where;
+}
+
+// What applying `ops` op by op in canonical order reports: the first
+// failing op's Status.
+Status FirstFailure(OemDatabase db, const ChangeSet& ops) {
+  for (const ChangeOp& op : CanonicalOrder(ops)) {
+    DOEM_RETURN_IF_ERROR(op.ApplyTo(&db));
+  }
+  return Status::OK();
+}
+
 TEST(ChangeSetTest, FailureLeavesDatabaseUnchanged) {
-  Guide g = BuildGuide();
-  OemDatabase before = g.db;
-  ChangeSet bad = {ChangeOp::UpdNode(1, Value::Int(20)),
-                   ChangeOp::AddArc(999, "x", 1)};
-  EXPECT_FALSE(ApplyChangeSet(&g.db, bad).ok());
-  EXPECT_TRUE(g.db.Equals(before)) << "transactional application";
+  // Guide ids: root 8, Bangkok 9 and its price 1, Janta 6 with out-arcs
+  // name, price 14, address 15, parking 7; the guide 4 lists 9 then 6.
+  const Guide guide = BuildGuide();
+  const NodeId floor = guide.db.PeekNextId();
+  // Each failing set is its good part plus one failing op that runs last
+  // in canonical order.
+  struct Case {
+    ChangeSet good;
+    ChangeOp bad;
+  };
+  const std::vector<Case> cases = {
+      {{ChangeOp::UpdNode(1, Value::Int(20))}, ChangeOp::AddArc(999, "x", 1)},
+      // A creNode above the id floor, with arcs under a new label.
+      {{ChangeOp::CreNode(floor + 50, Value::Complex()),
+        ChangeOp::AddArc(4, "new", floor + 50),
+        ChangeOp::AddArc(floor + 50, "back", 4)},
+       ChangeOp::AddArc(floor + 50, "x", 999)},
+      // remArcs in the middle of a parent's out-arcs (emptying two of its
+      // label buckets) and at the head of the guide's `restaurant` bucket.
+      {{ChangeOp::RemArc(6, "price", 14), ChangeOp::RemArc(6, "address", 15),
+        ChangeOp::RemArc(4, "restaurant", 9)},
+       ChangeOp::UpdNode(6, Value::Int(0))},
+      // Every kind at once; the value of 1 is restored too.
+      {{ChangeOp::CreNode(floor + 9, Value::Int(3)),
+        ChangeOp::RemArc(6, "parking", 7), ChangeOp::UpdNode(1, Value::Int(7)),
+        ChangeOp::AddArc(6, "twin", floor + 9)},
+       ChangeOp::AddArc(6, "name", 13)},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string where = "case " + std::to_string(i);
+    ChangeSet bad = cases[i].good;
+    bad.push_back(cases[i].bad);
+    OemDatabase db = guide.db;
+    Status s = ApplyChangeSet(&db, bad);
+    EXPECT_FALSE(s.ok()) << where;
+    Status want = FirstFailure(guide.db, bad);
+    EXPECT_EQ(s.code(), want.code()) << where;
+    EXPECT_EQ(s.message(), want.message()) << where;
+    ExpectSameState(db, guide.db, where + " after the failure");
+    EXPECT_EQ(WriteOemText(db), WriteOemText(guide.db)) << where;
+
+    // The good part applies as it would to an untouched copy; a stale
+    // in-degree would collect differently.
+    OemDatabase fresh = guide.db;
+    std::vector<NodeId> gone_fresh, gone;
+    ASSERT_TRUE(ApplyChangeSet(&fresh, cases[i].good, &gone_fresh).ok());
+    ASSERT_TRUE(ApplyChangeSet(&db, cases[i].good, &gone).ok()) << where;
+    EXPECT_EQ(gone, gone_fresh) << where;
+    ExpectSameState(db, fresh, where + " after the good set");
+    EXPECT_EQ(WriteOemText(db), WriteOemText(fresh)) << where;
+  }
+}
+
+// Applies `ops` to `*db` and checks the outcome against the reference: the
+// same ops through the mutators on a copy, then the full CollectGarbage.
+void ExpectLocalGcMatchesFullSweep(OemDatabase* db, const ChangeSet& ops,
+                                   const std::string& where,
+                                   std::vector<NodeId>* deleted_out = nullptr) {
+  OemDatabase reference = *db;
+  for (const ChangeOp& op : CanonicalOrder(ops)) {
+    ASSERT_TRUE(op.ApplyTo(&reference).ok()) << where << " " << op.ToString();
+  }
+  std::vector<NodeId> want = reference.CollectGarbage();
+  std::vector<NodeId> deleted;
+  ASSERT_TRUE(ApplyChangeSet(db, ops, &deleted).ok()) << where;
+  EXPECT_EQ(deleted, want) << where;
+  ExpectSameState(*db, reference, where);
+  EXPECT_TRUE(db->Validate().ok()) << where;
+  if (deleted_out != nullptr) *deleted_out = std::move(deleted);
+}
+
+TEST(ChangeSetTest, LocalGarbageCollectionMatchesTheFullSweep) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    testing::DatabaseOptions dopts;
+    dopts.seed = seed;
+    dopts.node_count = 40;
+    OemDatabase db = testing::RandomDatabase(dopts);
+    testing::HistoryOptions hopts;
+    hopts.seed = seed + 300;
+    hopts.steps = 15;
+    hopts.ops_per_step = 3 + seed % 6;
+    OemHistory history = testing::RandomHistory(db, hopts);
+    for (const HistoryStep& step : history.steps()) {
+      ASSERT_NO_FATAL_FAILURE(ExpectLocalGcMatchesFullSweep(
+          &db, step.changes,
+          "seed " + std::to_string(seed) + " @" + step.time.ToString()));
+    }
+  }
+  OemDatabase guide = testing::SyntheticGuide(30);
+  OemHistory churn = testing::SyntheticGuideChurn(guide, 20, 6);
+  for (const HistoryStep& step : churn.steps()) {
+    ASSERT_NO_FATAL_FAILURE(ExpectLocalGcMatchesFullSweep(
+        &guide, step.changes, "churn @" + step.time.ToString()));
+  }
+}
+
+TEST(ChangeSetTest, LocalGarbageCollectionNamedCases) {
+  // Guide ids as in FailureLeavesDatabaseUnchanged; 7 (parking) has the
+  // parents 9 and 6 and closes the cycle 7 -> nearby-eats -> 9 -> 7.
+  const Guide guide = BuildGuide();
+  const NodeId root = guide.db.root();
+  const NodeId fresh = guide.db.PeekNextId() + 10;
+  struct Case {
+    std::string name;
+    ChangeSet setup;  // applied first, through the same check
+    ChangeSet ops;
+    std::vector<NodeId> deleted;
+  };
+  const std::vector<Case> cases = {
+      {"a cycle cut off from the root",
+       {},
+       {ChangeOp::RemArc(4, "restaurant", 9), ChangeOp::RemArc(6, "parking", 7)},
+       {1, 7, 9, 10, 11, 12, 18, 19}},
+      {"a node with two parents that loses one",
+       {},
+       {ChangeOp::RemArc(6, "parking", 7)},
+       {}},
+      {"a stillborn chain of created nodes",
+       {},
+       {ChangeOp::CreNode(fresh, Value::Complex()),
+        ChangeOp::CreNode(fresh + 1, Value::Complex()),
+        ChangeOp::CreNode(fresh + 2, Value::Int(1)),
+        ChangeOp::AddArc(fresh, "a", fresh + 1),
+        ChangeOp::AddArc(fresh + 1, "b", fresh + 2),
+        ChangeOp::AddArc(fresh + 1, "into", 4)},
+       {fresh, fresh + 1, fresh + 2}},
+      {"a subtree detached and re-attached elsewhere",
+       {},
+       {ChangeOp::RemArc(6, "address", 15), ChangeOp::AddArc(9, "moved", 15)},
+       {}},
+      {"a removed arc into a node that reaches the root",
+       {ChangeOp::AddArc(7, "home", root)},
+       {ChangeOp::RemArc(9, "parking", 7)},
+       {}},
+      {"both parents of a node that reaches the root",
+       {ChangeOp::AddArc(7, "home", root)},
+       {ChangeOp::RemArc(9, "parking", 7), ChangeOp::RemArc(6, "parking", 7)},
+       {7, 18, 19}},
+  };
+  for (const Case& c : cases) {
+    OemDatabase db = guide.db;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectLocalGcMatchesFullSweep(&db, c.setup, c.name + " (setup)"));
+    std::vector<NodeId> deleted;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectLocalGcMatchesFullSweep(&db, c.ops, c.name, &deleted));
+    EXPECT_EQ(deleted, c.deleted) << c.name;
+  }
 }
 
 TEST(ChangeSetTest, CreateWithoutLinkIsDeletedAtBoundary) {
