@@ -19,7 +19,6 @@
 //   rem <p> <label> <c>  stage remArc
 //   pending              list staged operations
 //   commit <time>        apply staged operations at <time>
-//   update <time> <stmt> run a high-level update (insert/set/remove ...)
 //   query <chorel>       run a query (direct strategy)
 //   tquery <chorel>      run a query (translated strategy)
 //   history              print the extracted history
@@ -36,7 +35,6 @@
 #include <string>
 
 #include "chorel/chorel.h"
-#include "chorel/update.h"
 #include "common/strings.h"
 #include "doem/doem.h"
 #include "encoding/doem_text.h"
@@ -76,7 +74,7 @@ class Shell {
     if (cmd == "help") {
       std::printf(
           "commands: load save show cre upd add rem pending commit "
-          "query tquery history quit\n");
+          "query tquery history replay help quit\n");
       return Status::OK();
     }
     if (cmd == "load") return Load(rest);
@@ -89,7 +87,6 @@ class Shell {
       return Status::OK();
     }
     if (cmd == "commit") return Commit(rest);
-    if (cmd == "update") return Update(rest);
     if (cmd == "replay") return Replay(rest);
     if (cmd == "query") return RunQuery(rest, chorel::Strategy::kDirect);
     if (cmd == "tquery") {
@@ -244,26 +241,6 @@ class Shell {
     if (!h.ok()) return h.status();
     DOEM_RETURN_IF_ERROR(doem_->ApplyHistory(*h));
     std::printf("replayed %zu change set(s)\n", h->size());
-    return Status::OK();
-  }
-
-  Status Update(const std::string& rest) {
-    DOEM_RETURN_IF_ERROR(RequireDb());
-    std::istringstream in(rest);
-    std::string time_text;
-    in >> time_text;
-    Timestamp t;
-    if (!Timestamp::Parse(time_text, &t)) {
-      return Status::ParseError("usage: update <time> <statement>");
-    }
-    std::string stmt;
-    std::getline(in, stmt);
-    auto ops = chorel::CompileUpdate(*doem_, std::string(
-        StripWhitespace(stmt)));
-    if (!ops.ok()) return ops.status();
-    DOEM_RETURN_IF_ERROR(doem_->ApplyChangeSet(t, *ops));
-    std::printf("applied %zu basic operation(s) at %s\n", ops->size(),
-                t.ToString().c_str());
     return Status::OK();
   }
 

@@ -3,8 +3,9 @@
 
     scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
 
-Matches benchmarks by name (aggregate entries like _mean/_median are
-compared too when both sides have them) and fails — exit 1, one line per
+Matches benchmarks by name (of the aggregate entries of a capture with
+repetitions, _mean and _median are compared; _stddev and _cv are spreads,
+not times, and are skipped) and fails — exit 1, one line per
 offender — when CURRENT's real_time exceeds BASELINE's by more than the
 threshold. Benchmarks present on only one side are reported but never
 fail the gate, so adding or retiring benchmarks doesn't break CI.
@@ -24,8 +25,9 @@ def load(path):
         doc = json.load(f)
     entries = {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate" and not b["name"].endswith("_mean"):
-            continue  # one aggregate per family is enough for the gate
+        if b.get("run_type") == "aggregate" and not b["name"].endswith(
+                ("_mean", "_median")):
+            continue
         entries[b["name"]] = b
     return doc.get("context", {}), entries
 
@@ -60,7 +62,8 @@ def main():
             continue
         ratio = new / old
         marker = "REGRESSION" if ratio > 1 + args.threshold else "ok"
-        print(f"  {marker:>10}  {name}  {old:.0f} -> {new:.0f} ns "
+        unit = c.get("time_unit", "ns")
+        print(f"  {marker:>10}  {name}  {old:.6g} -> {new:.6g} {unit} "
               f"({(ratio - 1) * 100:+.1f}%)")
         if ratio > 1 + args.threshold:
             regressions.append((name, ratio))

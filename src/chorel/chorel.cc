@@ -6,14 +6,6 @@
 namespace doem {
 namespace chorel {
 
-namespace {
-
-void Count(obs::Counter* c, uint64_t by = 1) {
-  if (c != nullptr) c->Increment(by);
-}
-
-}  // namespace
-
 Result<CompiledQuery> CompileChorel(const std::string& query) {
   auto nq = lorel::ParseAndNormalize(query);
   if (!nq.ok()) return nq.status();
@@ -108,7 +100,7 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
 
 void ChorelEngine::Invalidate() {
   if (encoder_.has_value() || index_.has_value()) {
-    Count(ins_.cache_invalidations);
+    obs::Count(ins_.cache_invalidations);
   }
   encoder_.reset();
   index_.reset();
@@ -141,7 +133,7 @@ Result<const OemDatabase*> ChorelEngine::Encoding() {
     auto enc = IncrementalEncoder::Create(doem_);
     if (!enc.ok()) return enc.status();
     encoder_ = std::move(enc).value();
-    Count(ins_.encoding_rebuilds);
+    obs::Count(ins_.encoding_rebuilds);
   }
   return &encoder_->encoding();
 }
@@ -150,7 +142,7 @@ const AnnotationIndex* ChorelEngine::IndexForRun() {
   if (!options_.seed_from_index) return nullptr;
   if (!index_.has_value()) {
     index_.emplace(doem_);
-    Count(ins_.index_rebuilds);
+    obs::Count(ins_.index_rebuilds);
     PublishCacheStats();
   }
   return &*index_;
@@ -166,14 +158,12 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
     if (program.ok()) {
       cache->state = vm::ProgramCache::State::kReady;
       cache->program = std::move(program).value();
-      Count(ins_.vm_compiles);
-      if (ins_.vm_program_instructions != nullptr) {
-        ins_.vm_program_instructions->Set(
-            static_cast<int64_t>(cache->program.identity_code.size()));
-      }
+      obs::Count(ins_.vm_compiles);
+      obs::SetGauge(ins_.vm_program_instructions,
+                    static_cast<int64_t>(cache->program.identity_code.size()));
     } else {
       cache->state = vm::ProgramCache::State::kUnsupported;
-      Count(ins_.vm_compile_fallbacks);
+      obs::Count(ins_.vm_compile_fallbacks);
     }
   }
   if (cache->state == vm::ProgramCache::State::kUnsupported) {
@@ -186,11 +176,11 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
     // time operand that did not resolve, max_rows — defers to the tree
     // walker, whose result (including which error, if any) is
     // authoritative.
-    Count(ins_.vm_run_fallbacks);
+    obs::Count(ins_.vm_run_fallbacks);
     return lorel::Evaluate(nq, view, opts);
   }
-  Count(ins_.vm_runs);
-  if (info.reordered) Count(ins_.vm_reordered_runs);
+  obs::Count(ins_.vm_runs);
+  if (info.reordered) obs::Count(ins_.vm_reordered_runs);
   if (options_.verify_vm) {
     lorel::EvalOptions ref_opts = opts;
     ref_opts.stats = nullptr;  // the VM already contributed its counters
@@ -198,7 +188,7 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
     bool match = ref.ok() && ref->RowsToString() == res->RowsToString() &&
                  (!opts.package_results || ref->answer.Equals(res->answer));
     if (!match) {
-      Count(ins_.vm_verify_failures);
+      obs::Count(ins_.vm_verify_failures);
       return Status::Internal(
           "verify_vm: VM result diverges from the tree walker");
     }
@@ -213,12 +203,12 @@ Result<lorel::QueryResult> ChorelEngine::RunCompiled(
     return Eval(q->normalized, &q->vm_direct, view, opts);
   }
   if (!q->translated.has_value()) {
-    Count(ins_.translation_misses);
+    obs::Count(ins_.translation_misses);
     auto translated = TranslateToLorel(q->normalized);
     if (!translated.ok()) return translated.status();
     q->translated = std::move(translated).value();
   } else {
-    Count(ins_.translation_hits);
+    obs::Count(ins_.translation_hits);
   }
   auto enc = Encoding();
   if (!enc.ok()) return enc.status();
@@ -260,13 +250,13 @@ Status ChorelEngine::ApplyDelta(Timestamp t, const ChangeSet& ops) {
   if (options_.verify_incremental) {
     Status s = VerifyCaches();
     if (!s.ok()) {
-      Count(ins_.verify_failures);
+      obs::Count(ins_.verify_failures);
       Invalidate();
       return s;
     }
   }
   if (patched) {
-    Count(ins_.cache_patches);
+    obs::Count(ins_.cache_patches);
     PublishCacheStats();
   }
   return Status::OK();

@@ -146,9 +146,6 @@ class ChorelEngine {
   /// two-snapshot rebase) rather than mutated by a change set.
   void Invalidate();
 
-  /// Drops the cached OEM encoding; the next translated Run re-encodes.
-  void InvalidateEncoding() { encoder_.reset(); }
-
   /// The cached encoding (encodes now if needed). Exposed for benchmarks.
   Result<const OemDatabase*> Encoding();
 

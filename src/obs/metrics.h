@@ -63,6 +63,24 @@ class Histogram {
   std::atomic<int64_t> sum_{0};
 };
 
+/// Null-tolerant updates for instrument pointers, which are null when no
+/// MetricsRegistry is configured.
+inline void Count(Counter* c, uint64_t by = 1) {
+  if (c != nullptr && by > 0) c->Increment(by);
+}
+
+inline void SetGauge(Gauge* g, int64_t v) {
+  if (g != nullptr) g->Set(v);
+}
+
+inline void AddGauge(Gauge* g, int64_t delta) {
+  if (g != nullptr) g->Add(delta);
+}
+
+inline void Observe(Histogram* h, int64_t v) {
+  if (h != nullptr) h->Observe(v);
+}
+
 /// Default bucket bounds for nanosecond latency histograms: powers of
 /// four from 1us to ~4.3s.
 const std::vector<int64_t>& LatencyBucketsNs();

@@ -32,28 +32,6 @@ void FaultInjectingSource::FailPolls(size_t skip, size_t count, Status error,
   AddFault(std::move(spec));
 }
 
-void FaultInjectingSource::SlowPolls(size_t skip, size_t count,
-                                     int64_t duration_ticks,
-                                     std::string query_contains) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kSlowPoll;
-  spec.skip = skip;
-  spec.count = count;
-  spec.duration_ticks = duration_ticks;
-  spec.query_contains = std::move(query_contains);
-  AddFault(std::move(spec));
-}
-
-void FaultInjectingSource::GarbagePolls(size_t skip, size_t count,
-                                        std::string query_contains) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kGarbage;
-  spec.skip = skip;
-  spec.count = count;
-  spec.query_contains = std::move(query_contains);
-  AddFault(std::move(spec));
-}
-
 Result<OemDatabase> FaultInjectingSource::Poll(const std::string& lorel_query,
                                                Timestamp now) {
   return PollForGroup(lorel_query, lorel_query, now);

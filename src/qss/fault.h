@@ -58,14 +58,10 @@ class FaultInjectingSource : public InformationSource {
 
   void AddFault(FaultSpec spec) { faults_.push_back({std::move(spec), 0}); }
 
-  /// Shorthands for the common schedules.
+  /// Shorthand for the common schedule: `count` error polls after `skip`.
   void FailPolls(size_t skip, size_t count,
                  Status error = Status::Unavailable("injected fault"),
                  std::string query_contains = "");
-  void SlowPolls(size_t skip, size_t count, int64_t duration_ticks,
-                 std::string query_contains = "");
-  void GarbagePolls(size_t skip, size_t count,
-                    std::string query_contains = "");
 
   Result<OemDatabase> Poll(const std::string& lorel_query,
                            Timestamp now) override;

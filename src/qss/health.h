@@ -19,7 +19,8 @@ namespace qss {
 struct RetryPolicy {
   /// Total attempts per scheduled poll (1 = no retry).
   int max_attempts = 1;
-  /// Simulated backoff before retry k (k >= 2): base << (k - 2) ticks.
+  /// Simulated backoff before retry k (k >= 2): base << (k - 2) ticks,
+  /// saturated at INT64_MAX; a non-positive base means no backoff.
   /// Backoff is sub-tick bookkeeping — it never moves the service clock
   /// or the poll timestamp, it is accounted in PollHealth::backoff_ticks.
   int64_t backoff_base_ticks = 0;
@@ -101,7 +102,8 @@ struct PollHealth {
   size_t polls_failed = 0;
   /// Extra source attempts beyond the first, across all polls.
   size_t retries = 0;
-  /// Total simulated backoff spent (RetryPolicy::backoff_base_ticks).
+  /// Total simulated backoff spent (RetryPolicy::backoff_base_ticks),
+  /// saturated at INT64_MAX.
   int64_t backoff_ticks = 0;
   /// The most recent quarantine skips, in time order, bounded to
   /// QssOptions::fault_tolerance.max_missed_log entries — older entries

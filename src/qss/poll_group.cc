@@ -1,6 +1,7 @@
 #include "qss/poll_group.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "lorel/lorel.h"
 #include "obs/clock.h"
@@ -17,22 +18,20 @@ namespace {
 constexpr NodeId kQssRoot = NodeId{1} << 62;
 constexpr NodeId kQssContainer = kQssRoot + 1;
 
-// Instrument-update helpers: every instrument pointer is null when no
-// MetricsRegistry is configured.
-void Count(obs::Counter* c, uint64_t by = 1) {
-  if (c != nullptr && by > 0) c->Increment(by);
+constexpr int64_t kMaxTicks = std::numeric_limits<int64_t>::max();
+
+// The simulated backoff before retry `attempt` (>= 2): base << (attempt
+// - 2) ticks, saturated at INT64_MAX. A non-positive base means none.
+int64_t RetryBackoff(int64_t base, int attempt) {
+  if (base <= 0) return 0;
+  const int shift = attempt - 2;
+  if (shift >= 63 || base > (kMaxTicks >> shift)) return kMaxTicks;
+  return base << shift;
 }
 
-void SetGauge(obs::Gauge* g, int64_t v) {
-  if (g != nullptr) g->Set(v);
-}
-
-void AddGauge(obs::Gauge* g, int64_t delta) {
-  if (g != nullptr) g->Add(delta);
-}
-
-void Observe(obs::Histogram* h, int64_t v) {
-  if (h != nullptr) h->Observe(v);
+// a + b for non-negative a and b, saturated at INT64_MAX.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  return b > kMaxTicks - a ? kMaxTicks : a + b;
 }
 
 }  // namespace
@@ -98,8 +97,8 @@ std::string PollGroupManager::GroupKey(
 }
 
 void PollGroupManager::PublishGroupGauges() {
-  SetGauge(ins_.groups, static_cast<int64_t>(groups_.size()));
-  SetGauge(ins_.group_count, static_cast<int64_t>(groups_.size()));
+  obs::SetGauge(ins_.groups, static_cast<int64_t>(groups_.size()));
+  obs::SetGauge(ins_.group_count, static_cast<int64_t>(groups_.size()));
   if (ins_.group_entries != nullptr) {
     int64_t entries = 0;
     for (const auto& [key, group] : groups_) {
@@ -133,9 +132,9 @@ Result<PollGroup*> PollGroupManager::Acquire(
       group->retired = false;
       std::erase(retired_keys_, key);
       CircuitState state = group->health.state;
-      if (state == CircuitState::kOpen) AddGauge(ins_.circuits_open, 1);
+      if (state == CircuitState::kOpen) obs::AddGauge(ins_.circuits_open, 1);
       if (state == CircuitState::kHalfOpen) {
-        AddGauge(ins_.circuits_half_open, 1);
+        obs::AddGauge(ins_.circuits_half_open, 1);
       }
     }
     ++group->subscriber_count;
@@ -221,8 +220,10 @@ void PollGroupManager::Release(PollGroup* group,
   if (group->subscriber_count == 0) {
     // Retire the group's contribution to the circuit gauges with it.
     CircuitState state = group->health.state;
-    if (state == CircuitState::kOpen) AddGauge(ins_.circuits_open, -1);
-    if (state == CircuitState::kHalfOpen) AddGauge(ins_.circuits_half_open, -1);
+    if (state == CircuitState::kOpen) obs::AddGauge(ins_.circuits_open, -1);
+    if (state == CircuitState::kHalfOpen) {
+      obs::AddGauge(ins_.circuits_half_open, -1);
+    }
     if (in_tick_ > 0) {
       // A wave may still hold a PreparedPoll for this group; keep the
       // object alive and out of scheduling until the tick unwinds.
@@ -305,7 +306,9 @@ Result<OemDatabase> PollGroupManager::AttemptPoll(PollGroup* group,
       // history and the schedule are unaffected (see health.h).
       ++health.retries;
       ++pending->retries;
-      health.backoff_ticks += retry.backoff_base_ticks << (attempt - 2);
+      health.backoff_ticks =
+          SaturatingAdd(health.backoff_ticks,
+                        RetryBackoff(retry.backoff_base_ticks, attempt));
     }
     int64_t took = 0;
     auto answer = [&] {
@@ -360,8 +363,8 @@ PollGroupManager::PreparedPoll PollGroupManager::PreparePoll(PollGroup* group,
       return pending;
     }
     health.state = CircuitState::kHalfOpen;
-    AddGauge(ins_.circuits_open, -1);
-    AddGauge(ins_.circuits_half_open, 1);
+    obs::AddGauge(ins_.circuits_open, -1);
+    obs::AddGauge(ins_.circuits_half_open, 1);
     DOEM_LOG_EVENT(options_.observability.events,
                    obs::EventType::kQuarantineProbe,
                    obs::EventSeverity::kInfo, t, group->key,
@@ -429,10 +432,10 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
       size_t drop = health.missed.size() - max_missed;
       health.missed.erase(health.missed.begin(), health.missed.begin() + drop);
       health.missed_dropped += drop;
-      Count(ins_.missed_log_dropped, drop);
+      obs::Count(ins_.missed_log_dropped, drop);
     }
     ++report->polls_missed;
-    Count(ins_.polls_missed);
+    obs::Count(ins_.polls_missed);
     DOEM_LOG_EVENT(options_.observability.events, obs::EventType::kPollMissed,
                    obs::EventSeverity::kWarning, t, group->key,
                    health.missed.back().reason);
@@ -443,10 +446,10 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
   report->retries += pending->retries;
   report->fetch_ns += pending->fetch_ns;
   report->diff_ns += pending->diff_ns;
-  Count(ins_.polls_attempted);
-  Count(ins_.retries, pending->retries);
-  Observe(ins_.fetch_ns, pending->fetch_ns);
-  Observe(ins_.diff_ns, pending->diff_ns);
+  obs::Count(ins_.polls_attempted);
+  obs::Count(ins_.retries, pending->retries);
+  obs::Observe(ins_.fetch_ns, pending->fetch_ns);
+  obs::Observe(ins_.diff_ns, pending->diff_ns);
   // Reset the per-poll phase attribution: fetch and diff were measured
   // while preparing; apply lands below and the fan-out half
   // (filter/fanout/wire/e2e) is filled in by SubscriberRegistry::FanOut
@@ -498,7 +501,7 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
     }
     int64_t apply_ns = obs::ElapsedNs(apply_start);
     report->apply_ns += apply_ns;
-    Observe(ins_.apply_ns, apply_ns);
+    obs::Observe(ins_.apply_ns, apply_ns);
     health.last_poll.apply_ns = apply_ns;
   }
 
@@ -507,7 +510,7 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
     ++health.consecutive_failures;
     health.last_error = failure;
     ++report->polls_failed;
-    Count(ins_.polls_failed);
+    obs::Count(ins_.polls_failed);
     PollError error;
     error.kind = PollError::Kind::kPoll;
     error.subject = group->JoinedEntries();
@@ -525,13 +528,13 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
         (quarantine_after > 0 &&
          health.consecutive_failures >= quarantine_after)) {
       if (health.state == CircuitState::kHalfOpen) {
-        AddGauge(ins_.circuits_half_open, -1);
+        obs::AddGauge(ins_.circuits_half_open, -1);
       }
       health.state = CircuitState::kOpen;
       health.quarantined_until = Timestamp(
           t.ticks + options_.fault_tolerance.quarantine_cooldown_ticks);
-      AddGauge(ins_.circuits_open, 1);
-      Count(ins_.quarantine_trips);
+      obs::AddGauge(ins_.circuits_open, 1);
+      obs::Count(ins_.quarantine_trips);
       DOEM_LOG_EVENT(options_.observability.events,
                      obs::EventType::kQuarantineOpened,
                      obs::EventSeverity::kWarning, t, group->key,
@@ -545,10 +548,10 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
   group->polls.push_back(t);
   ++health.polls_succeeded;
   ++report->polls_ok;
-  Count(ins_.polls_ok);
+  obs::Count(ins_.polls_ok);
   health.consecutive_failures = 0;
   if (health.state == CircuitState::kHalfOpen) {
-    AddGauge(ins_.circuits_half_open, -1);  // probe succeeded: close
+    obs::AddGauge(ins_.circuits_half_open, -1);  // probe succeeded: close
     DOEM_LOG_EVENT(options_.observability.events,
                    obs::EventType::kQuarantineClosed,
                    obs::EventSeverity::kInfo, t, group->key,

@@ -30,18 +30,6 @@ Status ValidatePollingQuery(const std::string& text) {
   return Status::OK();
 }
 
-void Count(obs::Counter* c, uint64_t by = 1) {
-  if (c != nullptr && by > 0) c->Increment(by);
-}
-
-void SetGauge(obs::Gauge* g, int64_t v) {
-  if (g != nullptr) g->Set(v);
-}
-
-void Observe(obs::Histogram* h, int64_t v) {
-  if (h != nullptr) h->Observe(v);
-}
-
 }  // namespace
 
 SubscriberRegistry::SubscriberRegistry(PollGroupManager* manager)
@@ -160,7 +148,7 @@ Result<SubscriptionHandle> SubscriberRegistry::Subscribe(
   entry.filter = std::move(filter);
   members_[(*group)->key].push_back(handle.id);
   subs_.emplace(handle.id, std::move(entry));
-  SetGauge(ins_.subscribers, static_cast<int64_t>(subs_.size()));
+  obs::SetGauge(ins_.subscribers, static_cast<int64_t>(subs_.size()));
   DOEM_LOG_EVENT(manager_->options().observability.events,
                  obs::EventType::kSubscribed, obs::EventSeverity::kInfo,
                  manager_->now(), sub.name, "group=" + (*group)->key);
@@ -185,7 +173,7 @@ Status SubscriberRegistry::Unsubscribe(SubscriptionHandle handle) {
   std::string sub_name = it->second.sub.name;
   subs_.erase(it);
   manager_->Release(group, entry_name);
-  SetGauge(ins_.subscribers, static_cast<int64_t>(subs_.size()));
+  obs::SetGauge(ins_.subscribers, static_cast<int64_t>(subs_.size()));
   DOEM_LOG_EVENT(manager_->options().observability.events,
                  obs::EventType::kUnsubscribed, obs::EventSeverity::kInfo,
                  manager_->now(), sub_name, "");
@@ -247,14 +235,14 @@ void SubscriberRegistry::FanOut(PollGroup* group, Timestamp t,
                                           options.strategy, opts);
       }();
       cached = evaluated.emplace(state.filter.get(), std::move(result)).first;
-      Count(ins_.filter_evals);
+      obs::Count(ins_.filter_evals);
     } else {
-      Count(ins_.filter_shared);
+      obs::Count(ins_.filter_shared);
     }
     int64_t filter_ns = obs::ElapsedNs(filter_start);
     report->filter_ns += filter_ns;
     group->health.last_poll.filter_ns += filter_ns;
-    Observe(ins_.filter_ns, filter_ns);
+    obs::Observe(ins_.filter_ns, filter_ns);
     const Result<lorel::QueryResult>& result = cached->second;
     if (!result.ok()) {
       PollError error;
@@ -288,7 +276,7 @@ void SubscriberRegistry::FanOut(PollGroup* group, Timestamp t,
         NotificationCallback callback = state.callback;
         callback(n);
         ++report->notifications;
-        Count(ins_.notifications);
+        obs::Count(ins_.notifications);
         // End-to-end attribution: measured *after* the callback returns,
         // so a server callback's wire framing + send is inside the
         // figure. The segments (fetch/diff/apply from the committed
@@ -297,18 +285,18 @@ void SubscriberRegistry::FanOut(PollGroup* group, Timestamp t,
         int64_t delivered_ns = obs::NowNs();
         int64_t e2e_ns = delivered_ns - group->last_prepare_start_ns;
         group->health.last_poll.e2e_ns = e2e_ns;
-        Observe(ins_.notify_e2e_ns, e2e_ns);
-        Observe(ins_.notify_fetch_ns, group->health.last_poll.fetch_ns);
-        Observe(ins_.notify_diff_ns, group->health.last_poll.diff_ns);
-        Observe(ins_.notify_apply_ns, group->health.last_poll.apply_ns);
-        Observe(ins_.notify_filter_ns, filter_ns);
-        Observe(ins_.notify_fanout_ns, delivered_ns - fanout_start);
+        obs::Observe(ins_.notify_e2e_ns, e2e_ns);
+        obs::Observe(ins_.notify_fetch_ns, group->health.last_poll.fetch_ns);
+        obs::Observe(ins_.notify_diff_ns, group->health.last_poll.diff_ns);
+        obs::Observe(ins_.notify_apply_ns, group->health.last_poll.apply_ns);
+        obs::Observe(ins_.notify_filter_ns, filter_ns);
+        obs::Observe(ins_.notify_fanout_ns, delivered_ns - fanout_start);
       }
     }
   }
   int64_t fanout_ns = obs::ElapsedNs(fanout_start);
   group->health.last_poll.fanout_ns = fanout_ns;
-  Observe(ins_.fanout_ns, fanout_ns);
+  obs::Observe(ins_.fanout_ns, fanout_ns);
 }
 
 }  // namespace qss

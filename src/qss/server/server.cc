@@ -12,18 +12,6 @@ namespace server {
 
 namespace {
 
-void Count(obs::Counter* c, uint64_t by = 1) {
-  if (c != nullptr && by > 0) c->Increment(by);
-}
-
-void SetGauge(obs::Gauge* g, int64_t v) {
-  if (g != nullptr) g->Set(v);
-}
-
-void Observe(obs::Histogram* h, int64_t v) {
-  if (h != nullptr) h->Observe(v);
-}
-
 obs::EventLog* Events(SubscriberRegistry* registry) {
   return registry->manager()->options().observability.events;
 }
@@ -91,7 +79,7 @@ QssServer::ConnectionId QssServer::Attach(ByteSink send) {
   ConnectionId id = next_id_++;
   Connection& conn = connections_[id];
   conn.send = std::move(send);
-  SetGauge(ins_.connections, static_cast<int64_t>(connections_.size()));
+  obs::SetGauge(ins_.connections, static_cast<int64_t>(connections_.size()));
   DOEM_LOG_EVENT(Events(registry_), obs::EventType::kConnectionOpened,
                  obs::EventSeverity::kInfo, registry_->manager()->now(),
                  "conn#" + std::to_string(id), "");
@@ -100,7 +88,7 @@ QssServer::ConnectionId QssServer::Attach(ByteSink send) {
 
 void QssServer::Send(Connection* conn, std::string bytes) {
   if (conn->send) conn->send(bytes);
-  Count(ins_.frames_out);
+  obs::Count(ins_.frames_out);
 }
 
 void QssServer::SendError(Connection* conn, const std::string& name,
@@ -122,7 +110,7 @@ void QssServer::Close(ConnectionId id) {
   }
   size_t released = it->second.subs.size();
   connections_.erase(it);
-  SetGauge(ins_.connections, static_cast<int64_t>(connections_.size()));
+  obs::SetGauge(ins_.connections, static_cast<int64_t>(connections_.size()));
   DOEM_LOG_EVENT(Events(registry_), obs::EventType::kConnectionClosed,
                  obs::EventSeverity::kInfo, registry_->manager()->now(),
                  "conn#" + std::to_string(id),
@@ -130,7 +118,7 @@ void QssServer::Close(ConnectionId id) {
 }
 
 void QssServer::Fail(ConnectionId id, Connection* conn, const Status& error) {
-  Count(ins_.protocol_errors);
+  obs::Count(ins_.protocol_errors);
   DOEM_LOG_EVENT(Events(registry_), obs::EventType::kFramePoisoned,
                  obs::EventSeverity::kError, registry_->manager()->now(),
                  "conn#" + std::to_string(id), error.message());
@@ -154,7 +142,7 @@ size_t QssServer::SubscriptionCount(ConnectionId id) const {
 void QssServer::HandleSubscribe(ConnectionId id, Connection* conn,
                                 const SubscribeMsg& msg) {
   if (conn->subs.contains(msg.name)) {
-    Count(ins_.subscribes_rejected);
+    obs::Count(ins_.subscribes_rejected);
     SendError(conn, msg.name,
               PollErrorKindToString(PollError::Kind::kDuplicateSubscription),
               "subscription '" + msg.name + "' exists");
@@ -186,22 +174,22 @@ void QssServer::HandleSubscribe(ConnectionId id, Connection* conn,
         push.poll_index = n.poll_index;
         push.rows = n.result.RowsToString();
         Send(&cit->second, EncodeNotification(push));
-        Count(ins_.notifications);
+        obs::Count(ins_.notifications);
         int64_t wire_ns = obs::ElapsedNs(wire_start);
-        Observe(ins_.wire_ns, wire_ns);
+        obs::Observe(ins_.wire_ns, wire_ns);
         // Safe under the (recursive) service mutex the callback runs in.
         if (PollGroup* group = registry_->GroupOf(n.handle)) {
           group->health.last_poll.wire_ns += wire_ns;
         }
       });
   if (!handle.ok()) {
-    Count(ins_.subscribes_rejected);
+    obs::Count(ins_.subscribes_rejected);
     SendError(conn, msg.name, ClassifySubscribeError(handle.status().message()),
               handle.status().message());
     return;
   }
   conn->subs.emplace(msg.name, *handle);
-  Count(ins_.subscribes_ok);
+  obs::Count(ins_.subscribes_ok);
   SubscribedMsg ok;
   ok.name = msg.name;
   ok.handle = handle->id;
@@ -218,14 +206,14 @@ void QssServer::HandleUnsubscribe(ConnectionId /*id*/, Connection* conn,
   }
   (void)registry_->Unsubscribe(it->second);
   conn->subs.erase(it);
-  Count(ins_.unsubscribes);
+  obs::Count(ins_.unsubscribes);
   UnsubscribedMsg ok;
   ok.name = msg.name;
   Send(conn, EncodeUnsubscribed(ok));
 }
 
 void QssServer::HandleStats(Connection* conn, const StatsRequestMsg& msg) {
-  Count(ins_.stats_requests);
+  obs::Count(ins_.stats_requests);
   obs::MetricsRegistry* m =
       registry_->manager()->options().observability.metrics;
   if (m == nullptr || !snapshotter_.has_value()) {
@@ -243,7 +231,7 @@ void QssServer::HandleStats(Connection* conn, const StatsRequestMsg& msg) {
 }
 
 void QssServer::HandleHealth(Connection* conn) {
-  Count(ins_.health_requests);
+  obs::Count(ins_.health_requests);
   PollGroupManager* manager = registry_->manager();
   HealthReplyMsg reply;
   reply.now = manager->now();
@@ -274,7 +262,7 @@ void QssServer::HandleHealth(Connection* conn) {
 }
 
 void QssServer::HandleTraceDump(Connection* conn) {
-  Count(ins_.trace_dumps);
+  obs::Count(ins_.trace_dumps);
   obs::TraceRecorder* t = registry_->manager()->options().observability.trace;
   if (t == nullptr) {
     SendError(conn, "", "unavailable", "no trace recorder configured");
@@ -342,7 +330,7 @@ void QssServer::OnBytes(ConnectionId id, std::string_view bytes) {
   }
   WireFrame frame;
   while (connections_.contains(id) && conn->frames.Next(&frame)) {
-    Count(ins_.frames_in);
+    obs::Count(ins_.frames_in);
     Dispatch(id, conn, frame);
   }
 }

@@ -206,18 +206,6 @@ Status Store::CommitCheckpoint(Timestamp t, const DoemDatabase& current) {
   return s;
 }
 
-Status Store::Checkpoint(const DoemDatabase& current) {
-  if (!started_) {
-    return Status::InvalidArgument(
-        "Store::Checkpoint: store has no state; call Start() first");
-  }
-  if (broken()) {
-    if (append_failures_) append_failures_->Increment();
-    return broken_status();
-  }
-  return AppendCheckpoint(current);
-}
-
 Status Store::Sync() {
   Status s = writer_.Sync();
   if (s.ok() && fsyncs_) fsyncs_->Increment();

@@ -94,10 +94,6 @@ class Store {
   /// after the commit at `t`).
   Status CommitCheckpoint(Timestamp t, const DoemDatabase& current);
 
-  /// Forces a checkpoint record of `current` now (e.g. before an
-  /// expected shutdown, to make the next recovery O(1)).
-  Status Checkpoint(const DoemDatabase& current);
-
   /// Durability point when options.sync_each_append is false.
   Status Sync();
 

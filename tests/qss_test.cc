@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "oracle.h"
 #include "qss/qss.h"
@@ -447,6 +448,25 @@ TEST(QssFaultTest, TransientFailureRetriedThenRecovered) {
   EXPECT_EQ(run.source_forwarded, 2u);
   EXPECT_EQ(run.injected_errors, 1u);
   EXPECT_EQ(GroupOf(run, "R").polls.size(), 2u) << "no poll was lost";
+}
+
+TEST(QssFaultTest, BackoffSaturatesInsteadOfOverflowing) {
+  // Poll 1 is clean; every attempt of poll 2 fails. Its 69 retries ask
+  // for 2^0 + ... + 2^68 ticks of backoff, far past INT64_MAX, and
+  // shifts of 64 or more: the total saturates.
+  oracle::Scenario s =
+      PaperGuide(kDec30, {{.skip = 1, .count = 0, .query_contains = ""}});
+  s.tolerance.retry.max_attempts = 70;
+  s.tolerance.retry.backoff_base_ticks = 1;
+  s.Sub("R", "", 1);
+  s.Advance({0, 1});
+  const oracle::Output run = oracle::Execute(s, {});
+
+  const PollHealth& h = GroupOf(run, "R").health;
+  EXPECT_EQ(h.polls_failed, 1u);
+  EXPECT_EQ(h.retries, 69u);
+  EXPECT_EQ(h.backoff_ticks, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(run.injected_errors, 70u);
 }
 
 TEST(QssFaultTest, SlowPollExceedingDeadlineIsRetried) {
