@@ -24,6 +24,9 @@
 #                                  BM_DoemApply_TwoSnapshotRebase (per-poll
 #                                  DOEM core cost vs. graph size) +
 #                                  BM_OemWideNode (many labels on one node)
+#   BENCH_diff.json                BM_KeyedDiff / BM_StructuralDiff /
+#                                  BM_DiffNoChanges (E7: OEMdiff cost vs.
+#                                  snapshot size and change volume)
 #
 # With --compare, captures go to a temporary directory instead of the
 # repo root and each named baseline is diffed against the fresh capture
@@ -41,6 +44,8 @@
 # checkpoint interval grows. In BENCH_doem_apply.json, an O(delta) DOEM
 # core is flat in `restaurants`; the ChangeSet rows are, while the
 # CurrentSnapshot and TwoSnapshotRebase rows still grow with the graph.
+# In BENCH_diff.json the keyed rows grow linearly in `restaurants` (one
+# pass over the new snapshot) and the structural rows faster.
 #
 # Numbers from unoptimized builds are not comparable: the script reads
 # CMAKE_BUILD_TYPE from the build tree's actual CMakeCache.txt, records
@@ -114,7 +119,8 @@ esac
 
 cmake --build "$build" -j "$jobs" --target \
   bench_qss_cycle bench_chorel_strategies bench_obs_overhead \
-  bench_store_recovery bench_vm_dispatch bench_qss_fanout bench_history_apply
+  bench_store_recovery bench_vm_dispatch bench_qss_fanout bench_history_apply \
+  bench_diff
 
 # Stamps the cache-derived build type into the capture's context block so
 # downstream consumers can reject or flag non-release data.
@@ -161,10 +167,16 @@ annotate "$outdir"/BENCH_qss_fanout.json
   --benchmark_out_format=json
 annotate "$outdir"/BENCH_doem_apply.json
 
+"$build"/bench/bench_diff \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+  --benchmark_out="$outdir"/BENCH_diff.json \
+  --benchmark_out_format=json
+annotate "$outdir"/BENCH_diff.json
+
 echo "wrote BENCH_qss_incremental.json, BENCH_chorel_incremental.json," \
      "BENCH_obs_overhead.json, BENCH_store_recovery.json," \
-     "BENCH_vm_dispatch.json, BENCH_qss_fanout.json, and" \
-     "BENCH_doem_apply.json to $outdir" \
+     "BENCH_vm_dispatch.json, BENCH_qss_fanout.json," \
+     "BENCH_doem_apply.json, and BENCH_diff.json to $outdir" \
      "(cmake_build_type=$build_type)"
 
 if [ "${#baselines[@]}" -gt 0 ]; then

@@ -1,6 +1,7 @@
 #include "diff/diff.h"
 
 #include <algorithm>
+#include <utility>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,32 +13,49 @@ namespace {
 
 // ------------------------------------------------------------- keyed mode
 
+// One pass over `to`'s node records, with hash probes into `from`; arcs
+// are probed only where a node's out-arc lists differ. Every op concerns
+// a node of `to`: its creNode or updNode, or an arc it is the parent of.
+// Arcs of `from` whose parent is gone are not removed: deletion is by
+// unreachability, so removing the incoming arcs of the dead region (whose
+// parents survive) suffices. Only the emitted ops are sorted, as small
+// (node, out-arc position) keys before any op is built: cre and upd by
+// node id, then add and rem by parent id and position in that parent's
+// out-arc list (in `to` for add, in `from` for rem).
 Result<ChangeSet> KeyedDiff(const OemDatabase& from, const OemDatabase& to) {
-  ChangeSet ops;
-  // Creations and updates.
-  for (NodeId n : to.NodeIds()) {
-    const Value& tv = *to.GetValue(n);
+  using Key = std::pair<NodeId, size_t>;
+  std::vector<NodeId> values;
+  std::vector<Key> adds, rems;
+  to.ForEachNode([&](NodeId n, const Value& tv,
+                     const std::vector<OutArc>& out) {
     const Value* fv = from.GetValue(n);
-    if (fv == nullptr) {
-      ops.push_back(ChangeOp::CreNode(n, tv));
-    } else if (!(*fv == tv)) {
-      ops.push_back(ChangeOp::UpdNode(n, tv));
+    if (fv == nullptr || !(*fv == tv)) values.push_back(n);
+    const std::vector<OutArc>& fout = from.OutArcs(n);
+    if (fout == out) return;
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (!from.HasArc(n, out[i].label, out[i].child)) adds.emplace_back(n, i);
     }
+    for (size_t i = 0; i < fout.size(); ++i) {
+      if (!to.HasArc(n, fout[i].label, fout[i].child)) rems.emplace_back(n, i);
+    }
+  });
+  std::sort(values.begin(), values.end());
+  std::sort(adds.begin(), adds.end());
+  std::sort(rems.begin(), rems.end());
+  ChangeSet ops;
+  ops.reserve(values.size() + adds.size() + rems.size());
+  for (NodeId n : values) {
+    const Value& tv = *to.GetValue(n);
+    ops.push_back(from.HasNode(n) ? ChangeOp::UpdNode(n, tv)
+                                  : ChangeOp::CreNode(n, tv));
   }
-  // Arc additions.
-  for (const Arc& a : to.AllArcs()) {
-    if (!from.HasArc(a.parent, a.label, a.child)) {
-      ops.push_back(ChangeOp::AddArc(a.parent, a.label, a.child));
-    }
+  for (const auto& [n, i] : adds) {
+    const OutArc& a = to.OutArcs(n)[i];
+    ops.push_back(ChangeOp::AddArc(n, a.label, a.child));
   }
-  // Arc removals. Arcs whose parent disappears are skipped: deletion is
-  // by unreachability, so removing the incoming arcs of the dead region
-  // (which ARE emitted, since their parents survive) suffices.
-  for (const Arc& a : from.AllArcs()) {
-    if (!to.HasNode(a.parent)) continue;
-    if (!to.HasArc(a.parent, a.label, a.child)) {
-      ops.push_back(ChangeOp::RemArc(a.parent, a.label, a.child));
-    }
+  for (const auto& [n, i] : rems) {
+    const OutArc& a = from.OutArcs(n)[i];
+    ops.push_back(ChangeOp::RemArc(n, a.label, a.child));
   }
   return ops;
 }
@@ -211,12 +229,26 @@ Result<ChangeSet> StructuralDiff(const OemDatabase& from,
   return ops;
 }
 
+// The O(1) part of Validate(): `db` has a complex root.
+Status CheckRoot(const OemDatabase& db, const char* side) {
+  const Value* root = db.GetValue(db.root());
+  if (root == nullptr) {
+    return Status::InvalidArgument(std::string("DiffSnapshots: ") + side +
+                                   " has no root");
+  }
+  if (!root->is_complex()) {
+    return Status::InvalidArgument(std::string("DiffSnapshots: ") + side +
+                                   " root is not complex");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<ChangeSet> DiffSnapshots(const OemDatabase& from,
                                 const OemDatabase& to, DiffMode mode) {
-  DOEM_RETURN_IF_ERROR(from.Validate());
-  DOEM_RETURN_IF_ERROR(to.Validate());
+  DOEM_RETURN_IF_ERROR(CheckRoot(from, "from"));
+  DOEM_RETURN_IF_ERROR(CheckRoot(to, "to"));
   Result<ChangeSet> ops = mode == DiffMode::kKeyed ? KeyedDiff(from, to)
                                                    : StructuralDiff(from, to);
   if (!ops.ok()) return ops;

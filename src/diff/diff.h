@@ -29,9 +29,19 @@ namespace doem {
 ///                 correctness.
 enum class DiffMode { kKeyed, kStructural };
 
-/// Computes the change set. Both databases must be well-formed
-/// (Validate() passes). The returned set is conflict-free and valid for
-/// `from`.
+/// Computes the change set. The returned set is conflict-free and valid
+/// for `from`.
+///
+/// Precondition: both databases are well-formed (Validate() passes). The
+/// diff does not run Validate(), which reads the whole graph: callers
+/// validate each snapshot once, where it enters the program (QSS at
+/// fetch; a DOEM current snapshot is valid by construction; ParseHtml
+/// builds a rooted tree). Only the O(1) part is checked here: each side
+/// has a complex root, else InvalidArgument. On an ill-formed input that
+/// passes this check the result is unspecified.
+///
+/// Keyed mode makes one pass over `to`'s node records and sorts only the
+/// ops it emits: O(|to| + |U| log |U|) hash probes and comparisons.
 Result<ChangeSet> DiffSnapshots(const OemDatabase& from,
                                 const OemDatabase& to, DiffMode mode);
 

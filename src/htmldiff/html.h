@@ -20,6 +20,10 @@ namespace htmldiff {
 /// img, meta, link, input), self-closing syntax, quoted/unquoted
 /// attributes, comments, doctype, and the entities &amp; &lt; &gt;
 /// &quot; &#NN; &nbsp;.
+///
+/// A returned database is well-formed (Validate() passes) by
+/// construction: a tree whose every node is created under an existing
+/// complex parent.
 Result<OemDatabase> ParseHtml(const std::string& html);
 
 /// Renders an OEM tree produced by ParseHtml back to HTML (used by the

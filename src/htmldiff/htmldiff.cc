@@ -112,6 +112,9 @@ Result<HtmlDiffResult> HtmlDiff(const std::string& old_html,
     return Status(new_db.status().code(),
                   "new version: " + new_db.status().message());
   }
+  // No Validate() here: ParseHtml builds a rooted tree in which every
+  // node is created under an existing complex parent, which is what
+  // DiffSnapshots requires.
   auto delta = DiffSnapshots(*old_db, *new_db, DiffMode::kStructural);
   if (!delta.ok()) return delta.status();
 

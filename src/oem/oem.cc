@@ -117,6 +117,31 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   return Status::OK();
 }
 
+Status OemDatabase::MoveOutArcs(NodeId from, NodeId to) {
+  Node* src = Find(*this, from);
+  Node* dst = Find(*this, to);
+  if (src == nullptr || dst == nullptr) {
+    return Status::NotFound("MoveOutArcs: no node " +
+                            std::to_string(src == nullptr ? from : to));
+  }
+  if (from == to || !dst->value.is_complex() || !dst->out.empty()) {
+    return Status::InvalidArgument(
+        "MoveOutArcs: target " + std::to_string(to) +
+        " must be another complex node without out-arcs");
+  }
+  // Re-key each arc in place: the node handle keeps its label and ArcSeq.
+  for (const OutArc& a : src->out) {
+    auto moved = arcs_.extract(arcs_.find(ArcRef{from, a.label, a.child}));
+    moved.key().parent = to;
+    arcs_.insert(std::move(moved));
+  }
+  dst->out = std::move(src->out);
+  dst->by_label = std::move(src->by_label);
+  src->out.clear();
+  src->by_label.clear();
+  return Status::OK();
+}
+
 Status OemDatabase::RemArc(NodeId parent, const std::string& label,
                            NodeId child) {
   return RemArc(parent, label, child, nullptr);

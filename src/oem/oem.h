@@ -151,6 +151,13 @@ class OemDatabase {
   /// apply. Plain OEM code must use AddArc.
   Status AddArcForce(NodeId parent, const std::string& label, NodeId child);
 
+  /// Re-sources every out-arc of `from` onto `to`: arc (from, l, c)
+  /// becomes (to, l, c), keeping its place in the out-arc list and its
+  /// ArcSeq. `to` must be complex, differ from `from` and have no
+  /// out-arcs. Arcs into `from` are left alone. O(out-degree of `from`);
+  /// QSS re-roots each polled answer with it.
+  Status MoveOutArcs(NodeId from, NodeId to);
+
   // ---- Lookup ---------------------------------------------------------
 
   NodeId root() const { return root_; }
@@ -206,6 +213,14 @@ class OemDatabase {
 
   /// All arcs, ordered by (parent id, insertion order). Deterministic.
   std::vector<Arc> AllArcs() const;
+
+  /// Calls visit(id, value, out_arcs) once per node, in unspecified
+  /// order, without building NodeIds() or AllArcs(). `visit` must not
+  /// mutate this database.
+  template <typename Visit>
+  void ForEachNode(Visit&& visit) const {
+    for (const auto& [id, n] : nodes_) visit(id, n.value, n.out);
+  }
 
   // ---- Reachability & integrity ---------------------------------------
 

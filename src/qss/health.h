@@ -66,9 +66,9 @@ struct MissedPoll {
 /// All fields are measured nanoseconds — like PollReport's *_ns fields
 /// they differ run to run and are excluded from determinism comparisons.
 struct PollPhaseLatency {
-  /// Source fetch including retries.
+  /// Source fetch including retries and their validation.
   int64_t fetch_ns = 0;
-  /// OEMdiff of R_{k-1} vs R_k.
+  /// Canonical wrap of R_k plus OEMdiff of R_{k-1} vs R_k.
   int64_t diff_ns = 0;
   /// DOEM apply + incremental cache maintenance + store commit.
   int64_t apply_ns = 0;
@@ -188,8 +188,9 @@ struct PollReport {
   size_t retries = 0;
   size_t notifications = 0;
   /// Wall-clock nanoseconds spent in each pipeline phase, summed across
-  /// poll groups: fetch covers source polls including retries, diff the
-  /// OEMdiff of R_{k-1} vs R_k, apply the DOEM incorporation plus the
+  /// poll groups: fetch covers source polls including retries and their
+  /// validation, diff the canonical wrap of R_k plus the OEMdiff of
+  /// R_{k-1} vs R_k, apply the DOEM incorporation plus the
   /// incremental engine-cache maintenance, filter the evaluation of every
   /// member's filter query. With a parallel executor the per-phase sums
   /// can exceed the elapsed time of the call (phases overlap across

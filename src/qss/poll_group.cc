@@ -83,7 +83,7 @@ PollGroupManager::PollGroupManager(InformationSource* source, Timestamp start,
       "qss.fetch_ns", obs::LatencyBucketsNs(),
       "per-poll source fetch wall time (incl. retries), ns");
   ins_.diff_ns = m->GetHistogram("qss.diff_ns", obs::LatencyBucketsNs(),
-                                 "per-poll OEMdiff wall time, ns");
+                                 "per-poll wrap + OEMdiff wall time, ns");
   ins_.apply_ns = m->GetHistogram(
       "qss.apply_ns", obs::LatencyBucketsNs(),
       "per-poll DOEM apply + cache maintenance wall time, ns");
@@ -266,29 +266,26 @@ void PollGroupManager::EraseRetired() {
 }
 
 Result<OemDatabase> PollGroupManager::CanonicalWrap(
-    const OemDatabase& answer, const PollGroup& group) const {
+    OemDatabase answer, const PollGroup& group) const {
   if (answer.HasNode(kQssRoot) || answer.HasNode(kQssContainer)) {
     return Status::Internal("source id space collides with QSS wrapper ids");
   }
-  OemDatabase out;
-  DOEM_RETURN_IF_ERROR(out.CreNode(kQssRoot, Value::Complex()));
-  DOEM_RETURN_IF_ERROR(out.CreNode(kQssContainer, Value::Complex()));
-  DOEM_RETURN_IF_ERROR(out.SetRoot(kQssRoot));
+  // The answer root is replaced, so an arc into it (a self-loop too)
+  // would lose its target: NotFound, as for an arc to a missing child.
+  const NodeId ans_root = answer.root();
+  if (answer.InDegree(ans_root) != 0) {
+    return Status::NotFound("addArc: no child node " +
+                            std::to_string(ans_root));
+  }
+  DOEM_RETURN_IF_ERROR(answer.CreNode(kQssRoot, Value::Complex()));
+  DOEM_RETURN_IF_ERROR(answer.CreNode(kQssContainer, Value::Complex()));
+  DOEM_RETURN_IF_ERROR(answer.MoveOutArcs(ans_root, kQssContainer));
+  DOEM_RETURN_IF_ERROR(answer.SetRoot(kQssRoot));
+  DOEM_RETURN_IF_ERROR(answer.EraseNodeForce(ans_root));
   for (const auto& [entry, refs] : group.entries) {
-    DOEM_RETURN_IF_ERROR(out.AddArc(kQssRoot, entry, kQssContainer));
+    DOEM_RETURN_IF_ERROR(answer.AddArc(kQssRoot, entry, kQssContainer));
   }
-  // Copy the answer's nodes (ids preserved) and re-source the answer
-  // root's arcs onto the container.
-  NodeId ans_root = answer.root();
-  for (NodeId n : answer.NodeIds()) {
-    if (n == ans_root) continue;
-    DOEM_RETURN_IF_ERROR(out.CreNode(n, *answer.GetValue(n)));
-  }
-  for (const Arc& a : answer.AllArcs()) {
-    NodeId p = a.parent == ans_root ? kQssContainer : a.parent;
-    DOEM_RETURN_IF_ERROR(out.AddArc(p, a.label, a.child));
-  }
-  return out;
+  return answer;
 }
 
 Result<OemDatabase> PollGroupManager::AttemptPoll(PollGroup* group,
@@ -392,19 +389,18 @@ PollGroupManager::PreparedPoll PollGroupManager::PreparePoll(PollGroup* group,
     return pending;
   }
 
-  auto wrapped = CanonicalWrap(*answer, *group);
-  if (!wrapped.ok()) {
-    pending.failure = wrapped.status();
-    return pending;
-  }
-
   // 2. R_{k-1} is the current snapshot of the DOEM database. Safe off
   // the commit thread: nothing else touches this group during its wave.
-  // 3. OEMdiff.
+  // 3. Wrap R_k in place and OEMdiff it; the diff phase times both. R_k
+  // was validated at fetch and R_{k-1} is valid by construction, so the
+  // diff validates neither again.
   obs::TraceSpan diff_span(options_.observability.trace, "qss.diff", "qss", t);
   int64_t diff_start = obs::NowNs();
-  const OemDatabase& previous = group->doem.CurrentSnapshot();
-  auto delta = DiffSnapshots(previous, *wrapped, diff_mode_);
+  auto wrapped = CanonicalWrap(std::move(answer).value(), *group);
+  Result<ChangeSet> delta =
+      wrapped.ok() ? DiffSnapshots(group->doem.CurrentSnapshot(), *wrapped,
+                                   diff_mode_)
+                   : wrapped.status();
   pending.diff_ns = obs::ElapsedNs(diff_start);
   if (!delta.ok()) {
     pending.failure = delta.status();

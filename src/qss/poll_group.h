@@ -243,11 +243,13 @@ class PollGroupManager {
   Status SettleReport(const PollReport& report, size_t first_new_error,
                       bool caller_has_report) const;
 
-  /// Wraps a polled answer database into canonical form: a fixed root
-  /// with one arc per distinct entry name to a fixed container whose
-  /// arcs are the answer's. Fixed ids make keyed diffs stable across
-  /// polls.
-  Result<OemDatabase> CanonicalWrap(const OemDatabase& answer,
+  /// Wraps a polled answer database into canonical form, in place: a
+  /// fixed root with one arc per distinct entry name to a fixed
+  /// container, which takes over the answer root's out-arcs in order;
+  /// the answer root is erased. Fixed ids make keyed diffs stable across
+  /// polls. O(root fan-out + entries). Internal if the answer holds a
+  /// wrapper id; NotFound if the answer root has an in-arc.
+  Result<OemDatabase> CanonicalWrap(OemDatabase answer,
                                     const PollGroup& group) const;
 
   /// After an explicit or trigger-driven wave at now_: the next scheduled

@@ -62,7 +62,7 @@ SubscriberRegistry::SubscriberRegistry(PollGroupManager* manager)
       "e2e segment: the notifying poll's source fetch (incl. retries), ns");
   ins_.notify_diff_ns = m->GetHistogram(
       "qss.notify.diff_ns", obs::LatencyBucketsNs(),
-      "e2e segment: the notifying poll's OEMdiff, ns");
+      "e2e segment: the notifying poll's wrap + OEMdiff, ns");
   ins_.notify_apply_ns = m->GetHistogram(
       "qss.notify.apply_ns", obs::LatencyBucketsNs(),
       "e2e segment: the notifying poll's DOEM apply + cache maintenance, ns");

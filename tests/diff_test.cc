@@ -4,6 +4,7 @@
 #include "oem/graph_compare.h"
 #include "oem/history.h"
 #include "oem/subgraph.h"
+#include "testing/generators.h"
 #include "testing/guide.h"
 
 namespace doem {
@@ -155,6 +156,120 @@ TEST(StructuralDiffTest, UpdateDetectedAcrossIdRenaming) {
   EXPECT_EQ(s.updates, 1u) << ChangeSetToString(*ops);
   EXPECT_EQ(s.creations, 0u) << ChangeSetToString(*ops);
   CheckDiff(a.db, fresh, DiffMode::kStructural);
+}
+
+// A keyed diff read straight off NodeIds() and AllArcs(): the reference
+// for the ops, and their order, of the one-pass diff over node records.
+ChangeSet ReferenceKeyedDiff(const OemDatabase& from, const OemDatabase& to) {
+  ChangeSet ops;
+  for (NodeId n : to.NodeIds()) {
+    const Value& tv = *to.GetValue(n);
+    const Value* fv = from.GetValue(n);
+    if (fv == nullptr) {
+      ops.push_back(ChangeOp::CreNode(n, tv));
+    } else if (!(*fv == tv)) {
+      ops.push_back(ChangeOp::UpdNode(n, tv));
+    }
+  }
+  for (const Arc& a : to.AllArcs()) {
+    if (!from.HasArc(a.parent, a.label, a.child)) {
+      ops.push_back(ChangeOp::AddArc(a.parent, a.label, a.child));
+    }
+  }
+  for (const Arc& a : from.AllArcs()) {
+    if (!to.HasNode(a.parent)) continue;
+    if (!to.HasArc(a.parent, a.label, a.child)) {
+      ops.push_back(ChangeOp::RemArc(a.parent, a.label, a.child));
+    }
+  }
+  return ops;
+}
+
+// The same ops in the same order as the reference, not only an equal set.
+void ExpectSameAsReference(const OemDatabase& from, const OemDatabase& to) {
+  auto ops = DiffSnapshots(from, to, DiffMode::kKeyed);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  ChangeSet expected = ReferenceKeyedDiff(from, to);
+  EXPECT_EQ(*ops, expected) << "got:\n"
+                            << ChangeSetToString(*ops) << "expected:\n"
+                            << ChangeSetToString(expected);
+}
+
+TEST(KeyedDiffTest, SameOpsInSameOrderAsReference) {
+  // Every kind of op: Bangkok gets its name arc re-added (it moves to the
+  // end of the out-arc list, which is no change) and loses its cuisine
+  // arc while surviving; Janta (6) is deleted, so its own arcs and its
+  // address's are skipped; a new restaurant is created and a price is
+  // updated.
+  Guide g = BuildGuide();
+  OemDatabase to = g.db;
+  const OutArc name = to.OutArcs(g.bangkok).front();
+  ASSERT_EQ(name.label, "name");
+  ASSERT_TRUE(to.RemArc(g.bangkok, name.label, name.child).ok());
+  ASSERT_TRUE(to.AddArc(g.bangkok, name.label, name.child).ok());
+  ASSERT_TRUE(
+      to.RemArc(g.bangkok, "cuisine", to.Child(g.bangkok, "cuisine")).ok());
+  ASSERT_TRUE(to.RemArc(4, "restaurant", 6).ok());
+  NodeId r = to.NewComplex();
+  ASSERT_TRUE(to.AddArc(4, "restaurant", r).ok());
+  ASSERT_TRUE(to.AddArc(r, "name", to.NewString("Hakata")).ok());
+  ASSERT_TRUE(to.AddArc(r, "price", to.NewInt(15)).ok());
+  ASSERT_TRUE(to.UpdNode(1, Value::Int(42)).ok());
+  to.CollectGarbage();
+  ASSERT_FALSE(to.HasNode(6));
+  ASSERT_FALSE(to.HasNode(g.janta_address));
+
+  ExpectSameAsReference(g.db, to);
+  auto ops = DiffSnapshots(g.db, to, DiffMode::kKeyed);
+  ASSERT_TRUE(ops.ok());
+  DiffStats s = SummarizeChanges(*ops);
+  EXPECT_EQ(s.creations, 3u);
+  EXPECT_EQ(s.updates, 1u);
+  EXPECT_EQ(s.arc_additions, 3u);
+  EXPECT_EQ(s.arc_removals, 2u) << "Janta's and its address's arcs skipped";
+  // The reverse direction turns every op kind around.
+  ExpectSameAsReference(to, g.db);
+}
+
+TEST(KeyedDiffTest, SameAsReferenceOverRandomPairs) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    testing::DatabaseOptions opts;
+    opts.seed = seed;
+    opts.node_count = 60 + 20 * seed;
+    OemDatabase from = testing::RandomDatabase(opts);
+    // A random history's endpoint: creations, updates, arc additions and
+    // removals, and deletions by unreachability.
+    OemDatabase to = from;
+    testing::HistoryOptions hopts;
+    hopts.seed = seed + 100;
+    hopts.steps = 4;
+    ASSERT_TRUE(testing::RandomHistory(from, hopts).ApplyTo(&to).ok());
+    ExpectSameAsReference(from, to);
+    ExpectSameAsReference(to, from);
+    // Two unrelated databases over overlapping ids.
+    opts.seed = seed + 1000;
+    OemDatabase other = testing::RandomDatabase(opts);
+    ExpectSameAsReference(from, other);
+  }
+}
+
+TEST(KeyedDiffTest, SameAsReferenceOverGuideSteps) {
+  // Step by step, as QSS diffs successive polls: the churn updates only
+  // prices, the guide history also creates restaurants and removes
+  // parking arcs.
+  const OemDatabase guide = testing::SyntheticGuide(40);
+  for (const OemHistory& h :
+       {testing::SyntheticGuideChurn(guide, 12, 4),
+        testing::SyntheticGuideHistory(guide, 12, 6)}) {
+    OemDatabase before = guide;
+    for (const HistoryStep& step : h.steps()) {
+      OemDatabase after = before;
+      ASSERT_TRUE(ApplyChangeSet(&after, step.changes).ok());
+      ExpectSameAsReference(before, after);
+      before = std::move(after);
+    }
+  }
 }
 
 TEST(DiffTest, RejectsIllFormedInputs) {

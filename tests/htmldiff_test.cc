@@ -62,6 +62,24 @@ TEST(HtmlParserTest, RenderRoundTrip) {
   EXPECT_EQ(RenderHtml(*db), html);
 }
 
+TEST(HtmlParserTest, EveryParsedTreeIsWellFormed) {
+  // HtmlDiff hands ParseHtml's output to DiffSnapshots, which checks only
+  // the root: every accepted input must give a valid database. Each
+  // prefix of a document with every construct is one more input.
+  const std::string html =
+      "<!DOCTYPE html><!-- c --><html><body class=\"x\" id=y><h1>T</h1>"
+      "top text<p>a &amp; b<br>c<img src='p.png'/></p><ul><li>one</li>"
+      "<li a=\"1\" b>two</li></ul><hr/></body></html>trailing";
+  size_t accepted = 0;
+  for (size_t n = 0; n <= html.size(); ++n) {
+    auto db = ParseHtml(html.substr(0, n));
+    if (!db.ok()) continue;
+    ++accepted;
+    EXPECT_TRUE(db->Validate().ok()) << "prefix " << n;
+  }
+  EXPECT_GT(accepted, 2u);
+}
+
 // -------------------------------------------------------------- Differ
 
 TEST(HtmlDiffTest, InsertionMarked) {

@@ -458,7 +458,7 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
     }
   };
   const std::string& label = kModelLabels[pick(kModelLabels.size())];
-  switch (pick(10)) {
+  switch (pick(11)) {
     case 0: {
       Value v = any_value();
       ASSERT_EQ(db->NewNode(v), m->NewNode(v));
@@ -522,6 +522,19 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
     case 9:
       ASSERT_EQ(db->CollectGarbage(), m->CollectGarbage());
       break;
+    case 10: {
+      NodeId from = any_id();
+      NodeId to = any_id();
+      bool ok = m->Live(from) && m->Live(to) && from != to &&
+                m->values[to].is_complex() && m->Out(to).empty();
+      ASSERT_EQ(db->MoveOutArcs(from, to).ok(), ok) << from << "->" << to;
+      if (ok) {
+        for (Arc& a : m->arcs) {
+          if (a.parent == from) a.parent = to;
+        }
+      }
+      break;
+    }
   }
 }
 

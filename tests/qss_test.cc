@@ -416,6 +416,131 @@ TEST(QssTest, KeyedSourceObjectResurrectionIsReportedNotCorrupted) {
   EXPECT_EQ(qss.PollingTimes("R").size(), 2u);
 }
 
+// ------------------------------------------- Canonical wrap of an answer
+
+/// Answers every poll with one fixed database, ids preserved.
+class FixedAnswerSource : public InformationSource {
+ public:
+  explicit FixedAnswerSource(OemDatabase answer) : answer_(std::move(answer)) {}
+  Result<OemDatabase> Poll(const std::string&, Timestamp) override {
+    return answer_;
+  }
+  bool PreservesIds() const override { return true; }
+
+ private:
+  OemDatabase answer_;
+};
+
+/// A rooted answer with two "restaurant" subobjects (ids 2 and 3).
+OemDatabase SmallAnswer() {
+  OemDatabase db;
+  NodeId root = db.NewComplex();
+  EXPECT_TRUE(db.SetRoot(root).ok());
+  EXPECT_TRUE(db.AddArc(root, "restaurant", db.NewString("Janta")).ok());
+  EXPECT_TRUE(db.AddArc(root, "restaurant", db.NewString("Bangkok")).ok());
+  return db;
+}
+
+/// The status of subscribing "R" to `answer` and polling once.
+Status FirstPollStatus(OemDatabase answer) {
+  FixedAnswerSource source(std::move(answer));
+  QuerySubscriptionService qss(&source, kDec30);
+  EXPECT_TRUE(qss.Subscribe(Sub("R", "select guide.restaurant",
+                                "select R.restaurant"),
+                            nullptr)
+                  .ok());
+  PollReport report;
+  EXPECT_TRUE(qss.AdvanceTo(kDec30, &report).ok());
+  EXPECT_EQ(report.polls_failed, 1u);
+  EXPECT_TRUE(qss.PollingTimes("R").empty())
+      << "a failed first poll commits nothing";
+  if (report.errors.size() != 1) return Status::OK();
+  return report.errors[0].status;
+}
+
+TEST(QssWrapTest, AnswerHoldingTheWrapperRootIdFails) {
+  OemDatabase answer = SmallAnswer();
+  const NodeId wrapper_root = NodeId{1} << 62;
+  ASSERT_TRUE(answer.CreNode(wrapper_root, Value::Int(1)).ok());
+  ASSERT_TRUE(answer.AddArc(answer.root(), "price", wrapper_root).ok());
+  Status s = FirstPollStatus(std::move(answer));
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_NE(s.message().find("collides"), std::string::npos) << s.ToString();
+}
+
+TEST(QssWrapTest, ArcIntoTheAnswerRootFailsThePoll) {
+  // A cycle back to the root, and a self-loop on it: once the wrapper
+  // replaces the answer root, neither arc has a target.
+  OemDatabase cycle = SmallAnswer();
+  NodeId inner = cycle.NewComplex();
+  ASSERT_TRUE(cycle.AddArc(cycle.root(), "guide", inner).ok());
+  ASSERT_TRUE(cycle.AddArc(inner, "up", cycle.root()).ok());
+  OemDatabase self_loop = SmallAnswer();
+  ASSERT_TRUE(self_loop.AddArc(self_loop.root(), "self", self_loop.root())
+                  .ok());
+  for (OemDatabase* answer : {&cycle, &self_loop}) {
+    ASSERT_TRUE(answer->Validate().ok());
+    Status s = FirstPollStatus(*answer);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
+  }
+}
+
+TEST(QssWrapTest, TwoEntryGroupWrapsWithOneRootArcPerEntry) {
+  const OemDatabase answer = SmallAnswer();
+  FixedAnswerSource source(answer);
+  QuerySubscriptionService qss(&source, kDec30);
+  for (const char* name : {"A", "B"}) {
+    ASSERT_TRUE(qss.Subscribe(Sub(name, "select guide.restaurant",
+                                  std::string("select ") + name +
+                                      ".restaurant"),
+                              nullptr)
+                    .ok());
+  }
+  ASSERT_TRUE(qss.AdvanceTo(kDec30).ok());
+  ASSERT_EQ(qss.GroupCount(), 1u);
+  const OemDatabase& snap = qss.History("A")->CurrentSnapshot();
+  ASSERT_TRUE(snap.Validate().ok());
+  const std::vector<OutArc>& entries = snap.OutArcs(snap.root());
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].label, "A");
+  EXPECT_EQ(entries[1].label, "B");
+  const NodeId container = entries[0].child;
+  EXPECT_EQ(entries[1].child, container);
+  EXPECT_EQ(snap.OutArcs(container), answer.OutArcs(answer.root()))
+      << "the container takes the answer root's arcs, in order";
+  EXPECT_FALSE(snap.HasNode(answer.root())) << "the answer root is gone";
+  EXPECT_EQ(snap.node_count(), answer.node_count() + 1);
+}
+
+TEST(QssWrapTest, GarbageAnswerFailsAtFetchAndIsRetried) {
+  // Validation happens once, at fetch: a truncated snapshot is an
+  // Unavailable attempt that the retry policy absorbs.
+  FixedAnswerSource inner(SmallAnswer());
+  FaultInjectingSource source(&inner);
+  source.AddFault({.kind = FaultKind::kGarbage, .count = 1,
+                   .query_contains = ""});
+  QssOptions opts;
+  opts.fault_tolerance.retry.max_attempts = 2;
+  QuerySubscriptionService qss(&source, kDec30, opts);
+  ASSERT_TRUE(qss.Subscribe(Sub("R", "select guide.restaurant",
+                                "select R.restaurant"),
+                            nullptr)
+                  .ok());
+  PollReport report;
+  ASSERT_TRUE(qss.AdvanceTo(kDec30, &report).ok());
+  EXPECT_TRUE(report.errors.empty());
+  EXPECT_EQ(report.retries, 1u);
+  EXPECT_EQ(source.injected_garbage(), 1u);
+  const PollHealth h = qss.Health("R");
+  EXPECT_EQ(h.polls_succeeded, 1u);
+  EXPECT_EQ(h.retries, 1u);
+  EXPECT_EQ(h.last_error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(h.last_error.message().find("malformed snapshot"),
+            std::string::npos)
+      << h.last_error.ToString();
+  EXPECT_EQ(qss.PollingTimes("R").size(), 1u);
+}
+
 // -------------------------------------------- Fault tolerance (Section 6
 // autonomous sources: polls may fail; QSS retries, quarantines, reports)
 
