@@ -1,13 +1,15 @@
 // E7: OEMdiff cost — keyed vs. structural differencing as a function of
 // snapshot size and change volume. Structural matching is the expensive
 // CRGMW96-style step the paper's QSS pays when the wrapper has no
-// persistent ids.
+// persistent ids. BM_SourceFetch times the layer before the diff: the
+// source's query and answer packaging plus the answer's validation.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
 #include "diff/diff.h"
 #include "oem/subgraph.h"
+#include "qss/source.h"
 
 namespace doem {
 namespace {
@@ -95,6 +97,30 @@ BENCHMARK(BM_DiffNoChanges)
     ->ArgsProduct({{500, 2000}, {0, 1}})
     ->ArgNames({"restaurants", "structural"})
     ->Unit(benchmark::kMillisecond);
+
+// The fetch layer of a keyed poll: the source evaluates the polling query
+// over its guide and packages the answer, and the poller validates it
+// (AttemptPoll's one Validate).
+void BM_SourceFetch(benchmark::State& state) {
+  const size_t restaurants = static_cast<size_t>(state.range(0));
+  qss::ScriptedSource source(testing::SyntheticGuide(restaurants), {});
+  size_t nodes = 0;
+  for (auto _ : state) {
+    auto answer =
+        source.PollForGroup("g", "select guide.restaurant", Timestamp(1));
+    bool ok = answer.ok() && answer->Validate().ok();
+    if (!ok) state.SkipWithError("fetch failed");
+    nodes = answer.ok() ? answer->node_count() : 0;
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["answer_nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_SourceFetch)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->ArgName("restaurants")
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace doem

@@ -26,7 +26,9 @@
 #                                  BM_OemWideNode (many labels on one node)
 #   BENCH_diff.json                BM_KeyedDiff / BM_StructuralDiff /
 #                                  BM_DiffNoChanges (E7: OEMdiff cost vs.
-#                                  snapshot size and change volume)
+#                                  snapshot size and change volume) +
+#                                  BM_SourceFetch (the fetch layer: source
+#                                  query, answer packaging, validation)
 #
 # With --compare, captures go to a temporary directory instead of the
 # repo root and each named baseline is diffed against the fresh capture

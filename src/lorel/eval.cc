@@ -89,7 +89,8 @@ class Evaluator {
       } else if (step.wildcard_one) {
         // '%': one arc with any label.
         bool skip_amp = view_.SkipEncodingLabelsInWildcard();
-        for (const OutArc& a : view_.LiveOutArcs(source)) {
+        std::vector<OutArc> scratch;
+        for (const OutArc& a : view_.OutArcsOf(source, &scratch)) {
           ++stats_.arcs_expanded;
           if (skip_amp && !a.label.empty() && a.label[0] == '&') continue;
           candidates.push_back({a.child, {}});
@@ -217,10 +218,11 @@ class Evaluator {
     std::unordered_set<NodeId> seen{source};
     std::deque<NodeId> queue{source};
     bool skip_amp = view_.SkipEncodingLabelsInWildcard();
+    std::vector<OutArc> scratch;
     while (!queue.empty()) {
       NodeId n = queue.front();
       queue.pop_front();
-      for (const OutArc& a : view_.LiveOutArcs(n)) {
+      for (const OutArc& a : view_.OutArcsOf(n, &scratch)) {
         ++stats_.arcs_expanded;
         if (skip_amp && !a.label.empty() && a.label[0] == '&') continue;
         if (seen.insert(a.child).second) {
@@ -487,43 +489,40 @@ class Evaluator {
 /// and reusing already-copied nodes across rows.
 class ResultPackager {
  public:
-  explicit ResultPackager(const GraphView& view) : view_(view) {}
+  ResultPackager(const GraphView& view, OemDatabase* answer)
+      : view_(view), answer_(answer) {}
 
   /// Copies the subgraph below `n` (live arcs, current values) into the
-  /// answer database, preserving node ids, reusing already-copied nodes.
-  Result<NodeId> CopyIntoAnswer(NodeId n, OemDatabase* answer) {
-    auto done = copied_.find(n);
-    if (done != copied_.end()) return done->second;
-    // Discover.
-    std::vector<NodeId> order;
-    std::deque<NodeId> queue{n};
-    std::unordered_set<NodeId> seen{n};
-    while (!queue.empty()) {
-      NodeId cur = queue.front();
-      queue.pop_front();
-      if (copied_.contains(cur)) continue;
-      order.push_back(cur);
-      for (const OutArc& a : view_.LiveOutArcs(cur)) {
-        if (seen.insert(a.child).second) queue.push_back(a.child);
-      }
-    }
-    for (NodeId cur : order) {
-      DOEM_RETURN_IF_ERROR(answer->CreNode(cur, view_.value(cur)));
-      copied_.emplace(cur, cur);
-    }
-    for (NodeId cur : order) {
-      for (const OutArc& a : view_.LiveOutArcs(cur)) {
-        if (!answer->HasArc(cur, a.label, a.child)) {
-          DOEM_RETURN_IF_ERROR(answer->AddArc(cur, a.label, a.child));
+  /// answer, unless an earlier row copied `n` already. Breadth-first: the
+  /// nodes not copied before are created in discovery order, and each
+  /// one's arcs are added once, in its out-arc order, so the answer's
+  /// ArcSeq follows the same walk. The source has no duplicate arcs and
+  /// the answer's own nodes sit above its ids, so no arc of a copied node
+  /// can exist yet.
+  Status CopyIntoAnswer(NodeId n) {
+    if (!copied_.insert(n).second) return Status::OK();
+    DOEM_RETURN_IF_ERROR(answer_->CreNode(n, view_.value(n)));
+    queue_.assign(1, n);
+    for (size_t i = 0; i < queue_.size(); ++i) {
+      NodeId cur = queue_[i];
+      for (const OutArc& a : view_.OutArcsOf(cur, &scratch_)) {
+        if (copied_.insert(a.child).second) {
+          DOEM_RETURN_IF_ERROR(
+              answer_->CreNode(a.child, view_.value(a.child)));
+          queue_.push_back(a.child);
         }
+        DOEM_RETURN_IF_ERROR(answer_->AddArc(cur, a.label, a.child));
       }
     }
-    return n;
+    return Status::OK();
   }
 
  private:
   const GraphView& view_;
-  std::unordered_map<NodeId, NodeId> copied_;
+  OemDatabase* answer_;
+  std::unordered_set<NodeId> copied_;
+  std::vector<NodeId> queue_;
+  std::vector<OutArc> scratch_;
 };
 
 }  // namespace
@@ -543,7 +542,7 @@ Status PackageResult(const GraphView& view, size_t select_count,
   NodeId root = answer.NewComplex();
   DOEM_RETURN_IF_ERROR(answer.SetRoot(root));
 
-  ResultPackager packager(view);
+  ResultPackager packager(view, &answer);
   bool single = select_count == 1;
   for (const auto& row : result->rows) {
     NodeId parent = root;
@@ -557,9 +556,8 @@ Status PackageResult(const GraphView& view, size_t select_count,
           result->labels[i].empty() ? "value" : result->labels[i];
       NodeId target;
       if (v.kind == RtVal::Kind::kNode) {
-        auto copied = packager.CopyIntoAnswer(v.node, &answer);
-        if (!copied.ok()) return copied.status();
-        target = *copied;
+        DOEM_RETURN_IF_ERROR(packager.CopyIntoAnswer(v.node));
+        target = v.node;
       } else {
         target = answer.NewNode(v.value);
       }

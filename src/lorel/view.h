@@ -60,9 +60,26 @@ class GraphView {
     return nullptr;
   }
 
-  /// All live out-arcs of n (for '#' wildcard traversal and result
-  /// packaging).
+  /// All live out-arcs of n (for '%' and '#' wildcard traversal and
+  /// result packaging).
   virtual std::vector<OutArc> LiveOutArcs(NodeId n) const = 0;
+
+  /// A stable, copy-free reference to LiveOutArcs(n) when the view can
+  /// provide one (null otherwise, and callers copy via LiveOutArcs). The
+  /// pointed-to list must stay valid for the duration of a query. Views
+  /// that filter arcs by liveness (DoemView) keep the default.
+  virtual const std::vector<OutArc>* OutArcsRef(NodeId) const {
+    return nullptr;
+  }
+
+  /// LiveOutArcs(n) without a copy where the view allows one: the list
+  /// OutArcsRef(n) points to, or else LiveOutArcs(n) stored in `*scratch`.
+  const std::vector<OutArc>& OutArcsOf(NodeId n,
+                                       std::vector<OutArc>* scratch) const {
+    if (const std::vector<OutArc>* arcs = OutArcsRef(n)) return *arcs;
+    *scratch = LiveOutArcs(n);
+    return *scratch;
+  }
 
   /// Whether '#' wildcard traversal must skip '&'-prefixed labels. True
   /// for views over a Section 5.1 encoding, where &-arcs are bookkeeping,
@@ -190,11 +207,15 @@ class OemView : public GraphView {
   }
   const std::vector<NodeId>* ChildrenRef(
       NodeId n, const std::string& label) const override {
-    // Every OEM arc is live, so the node's label bucket is the child list.
+    // Every OEM arc is live. A wide node's label bucket is the child list;
+    // any other node has none (null), and callers scan OutArcsRef(n).
     return db_.ChildBucket(n, label);
   }
   std::vector<OutArc> LiveOutArcs(NodeId n) const override {
     return db_.OutArcs(n);
+  }
+  const std::vector<OutArc>* OutArcsRef(NodeId n) const override {
+    return &db_.OutArcs(n);
   }
   bool SkipEncodingLabelsInWildcard() const override { return amp_aware_; }
   size_t TotalNodeEstimate() const override { return db_.node_count(); }

@@ -15,7 +15,7 @@ std::string Arc::ToString() const {
 NodeId OemDatabase::NewNode(const Value& value) {
   while (IsBurned(next_id_)) ++next_id_;
   NodeId id = next_id_++;
-  nodes_.emplace(id, Node{value, {}, {}});
+  nodes_.emplace(id, Node{value, {}, 0});
   return id;
 }
 
@@ -40,7 +40,7 @@ Status OemDatabase::CreNode(NodeId node, const Value& value) {
                                  std::to_string(node) +
                                  " already used (ids are never reused)");
   }
-  nodes_.emplace(node, Node{value, {}, {}});
+  nodes_.emplace(node, Node{value, {}, 0});
   if (node >= next_id_) next_id_ = node + 1;
   return Status::OK();
 }
@@ -111,7 +111,7 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   }
   ++next_arc_seq_;
   p->out.push_back(OutArc{label, child});
-  p->by_label[label].push_back(child);
+  IndexAddedArc(parent, *p, p->out.size() - 1);
   ++label_counts_[label];
   ++c->in;
   return Status::OK();
@@ -135,10 +135,13 @@ Status OemDatabase::MoveOutArcs(NodeId from, NodeId to) {
     moved.key().parent = to;
     arcs_.insert(std::move(moved));
   }
+  if (src->out.size() > kWideOutDegree) {
+    auto buckets = wide_.extract(from);
+    buckets.key() = to;
+    wide_.insert(std::move(buckets));
+  }
   dst->out = std::move(src->out);
-  dst->by_label = std::move(src->by_label);
   src->out.clear();
-  src->by_label.clear();
   return Status::OK();
 }
 
@@ -160,16 +163,11 @@ Status OemDatabase::RemArc(NodeId parent, const std::string& label,
   auto out = std::find_if(p.out.begin(), p.out.end(), [&](const OutArc& a) {
     return a.child == child && a.label == label;
   });
-  auto bucket = p.by_label.find(label);
-  auto& children = bucket->second;
-  auto in_bucket = std::find(children.begin(), children.end(), child);
   if (slot != nullptr) {
-    *slot = ArcSlot{seq, static_cast<size_t>(out - p.out.begin()),
-                    static_cast<size_t>(in_bucket - children.begin())};
+    *slot = ArcSlot{seq, static_cast<size_t>(out - p.out.begin())};
   }
   p.out.erase(out);
-  children.erase(in_bucket);
-  if (children.empty()) p.by_label.erase(bucket);
+  IndexRemovedArc(parent, p, label, child);
   auto lc = label_counts_.find(label);
   if (lc != label_counts_.end() && --lc->second == 0) label_counts_.erase(lc);
   --Find(*this, child)->in;
@@ -198,24 +196,50 @@ const std::vector<OutArc>& OemDatabase::OutArcs(NodeId node) const {
   return n == nullptr ? kEmpty : n->out;
 }
 
+const std::vector<NodeId>* OemDatabase::Bucket(NodeId node,
+                                               const std::string& label,
+                                               const Node** narrow) const {
+  *narrow = nullptr;
+  const Node* n = Find(*this, node);
+  if (n == nullptr) return nullptr;
+  if (n->out.size() <= kWideOutDegree) {
+    *narrow = n;
+    return nullptr;
+  }
+  const Buckets& buckets = wide_.find(node)->second;
+  auto bucket = buckets.find(label);
+  return bucket == buckets.end() ? nullptr : &bucket->second;
+}
+
 std::vector<NodeId> OemDatabase::Children(NodeId node,
                                           const std::string& label) const {
-  const std::vector<NodeId>* bucket = ChildBucket(node, label);
-  return bucket == nullptr ? std::vector<NodeId>{} : *bucket;
+  const Node* narrow;
+  const std::vector<NodeId>* bucket = Bucket(node, label, &narrow);
+  if (bucket != nullptr) return *bucket;
+  std::vector<NodeId> children;
+  if (narrow != nullptr) {
+    for (const OutArc& a : narrow->out) {
+      if (a.label == label) children.push_back(a.child);
+    }
+  }
+  return children;
 }
 
 const std::vector<NodeId>* OemDatabase::ChildBucket(
     NodeId node, const std::string& label) const {
-  const Node* n = Find(*this, node);
-  if (n == nullptr) return nullptr;
-  auto bucket = n->by_label.find(label);
-  return bucket == n->by_label.end() ? nullptr : &bucket->second;
+  const Node* narrow;
+  return Bucket(node, label, &narrow);
 }
 
 size_t OemDatabase::LabelChildCount(NodeId node,
                                     const std::string& label) const {
-  const std::vector<NodeId>* bucket = ChildBucket(node, label);
-  return bucket == nullptr ? 0 : bucket->size();
+  const Node* narrow;
+  const std::vector<NodeId>* bucket = Bucket(node, label, &narrow);
+  if (bucket != nullptr) return bucket->size();
+  if (narrow == nullptr) return 0;
+  return static_cast<size_t>(
+      std::count_if(narrow->out.begin(), narrow->out.end(),
+                    [&](const OutArc& a) { return a.label == label; }));
 }
 
 size_t OemDatabase::ArcCountForLabel(const std::string& label) const {
@@ -229,8 +253,51 @@ size_t OemDatabase::InDegree(NodeId node) const {
 }
 
 NodeId OemDatabase::Child(NodeId node, const std::string& label) const {
-  const std::vector<NodeId>* bucket = ChildBucket(node, label);
-  return bucket == nullptr ? kInvalidNode : bucket->front();
+  const Node* narrow;
+  const std::vector<NodeId>* bucket = Bucket(node, label, &narrow);
+  if (bucket != nullptr) return bucket->front();
+  if (narrow != nullptr) {
+    for (const OutArc& a : narrow->out) {
+      if (a.label == label) return a.child;
+    }
+  }
+  return kInvalidNode;
+}
+
+void OemDatabase::IndexAddedArc(NodeId node, const Node& n, size_t pos) {
+  if (n.out.size() <= kWideOutDegree) return;
+  auto [entry, fresh] = wide_.try_emplace(node);
+  Buckets& buckets = entry->second;
+  if (fresh) {
+    // The node just became wide.
+    for (const OutArc& a : n.out) buckets[a.label].push_back(a.child);
+    return;
+  }
+  const OutArc& arc = n.out[pos];
+  std::vector<NodeId>& bucket = buckets[arc.label];
+  // The arc's place among its label's arcs; an appended arc is last.
+  size_t rank = pos + 1 == n.out.size()
+                    ? bucket.size()
+                    : static_cast<size_t>(std::count_if(
+                          n.out.begin(), n.out.begin() + pos,
+                          [&](const OutArc& a) {
+                            return a.label == arc.label;
+                          }));
+  bucket.insert(bucket.begin() + rank, arc.child);
+}
+
+void OemDatabase::IndexRemovedArc(NodeId node, const Node& n,
+                                  const std::string& label, NodeId child) {
+  if (n.out.size() < kWideOutDegree) return;  // it was narrow
+  auto entry = wide_.find(node);
+  if (n.out.size() == kWideOutDegree) {
+    wide_.erase(entry);  // it was wide and is narrow now
+    return;
+  }
+  auto bucket = entry->second.find(label);
+  std::vector<NodeId>& children = bucket->second;
+  children.erase(std::find(children.begin(), children.end(), child));
+  if (children.empty()) entry->second.erase(bucket);
 }
 
 std::vector<NodeId> OemDatabase::NodeIds() const {
@@ -281,6 +348,7 @@ std::vector<NodeId> OemDatabase::CollectGarbage() {
 void OemDatabase::EraseUnreachable(const std::vector<NodeId>& dead) {
   for (NodeId id : dead) {
     auto it = nodes_.find(id);
+    if (it->second.out.size() > kWideOutDegree) wide_.erase(id);
     for (const OutArc& a : it->second.out) {
       arcs_.erase(arcs_.find(ArcRef{id, a.label, a.child}));
       auto lc = label_counts_.find(a.label);
@@ -314,9 +382,7 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
         arcs_.erase(arc);
         Node& p = *Find(*this, arc.parent);
         p.out.pop_back();
-        auto bucket = p.by_label.find(arc.label);
-        bucket->second.pop_back();
-        if (bucket->second.empty()) p.by_label.erase(bucket);
+        IndexRemovedArc(arc.parent, p, arc.label, arc.child);
         auto lc = label_counts_.find(arc.label);
         if (--lc->second == 0) label_counts_.erase(lc);
         --Find(*this, arc.child)->in;
@@ -327,8 +393,7 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
         arcs_.emplace(arc, slot.seq);
         Node& p = *Find(*this, arc.parent);
         p.out.insert(p.out.begin() + slot.out_pos, OutArc{arc.label, arc.child});
-        std::vector<NodeId>& children = p.by_label[arc.label];
-        children.insert(children.begin() + slot.bucket_pos, arc.child);
+        IndexAddedArc(arc.parent, p, slot.out_pos);
         ++label_counts_[arc.label];
         ++Find(*this, arc.child)->in;
         break;

@@ -177,12 +177,17 @@ class OemDatabase {
   const std::vector<OutArc>& OutArcs(NodeId node) const;
 
   /// Children of `node` reachable via arcs labeled `label`, in insertion
-  /// order.
+  /// order. One hash probe on a wide node, a scan of the out-arcs on any
+  /// other.
   std::vector<NodeId> Children(NodeId node, const std::string& label) const;
 
-  /// A stable reference to the `label`-children bucket of `node`, or null
-  /// if there are none. Valid until the next mutation; lets read paths
-  /// (the bytecode VM's OpStepLabel) iterate without copying the bucket.
+  /// The `label`-children bucket of `node` when `node` is wide (out-degree
+  /// above 16, the private kWideOutDegree) and has `label`-children, else
+  /// null. Null also for a narrow node with `label`-children: its caller
+  /// scans OutArcs instead. The bucket lists the children in insertion
+  /// order and is valid until the next mutation; it lets read paths (the
+  /// bytecode VM's label step) iterate a wide node's children without a
+  /// copy.
   const std::vector<NodeId>* ChildBucket(NodeId node,
                                          const std::string& label) const;
 
@@ -198,7 +203,7 @@ class OemDatabase {
 
   // ---- Cardinality statistics (bytecode-VM cost model; DESIGN.md §6f) --
 
-  /// Number of `label`-children of `node` — the node's bucket size.
+  /// Number of `label`-children of `node`.
   size_t LabelChildCount(NodeId node, const std::string& label) const;
 
   /// Total arcs labeled `label` anywhere in the graph, maintained
@@ -259,19 +264,28 @@ class OemDatabase {
   NodeId PeekNextId() const { return next_id_; }
 
  private:
-  /// One object: its value, its out-arcs in insertion order, and the same
-  /// arcs hashed by label (insertion order within a label), so Children
-  /// is one probe even on a node with many distinct labels (a merged QSS
-  /// group's wrapper root has one per subscriber).
+  /// One object: its value, its out-arcs in insertion order (which is
+  /// ArcSeq order), and its in-degree. Label lookups on it scan `out`
+  /// unless the node is wide, when they probe its buckets in `wide_`.
   struct Node {
     Value value;
     std::vector<OutArc> out;
-    std::unordered_map<std::string, std::vector<NodeId>> by_label;
     // Number of arcs into this node, for ApplyChangeSet's local garbage
     // collection. Maintained by AddArcForce, RemArc, garbage collection
     // and rollback.
     size_t in = 0;
   };
+
+  /// A wide node's children by label, each list in out-arc order.
+  using Buckets = std::unordered_map<std::string, std::vector<NodeId>>;
+
+  /// The width bound: a node whose out-degree exceeds it is wide and keeps
+  /// Buckets in `wide_`, so a label lookup on it is one probe however many
+  /// labels it has (the guide root; a merged QSS group's wrapper root has
+  /// one per subscriber). Below it a scan of `out` is as fast and costs no
+  /// allocation per node. Exact after every mutator, rollback, move and
+  /// copy: a node has an entry in `wide_` iff its out-degree is above it.
+  static constexpr size_t kWideOutDegree = 16;
 
   // ApplyChangeSet (change.h) applies a set in place: it runs each op
   // through the mutators above, logs how to undo it, rolls the log back
@@ -281,11 +295,11 @@ class OemDatabase {
                                std::vector<NodeId>* deleted);
 
   /// Where an arc sat: its ArcSeq and its index in its parent's out-arc
-  /// list and label bucket, so an undone remArc puts it back exactly.
+  /// list, so an undone remArc puts it back exactly (a wide parent's
+  /// bucket position follows from the out-arc list).
   struct ArcSlot {
     uint64_t seq = 0;
     size_t out_pos = 0;
-    size_t bucket_pos = 0;
   };
   /// What undoes one applied op of a change set.
   struct Undo {
@@ -309,6 +323,17 @@ class OemDatabase {
   /// their ids.
   void EraseUnreachable(const std::vector<NodeId>& dead);
 
+  /// The `label` bucket of `node` if the node is wide, else null; sets
+  /// `*narrow` to the record of a narrow node, which the caller scans.
+  const std::vector<NodeId>* Bucket(NodeId node, const std::string& label,
+                                    const Node** narrow) const;
+  /// Keeps `wide_` exact after n.out (the record of `node`) gained the arc
+  /// at `pos`.
+  void IndexAddedArc(NodeId node, const Node& n, size_t pos);
+  /// Keeps `wide_` exact after n.out lost the arc (node, label, child).
+  void IndexRemovedArc(NodeId node, const Node& n, const std::string& label,
+                       NodeId child);
+
   /// The record of `node`, or null; as const as `self`.
   template <typename Self>
   static auto* Find(Self& self, NodeId node) {
@@ -321,6 +346,8 @@ class OemDatabase {
   }
 
   std::unordered_map<NodeId, Node> nodes_;
+  // The label buckets of the wide nodes, by node id.
+  std::unordered_map<NodeId, Buckets> wide_;
   // Every arc with its insertion sequence number (ArcSeq), for O(1)
   // AddArc/HasArc even when one label has many children under one parent.
   ArcMap<uint64_t> arcs_;

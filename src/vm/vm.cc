@@ -41,7 +41,7 @@ struct RichMatch {
 
 struct SlotState {
   // Node-list mode: candidates are bare nodes, either referenced in
-  // place (OemView label buckets) or materialized into own_nodes.
+  // place (a wide OEM node's label bucket) or materialized into own_nodes.
   const std::vector<NodeId>* nodes = nullptr;
   std::vector<NodeId> own_nodes;
   // Rich mode: annotation matches.
@@ -246,7 +246,15 @@ class Machine {
     if (!SlotSource(sp, &src)) return Status::OK();
     const std::vector<NodeId>* kids = view_.ChildrenRef(src, sp.step.label);
     if (kids == nullptr) {
-      st.own_nodes = view_.Children(src, sp.step.label);
+      if (const std::vector<OutArc>* arcs = view_.OutArcsRef(src)) {
+        // A node without a label bucket: gather its `label` children into
+        // the slot's buffer, which keeps its capacity across opens.
+        for (const OutArc& a : *arcs) {
+          if (a.label == sp.step.label) st.own_nodes.push_back(a.child);
+        }
+      } else {
+        st.own_nodes = view_.Children(src, sp.step.label);
+      }
       kids = &st.own_nodes;
     }
     stats_.arcs_expanded += kids->size();
@@ -269,7 +277,8 @@ class Machine {
     NodeId src;
     if (!SlotSource(sp, &src)) return Status::OK();
     bool skip_amp = view_.SkipEncodingLabelsInWildcard();
-    for (const OutArc& a : view_.LiveOutArcs(src)) {
+    std::vector<OutArc> scratch;
+    for (const OutArc& a : view_.OutArcsOf(src, &scratch)) {
       ++stats_.arcs_expanded;
       if (skip_amp && !a.label.empty() && a.label[0] == '&') continue;
       st.own_nodes.push_back(a.child);
@@ -287,10 +296,11 @@ class Machine {
     std::unordered_set<NodeId> seen{src};
     std::deque<NodeId> queue{src};
     bool skip_amp = view_.SkipEncodingLabelsInWildcard();
+    std::vector<OutArc> scratch;
     while (!queue.empty()) {
       NodeId n = queue.front();
       queue.pop_front();
-      for (const OutArc& a : view_.LiveOutArcs(n)) {
+      for (const OutArc& a : view_.OutArcsOf(n, &scratch)) {
         ++stats_.arcs_expanded;
         if (skip_amp && !a.label.empty() && a.label[0] == '&') continue;
         if (seen.insert(a.child).second) {

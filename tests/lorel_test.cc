@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "lorel/coerce.h"
 #include "lorel/lexer.h"
 #include "lorel/lorel.h"
+#include "testing/generators.h"
 #include "testing/guide.h"
 
 namespace doem {
@@ -558,6 +562,158 @@ TEST(EvalTest, KeywordsAreCaseInsensitive) {
                         "SELECT R FROM guide.restaurant R "
                         "WHERE R.price = 10 AND NOT R.cuisine = \"Thai\"");
   EXPECT_EQ(r.rows.size(), 1u);
+}
+
+// ------------------------------------------------------------ Packaging
+
+// PackageResult as it was before it read out-arcs by reference: a BFS per
+// row with its own seen set and deque that creates every node before any
+// arc, and a HasArc probe before each arc. The reference the packaged
+// answers are compared with.
+class ReferencePackager {
+ public:
+  explicit ReferencePackager(const GraphView& view) : view_(view) {}
+
+  Result<NodeId> CopyIntoAnswer(NodeId n, OemDatabase* answer) {
+    auto done = copied_.find(n);
+    if (done != copied_.end()) return done->second;
+    std::vector<NodeId> order;
+    std::deque<NodeId> queue{n};
+    std::unordered_set<NodeId> seen{n};
+    while (!queue.empty()) {
+      NodeId cur = queue.front();
+      queue.pop_front();
+      if (copied_.contains(cur)) continue;
+      order.push_back(cur);
+      for (const OutArc& a : view_.LiveOutArcs(cur)) {
+        if (seen.insert(a.child).second) queue.push_back(a.child);
+      }
+    }
+    for (NodeId cur : order) {
+      DOEM_RETURN_IF_ERROR(answer->CreNode(cur, view_.value(cur)));
+      copied_.emplace(cur, cur);
+    }
+    for (NodeId cur : order) {
+      for (const OutArc& a : view_.LiveOutArcs(cur)) {
+        if (!answer->HasArc(cur, a.label, a.child)) {
+          DOEM_RETURN_IF_ERROR(answer->AddArc(cur, a.label, a.child));
+        }
+      }
+    }
+    return n;
+  }
+
+ private:
+  const GraphView& view_;
+  std::unordered_map<NodeId, NodeId> copied_;
+};
+
+Status ReferencePackageResult(const GraphView& view, size_t select_count,
+                              QueryResult* result) {
+  OemDatabase& answer = result->answer;
+  answer.ReserveIdsBelow(view.IdFloor());
+  NodeId root = answer.NewComplex();
+  DOEM_RETURN_IF_ERROR(answer.SetRoot(root));
+  ReferencePackager packager(view);
+  bool single = select_count == 1;
+  for (const auto& row : result->rows) {
+    NodeId parent = root;
+    if (!single) {
+      parent = answer.NewComplex();
+      DOEM_RETURN_IF_ERROR(answer.AddArc(root, "answer", parent));
+    }
+    for (size_t i = 0; i < row.size(); ++i) {
+      const RtVal& v = row[i];
+      const std::string& label =
+          result->labels[i].empty() ? "value" : result->labels[i];
+      NodeId target;
+      if (v.kind == RtVal::Kind::kNode) {
+        auto copied = packager.CopyIntoAnswer(v.node, &answer);
+        if (!copied.ok()) return copied.status();
+        target = *copied;
+      } else {
+        target = answer.NewNode(v.value);
+      }
+      if (!answer.HasArc(parent, label, target)) {
+        DOEM_RETURN_IF_ERROR(answer.AddArc(parent, label, target));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+// An OemView that hands out no out-arc references, so packaging copies
+// each node's arcs as it does over a DOEM view.
+class CopyingOemView : public OemView {
+ public:
+  using OemView::OemView;
+  const std::vector<OutArc>* OutArcsRef(NodeId) const override {
+    return nullptr;
+  }
+};
+
+// Same nodes, values, id floor, out-arc lists and ArcSeq numbers.
+void ExpectSameAnswer(const OemDatabase& got, const OemDatabase& want,
+                      const std::string& where) {
+  EXPECT_TRUE(got.Equals(want)) << where;
+  EXPECT_EQ(got.NodeIds(), want.NodeIds()) << where;
+  EXPECT_EQ(got.PeekNextId(), want.PeekNextId()) << where;
+  for (NodeId n : want.NodeIds()) {
+    ASSERT_EQ(got.OutArcs(n), want.OutArcs(n)) << where << " node " << n;
+    for (const OutArc& a : want.OutArcs(n)) {
+      EXPECT_EQ(got.ArcSeq({n, a.label, a.child}),
+                want.ArcSeq({n, a.label, a.child}))
+          << where << " " << Arc{n, a.label, a.child}.ToString();
+    }
+  }
+}
+
+TEST(PackagingTest, SameAnswerAsReference) {
+  Guide g = BuildGuide();
+  // 40 restaurants: shared parking objects with nearby-eats cycles back to
+  // restaurants, and a guide object above the width bound.
+  OemDatabase synthetic = doem::testing::SyntheticGuide(40);
+  const std::vector<std::string> queries = {
+      // One select item: whole restaurants, the cycle through n7 included.
+      "select guide.restaurant",
+      // The shared parking object, reached from two restaurants.
+      "select guide.restaurant.parking",
+      "select guide.restaurant.parking.nearby-eats",
+      "select guide.#",
+      "select guide.%",
+      // Several items: a restaurant and its parking in one row share
+      // nodes, and rows share parking objects.
+      "select R, R.parking from guide.restaurant R",
+      "select R.parking, R from guide.restaurant R",
+      "select R.name, R.price, R.address from guide.restaurant R",
+      // Atomic-valued rows: atom nodes, literals and both in one row.
+      "select P from guide.restaurant.price P",
+      "select 42 as answer",
+      "select R.name, 7 as seven, \"x\" from guide.restaurant R",
+  };
+  for (const OemDatabase* db : {&g.db, &synthetic}) {
+    for (const std::string& text : queries) {
+      const std::string where =
+          text + " over " + std::to_string(db->node_count()) + " nodes";
+      OemView view(*db);
+      auto got = RunQuery(text, view);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+      ASSERT_FALSE(got->rows.empty()) << where;
+      QueryResult want = *got;
+      want.answer = OemDatabase();
+      ASSERT_TRUE(ReferencePackageResult(view, want.labels.size(), &want).ok())
+          << where;
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAnswer(got->answer, want.answer, where));
+
+      QueryResult copied = *got;
+      copied.answer = OemDatabase();
+      CopyingOemView copying(*db);
+      ASSERT_TRUE(PackageResult(copying, copied.labels.size(), &copied).ok())
+          << where;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameAnswer(copied.answer, want.answer, where + " (copying)"));
+    }
+  }
 }
 
 }  // namespace

@@ -339,6 +339,10 @@ struct OemModel {
 
 const std::vector<std::string> kModelLabels = {"a", "b", "c"};
 
+// OemDatabase's width bound: a node with more out-arcs keeps label buckets
+// (ChildBucket non-null). LabelBucketsOnlyAboveTheWidthBound pins it.
+constexpr size_t kWideOutDegree = 16;
+
 // Whether `arcs`, out-arcs of `n`, all exist and have strictly ascending
 // insertion sequence numbers.
 ::testing::AssertionResult InSequenceOrder(const OemDatabase& db, NodeId n,
@@ -400,7 +404,8 @@ void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
       for (NodeId c : db.Children(n, l)) bucket_arcs.push_back({l, c});
       ASSERT_TRUE(InSequenceOrder(db, n, bucket_arcs)) << n << l;
       const std::vector<NodeId>* bucket = db.ChildBucket(n, l);
-      ASSERT_EQ(bucket == nullptr, children.empty()) << n << l;
+      bool wide = m.Out(n).size() > kWideOutDegree;
+      ASSERT_EQ(bucket != nullptr, wide && !children.empty()) << n << l;
       if (bucket != nullptr) {
         ASSERT_EQ(*bucket, children) << n << l;
       }
@@ -440,9 +445,16 @@ void ExpectMatchesModel(const OemDatabase& db, const OemModel& m) {
   ASSERT_TRUE(rebuilt.Equals(db));
 }
 
+// Nodes 2 and 3, the hubs of IndexesMatchBruteForceModel's hub seeds.
+constexpr NodeId kHubs[] = {2, 3};
+
 // Applies one random operation to both `db` and `m`, and checks that
-// both accept or reject it alike.
-void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
+// both accept or reject it alike. With `hubs`, three of four addArcs go
+// from a hub to a live node, half of the remArcs are skipped, and one of
+// two MoveOutArcs starts at a hub, so hubs cross the width bound; without
+// it the draws are the same as before hubs existed.
+void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m,
+                bool hubs = false) {
   auto pick = [&](size_t n) {
     return std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
   };
@@ -487,7 +499,14 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
     case 3:
     case 4:
     case 5: {
-      Arc a{any_id(), label, any_id()};
+      Arc a{any_id(), label, kInvalidNode};
+      if (hubs && pick(4) != 0) {
+        // A hub gains a live child.
+        a.parent = kHubs[pick(2)];
+        a.child = std::next(m->values.begin(), pick(m->values.size()))->first;
+      } else {
+        a.child = any_id();
+      }
       bool ok = m->Live(a.parent) && m->values[a.parent].is_complex() &&
                 m->Live(a.child) && !m->HasArc(a);
       ASSERT_EQ(db->AddArc(a.parent, a.label, a.child).ok(), ok)
@@ -497,6 +516,7 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
     }
     case 6:
     case 7: {
+      if (hubs && pick(2) != 0) break;
       Arc a = !m->arcs.empty() && pick(4) != 0
                   ? m->arcs[pick(m->arcs.size())]
                   : Arc{any_id(), label, any_id()};
@@ -523,7 +543,7 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
       ASSERT_EQ(db->CollectGarbage(), m->CollectGarbage());
       break;
     case 10: {
-      NodeId from = any_id();
+      NodeId from = hubs && pick(2) != 0 ? kHubs[pick(2)] : any_id();
       NodeId to = any_id();
       bool ok = m->Live(from) && m->Live(to) && from != to &&
                 m->values[to].is_complex() && m->Out(to).empty();
@@ -538,27 +558,112 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m) {
   }
 }
 
+// The nodes of `m` above the width bound.
+std::set<NodeId> WideNodes(const OemModel& m) {
+  std::map<NodeId, size_t> degree;
+  for (const Arc& a : m.arcs) ++degree[a.parent];
+  std::set<NodeId> wide;
+  for (const auto& [n, d] : degree) {
+    if (d > kWideOutDegree) wide.insert(n);
+  }
+  return wide;
+}
+
 TEST(OemDatabaseTest, IndexesMatchBruteForceModel) {
-  for (uint32_t seed = 1; seed <= 8; ++seed) {
+  // Seeds 1-8 draw uniformly; seeds 9-16 bias arcs towards two hubs, so
+  // that nodes become wide and narrow again, and wide nodes are moved
+  // and collected. The tallies check that they are.
+  size_t widened = 0, narrowed = 0, moved = 0, collected = 0;
+  for (uint32_t seed = 1; seed <= 16; ++seed) {
+    const bool hubs = seed > 8;
     std::mt19937 rng(seed);
     OemDatabase db;
     OemModel m;
     m.root = m.NewNode(Value::Complex());
     ASSERT_EQ(db.NewComplex(), m.root);
     ASSERT_TRUE(db.SetRoot(m.root).ok());
+    if (hubs) {
+      // The hubs and ten more complex nodes under the root; the hubs start
+      // a few arcs below the width bound.
+      for (int i = 0; i < 12; ++i) {
+        NodeId n = m.NewNode(Value::Complex());
+        ASSERT_EQ(db.NewComplex(), n);
+        m.arcs.push_back({m.root, "a", n});
+      }
+      for (size_t i = 0; i < 2 * kWideOutDegree - 6; ++i) {
+        m.arcs.push_back({kHubs[i % 2], kModelLabels[i % 3], 4 + i % 10});
+      }
+      for (const Arc& a : m.arcs) {
+        ASSERT_TRUE(db.AddArc(a.parent, a.label, a.child).ok());
+      }
+    }
     for (int step = 0; step < 300; ++step) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
                    std::to_string(step));
       // Mutate a copy; the original must not notice.
       OemDatabase copy = db;
       OemModel next = m;
-      RandomStep(&rng, &copy, &next);
+      RandomStep(&rng, &copy, &next, hubs);
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db, m));
+      std::set<NodeId> was_wide = WideNodes(m);
+      std::set<NodeId> is_wide = WideNodes(next);
+      for (NodeId n : is_wide) widened += !was_wide.contains(n);
+      for (NodeId n : was_wide) {
+        if (!next.Live(n)) {
+          ++collected;
+        } else if (next.Out(n).empty()) {
+          ++moved;  // only MoveOutArcs empties a wide node in one step
+        } else if (!is_wide.contains(n)) {
+          ++narrowed;
+        }
+      }
       db = std::move(copy);
       m = std::move(next);
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db, m));
     }
   }
+  EXPECT_GT(widened, 0u);
+  EXPECT_GT(narrowed, 0u);
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(collected, 0u);
+}
+
+TEST(OemDatabaseTest, LabelBucketsOnlyAboveTheWidthBound) {
+  OemDatabase db;
+  NodeId root = db.NewComplex();
+  ASSERT_TRUE(db.SetRoot(root).ok());
+  NodeId hub = db.NewComplex();
+  NodeId spare = db.NewComplex();
+  ASSERT_TRUE(db.AddArc(root, "hub", hub).ok());
+  ASSERT_TRUE(db.AddArc(root, "spare", spare).ok());
+  std::vector<NodeId> kids;
+  for (size_t i = 0; i <= kWideOutDegree; ++i) {
+    EXPECT_EQ(db.ChildBucket(hub, "x"), nullptr) << i << " arcs";
+    kids.push_back(db.NewInt(static_cast<int64_t>(i)));
+    ASSERT_TRUE(db.AddArc(hub, "x", kids.back()).ok());
+    EXPECT_EQ(db.Children(hub, "x"), kids);
+    EXPECT_EQ(db.LabelChildCount(hub, "x"), kids.size());
+  }
+  const std::vector<NodeId>* bucket = db.ChildBucket(hub, "x");
+  ASSERT_NE(bucket, nullptr) << kWideOutDegree + 1 << " arcs";
+  EXPECT_EQ(*bucket, kids);
+  EXPECT_EQ(db.ChildBucket(hub, "y"), nullptr) << "no y-children";
+
+  // The buckets move with the arcs, and go with a collected node.
+  ASSERT_TRUE(db.MoveOutArcs(hub, spare).ok());
+  EXPECT_EQ(db.ChildBucket(hub, "x"), nullptr);
+  ASSERT_NE(db.ChildBucket(spare, "x"), nullptr);
+  EXPECT_EQ(*db.ChildBucket(spare, "x"), kids);
+  OemDatabase collected = db;
+  ASSERT_TRUE(collected.RemArc(root, "spare", spare).ok());
+  EXPECT_EQ(collected.CollectGarbage().size(), kids.size() + 1);
+  EXPECT_EQ(collected.ChildBucket(spare, "x"), nullptr);
+
+  ASSERT_TRUE(db.RemArc(spare, "x", kids.front()).ok());
+  kids.erase(kids.begin());
+  EXPECT_EQ(db.ChildBucket(spare, "x"), nullptr) << kWideOutDegree << " arcs";
+  EXPECT_EQ(db.Children(spare, "x"), kids);
+  EXPECT_EQ(db.Child(spare, "x"), kids.front());
 }
 
 // ------------------------------------------------------------- ChangeOps
@@ -675,6 +780,17 @@ void ExpectSameState(const OemDatabase& db, const OemDatabase& want,
     EXPECT_EQ(db.ArcSeq(a), want.ArcSeq(a)) << where << " " << a.ToString();
     EXPECT_EQ(db.Children(a.parent, a.label), want.Children(a.parent, a.label))
         << where << " " << a.ToString();
+    EXPECT_EQ(db.LabelChildCount(a.parent, a.label),
+              want.LabelChildCount(a.parent, a.label))
+        << where << " " << a.ToString();
+    const std::vector<NodeId>* bucket = db.ChildBucket(a.parent, a.label);
+    const std::vector<NodeId>* want_bucket =
+        want.ChildBucket(a.parent, a.label);
+    EXPECT_EQ(bucket != nullptr, want_bucket != nullptr)
+        << where << " " << a.ToString();
+    if (bucket != nullptr && want_bucket != nullptr) {
+      EXPECT_EQ(*bucket, *want_bucket) << where << " " << a.ToString();
+    }
     ++labels[a.label];
     ++in[a.child];
   }
@@ -749,6 +865,84 @@ TEST(ChangeSetTest, FailureLeavesDatabaseUnchanged) {
     EXPECT_EQ(gone, gone_fresh) << where;
     ExpectSameState(db, fresh, where + " after the good set");
     EXPECT_EQ(WriteOemText(db), WriteOemText(fresh)) << where;
+  }
+}
+
+TEST(ChangeSetTest, FailureAcrossTheWidthBoundLeavesDatabaseUnchanged) {
+  // Under the root: `wide` with kWideOutDegree + 2 out-arcs (so it keeps
+  // label buckets, and undoing three remArcs rebuilds them at the second
+  // undo and inserts into them at the third), `narrow` with
+  // kWideOutDegree - 1, and atoms to point at. Labels cycle x, y, z so
+  // that every bucket has arcs before and after any position.
+  OemDatabase base;
+  NodeId root = base.NewComplex();
+  ASSERT_TRUE(base.SetRoot(root).ok());
+  NodeId wide = base.NewComplex();
+  NodeId narrow = base.NewComplex();
+  ASSERT_TRUE(base.AddArc(root, "wide", wide).ok());
+  ASSERT_TRUE(base.AddArc(root, "narrow", narrow).ok());
+  const std::string labels[] = {"x", "y", "z"};
+  std::vector<NodeId> atoms;
+  for (size_t i = 0; i < kWideOutDegree + 4; ++i) {
+    atoms.push_back(base.NewInt(static_cast<int64_t>(i)));
+    ASSERT_TRUE(base.AddArc(root, "atom", atoms.back()).ok());
+  }
+  for (size_t i = 0; i < kWideOutDegree + 2; ++i) {
+    ASSERT_TRUE(base.AddArc(wide, labels[i % 3], atoms[i]).ok());
+  }
+  for (size_t i = 0; i + 1 < kWideOutDegree; ++i) {
+    ASSERT_TRUE(base.AddArc(narrow, labels[i % 3], atoms[i]).ok());
+  }
+  ASSERT_NE(base.ChildBucket(wide, "x"), nullptr);
+  ASSERT_EQ(base.ChildBucket(narrow, "x"), nullptr);
+
+  const ChangeOp bad = ChangeOp::AddArc(999, "x", root);  // runs last
+  struct Case {
+    std::string name;
+    ChangeSet good;
+    NodeId node;       // crosses the bound, or crosses it twice
+    bool wide_after;  // whether `node` is wide after `good`
+  };
+  const std::vector<Case> cases = {
+      {"remArcs narrow a wide node",
+       {ChangeOp::RemArc(wide, "y", atoms[1]),
+        ChangeOp::RemArc(wide, "x", atoms[6]),
+        ChangeOp::RemArc(wide, "z", atoms[kWideOutDegree - 2])},
+       wide,
+       false},
+      {"addArcs widen a narrow node",
+       {ChangeOp::AddArc(narrow, "y", atoms[kWideOutDegree]),
+        ChangeOp::AddArc(narrow, "w", atoms[kWideOutDegree + 1]),
+        ChangeOp::AddArc(narrow, "x", atoms[kWideOutDegree + 2])},
+       narrow,
+       true},
+      {"a remArc inside a wide node that stays wide",
+       {ChangeOp::RemArc(wide, "y", atoms[4])},
+       wide,
+       true},
+      {"remArcs narrow a wide node and addArcs widen it again",
+       {ChangeOp::RemArc(wide, "x", atoms[0]),
+        ChangeOp::RemArc(wide, "y", atoms[4]),
+        ChangeOp::RemArc(wide, "z", atoms[8]),
+        ChangeOp::AddArc(wide, "x", atoms[kWideOutDegree + 2]),
+        ChangeOp::AddArc(wide, "y", atoms[kWideOutDegree + 3])},
+       wide,
+       true},
+  };
+  for (const Case& c : cases) {
+    ChangeSet ops = c.good;
+    ops.push_back(bad);
+    OemDatabase db = base;
+    EXPECT_FALSE(ApplyChangeSet(&db, ops).ok()) << c.name;
+    ExpectSameState(db, base, c.name + ", after the failure");
+
+    // The good part applies as on a fresh copy.
+    OemDatabase fresh = base;
+    ASSERT_TRUE(ApplyChangeSet(&fresh, c.good).ok()) << c.name;
+    EXPECT_EQ(fresh.ChildBucket(c.node, "x") != nullptr, c.wide_after)
+        << c.name;
+    ASSERT_TRUE(ApplyChangeSet(&db, c.good).ok()) << c.name;
+    ExpectSameState(db, fresh, c.name + ", after the good set");
   }
 }
 
