@@ -34,8 +34,10 @@
 # repo root and each named baseline is diffed against the fresh capture
 # with the same basename via scripts/bench_compare.py; the script exits
 # nonzero if any benchmark slowed by more than 15% (the regression
-# gate — `scripts/check.sh bench` runs it against the committed
-# baselines).
+# gate — `scripts/check.sh bench [REV]` runs it against a capture of
+# REV, default HEAD, taken just before in a temporary git worktree, so
+# both sides are measured on the same box; the committed BENCH_*.json
+# files record what a change measured; they are not the gate's baseline).
 #
 # The claims to check in the output: with incremental:1 the per-poll
 # counters stay flat as `history` grows; with incremental:0 they grow,

@@ -17,11 +17,16 @@
 #                               # line and branch totals of src/*.cc
 #                               # from gcov -b
 #   scripts/check.sh all        # tier-1, werror, tsan, then asan
-#   scripts/check.sh bench      # opt-in regression gate: Release build
-#                               # (build-bench/), fresh benchmark capture,
-#                               # compared against the committed BENCH_*.json
-#                               # baselines; fails on any >15% slowdown.
-#                               # Not part of `all` — timing needs a quiet
+#   scripts/check.sh bench [REV]  # opt-in regression gate (REV defaults
+#                               # to HEAD): checks REV out into a temporary
+#                               # git worktree, captures its benchmarks there
+#                               # with its own scripts/bench.sh, then captures
+#                               # this tree's (Release build in build-bench/)
+#                               # and compares each file with REV's; fails on
+#                               # any >15% slowdown. Both captures run on the
+#                               # same box one after the other, so the gate
+#                               # measures the change, not the machine. Not
+#                               # part of `all` — timing needs a quiet
 #                               # machine.
 #
 # Each mode uses its own build tree (build/, build-werror/, build-tsan/,
@@ -85,16 +90,34 @@ coverage() {
 }
 
 bench() {
-  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  local rev="${1:-HEAD}"
+  if ! git rev-parse --verify --quiet "$rev^{commit}" >/dev/null; then
+    echo "error: '$rev' does not name a commit" >&2
+    exit 2
+  fi
+  # Globals, not locals: the EXIT trap runs after this function returns.
+  bench_tmp=$(mktemp -d)
+  base="$bench_tmp/base"
+  # The worktree is removed however the capture ends.
+  trap 'git worktree remove --force "$base" 2>/dev/null || true;
+        git worktree prune; rm -rf "$bench_tmp"' EXIT
+  git worktree add --detach --quiet "$base" "$rev"
+
+  echo "== capturing $rev in $base =="
+  cmake -B "$base/build-bench" -S "$base" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  "$base/scripts/bench.sh" build-bench
+
   compare_args=()
-  for baseline in BENCH_*.json; do
+  for baseline in "$base"/BENCH_*.json; do
     [ -f "$baseline" ] && compare_args+=(--compare "$baseline")
   done
   if [ "${#compare_args[@]}" -eq 0 ]; then
-    echo "error: no committed BENCH_*.json baselines to compare against" >&2
-    echo "(capture one with scripts/bench.sh build-bench)" >&2
+    echo "error: the capture of $rev wrote no BENCH_*.json" >&2
     exit 2
   fi
+
+  echo "== capturing this tree against $rev =="
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   scripts/bench.sh build-bench "${compare_args[@]}"
 }
 
@@ -106,9 +129,9 @@ case "$mode" in
   werror) werror ;;
   coverage) coverage ;;
   all) tier1 && werror && tsan && asan ;;
-  bench) bench ;;
+  bench) bench "${2:-HEAD}" ;;
   *)
-    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench]" >&2
+    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench [REV]]" >&2
     exit 2
     ;;
 esac

@@ -78,8 +78,6 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
   ins_.vm_run_fallbacks = m->GetCounter(
       "vm.run_fallbacks",
       "VM runs that errored and were redone by the tree walker");
-  ins_.vm_reordered_runs = m->GetCounter(
-      "vm.reordered_runs", "VM runs executed under a cost-based step order");
   ins_.vm_verify_failures = m->GetCounter(
       "vm.verify_failures", "verify_vm cross-checks that found divergence");
   ins_.vm_program_instructions = m->GetGauge(
@@ -93,9 +91,6 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
       "chorel.index_postings_add", "add postings in the annotation index");
   ins_.index_postings_rem = m->GetGauge(
       "chorel.index_postings_rem", "rem postings in the annotation index");
-  ins_.distinct_labels = m->GetGauge(
-      "chorel.distinct_labels",
-      "distinct arc labels in the DOEM graph (cost-model input)");
 }
 
 void ChorelEngine::Invalidate() {
@@ -121,10 +116,6 @@ void ChorelEngine::PublishCacheStats() {
     ins_.index_postings_upd->Set(static_cast<int64_t>(index_->upd_count()));
     ins_.index_postings_add->Set(static_cast<int64_t>(index_->add_count()));
     ins_.index_postings_rem->Set(static_cast<int64_t>(index_->rem_count()));
-  }
-  if (ins_.distinct_labels != nullptr) {
-    ins_.distinct_labels->Set(
-        static_cast<int64_t>(doem_.graph().DistinctLabelCount()));
   }
 }
 
@@ -160,7 +151,7 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
       cache->program = std::move(program).value();
       obs::Count(ins_.vm_compiles);
       obs::SetGauge(ins_.vm_program_instructions,
-                    static_cast<int64_t>(cache->program.identity_code.size()));
+                    static_cast<int64_t>(cache->program.code.size()));
     } else {
       cache->state = vm::ProgramCache::State::kUnsupported;
       obs::Count(ins_.vm_compile_fallbacks);
@@ -169,8 +160,7 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
   if (cache->state == vm::ProgramCache::State::kUnsupported) {
     return lorel::Evaluate(nq, view, opts);
   }
-  vm::RunInfo info;
-  auto res = vm::Run(cache->program, view, opts, &info);
+  auto res = vm::Run(cache->program, view, opts);
   if (!res.ok()) {
     // Any VM error — a view capability the hoisted checks rejected, a
     // time operand that did not resolve, max_rows — defers to the tree
@@ -180,7 +170,6 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
     return lorel::Evaluate(nq, view, opts);
   }
   obs::Count(ins_.vm_runs);
-  if (info.reordered) obs::Count(ins_.vm_reordered_runs);
   if (options_.verify_vm) {
     lorel::EvalOptions ref_opts = opts;
     ref_opts.stats = nullptr;  // the VM already contributed its counters

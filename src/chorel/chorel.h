@@ -187,15 +187,13 @@ class ChorelEngine {
     obs::Counter* vm_compile_fallbacks = nullptr;
     obs::Counter* vm_runs = nullptr;
     obs::Counter* vm_run_fallbacks = nullptr;
-    obs::Counter* vm_reordered_runs = nullptr;
     obs::Counter* vm_verify_failures = nullptr;
     obs::Gauge* vm_program_instructions = nullptr;
-    // Cost-model inputs (annotation-index posting sizes, label stats).
+    // Annotation-index posting sizes.
     obs::Gauge* index_postings_cre = nullptr;
     obs::Gauge* index_postings_upd = nullptr;
     obs::Gauge* index_postings_add = nullptr;
     obs::Gauge* index_postings_rem = nullptr;
-    obs::Gauge* distinct_labels = nullptr;
   };
   Instruments ins_;
 };

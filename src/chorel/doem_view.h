@@ -54,31 +54,6 @@ class DoemView : public lorel::GraphView {
 
   NodeId IdFloor() const override { return d_.graph().PeekNextId(); }
 
-  // Cost-model estimates: the DOEM graph keeps removed arcs in place, so
-  // the graph-level tallies over-approximate live cardinalities — sound
-  // for ordering decisions, which only need relative magnitudes.
-  size_t TotalNodeEstimate() const override {
-    return d_.graph().node_count();
-  }
-  size_t LabelArcEstimate(const std::string& label) const override {
-    return d_.graph().ArcCountForLabel(label);
-  }
-  size_t ChildCountEstimate(NodeId n,
-                            const std::string& label) const override {
-    return d_.graph().LabelChildCount(n, label);
-  }
-  std::optional<size_t> AnnotCountInRange(AnnotStat kind, Timestamp from,
-                                          Timestamp to) const override {
-    if (index_ == nullptr) return std::nullopt;
-    switch (kind) {
-      case AnnotStat::kCre: return index_->CountCreatedIn(from, to);
-      case AnnotStat::kUpd: return index_->CountUpdatedIn(from, to);
-      case AnnotStat::kAdd: return index_->CountAddedIn(from, to);
-      case AnnotStat::kRem: return index_->CountRemovedIn(from, to);
-    }
-    return std::nullopt;
-  }
-
   bool SupportsAnnotations() const override { return true; }
 
   std::optional<Timestamp> CreTime(NodeId n) const override {

@@ -116,38 +116,6 @@ std::vector<Entry> AnnotationIndex::Range(const std::vector<Entry>& postings,
   return std::vector<Entry>(lo, hi);
 }
 
-namespace {
-
-template <typename Entry>
-size_t CountRange(const std::vector<Entry>& postings, Timestamp from,
-                  Timestamp to) {
-  auto lo = std::lower_bound(
-      postings.begin(), postings.end(), from,
-      [](const Entry& e, Timestamp t) { return e.time < t; });
-  auto hi = std::upper_bound(
-      postings.begin(), postings.end(), to,
-      [](Timestamp t, const Entry& e) { return t < e.time; });
-  return lo >= hi ? 0 : static_cast<size_t>(hi - lo);
-}
-
-}  // namespace
-
-size_t AnnotationIndex::CountCreatedIn(Timestamp from, Timestamp to) const {
-  return CountRange(cre_, from, to);
-}
-
-size_t AnnotationIndex::CountUpdatedIn(Timestamp from, Timestamp to) const {
-  return CountRange(upd_, from, to);
-}
-
-size_t AnnotationIndex::CountAddedIn(Timestamp from, Timestamp to) const {
-  return CountRange(add_, from, to);
-}
-
-size_t AnnotationIndex::CountRemovedIn(Timestamp from, Timestamp to) const {
-  return CountRange(rem_, from, to);
-}
-
 std::vector<AnnotationIndex::NodeEntry> AnnotationIndex::CreatedIn(
     Timestamp from, Timestamp to) const {
   return Range(cre_, from, to);

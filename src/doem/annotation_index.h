@@ -65,20 +65,12 @@ class AnnotationIndex {
     return cre_.size() + upd_.size() + add_.size() + rem_.size();
   }
 
-  // ---- Per-kind posting sizes (VM cost model + chorel.* gauges) --------
+  // ---- Per-kind posting sizes (chorel.index_postings_* gauges) ---------
 
   size_t cre_count() const { return cre_.size(); }
   size_t upd_count() const { return upd_.size(); }
   size_t add_count() const { return add_.size(); }
   size_t rem_count() const { return rem_.size(); }
-
-  /// Number of postings in [from, to] without materializing them — two
-  /// binary searches. The bytecode VM's cost model uses these to estimate
-  /// seeded-step cardinality before choosing a step order.
-  size_t CountCreatedIn(Timestamp from, Timestamp to) const;
-  size_t CountUpdatedIn(Timestamp from, Timestamp to) const;
-  size_t CountAddedIn(Timestamp from, Timestamp to) const;
-  size_t CountRemovedIn(Timestamp from, Timestamp to) const;
 
   /// Postings appended by Apply since construction (stillborn-pruned ops
   /// excluded) — the incremental maintenance work done, for the

@@ -128,7 +128,7 @@ class GraphView {
   // same order. nullopt = no index; the caller scans. Both hooks add the
   // number of index postings they read to `*postings`.
 
-  /// Which annotation postings a seeding hook or AnnotCountInRange reads.
+  /// Which annotation postings a seeding hook reads.
   enum class AnnotStat { kCre, kUpd, kAdd, kRem };
 
   /// p's live `label`-children with a `kind` (kCre or kUpd) annotation in
@@ -144,36 +144,6 @@ class GraphView {
   virtual std::optional<std::vector<std::pair<Timestamp, NodeId>>>
   AnnotatedArcs(NodeId, const std::string*, AnnotStat, Timestamp, Timestamp,
                 size_t*) const {
-    return std::nullopt;
-  }
-
-  // ---- Cardinality estimates (bytecode-VM cost model; DESIGN.md §6f) --
-  //
-  // The VM's step orderer ranks range definitions by estimated candidate
-  // cardinality before choosing a loop nesting. Estimates are advisory:
-  // kUnknownCardinality (or nullopt) makes the orderer keep the original
-  // left-to-right position, so views without statistics lose nothing.
-
-  static constexpr size_t kUnknownCardinality = static_cast<size_t>(-1);
-
-  /// Approximate node count of the database (wildcard-step cardinality).
-  virtual size_t TotalNodeEstimate() const { return kUnknownCardinality; }
-
-  /// Total arcs labeled `label` anywhere in the graph — the estimate for
-  /// a plain-label step whose source binding is not known statically.
-  virtual size_t LabelArcEstimate(const std::string&) const {
-    return kUnknownCardinality;
-  }
-
-  /// Exact `label`-child count of a specific node (root-sourced steps).
-  virtual size_t ChildCountEstimate(NodeId, const std::string&) const {
-    return kUnknownCardinality;
-  }
-
-  /// Number of index postings of `kind` in [from, to]; nullopt when the
-  /// view has no annotation index.
-  virtual std::optional<size_t> AnnotCountInRange(AnnotStat, Timestamp,
-                                                  Timestamp) const {
     return std::nullopt;
   }
 
@@ -218,14 +188,6 @@ class OemView : public GraphView {
     return &db_.OutArcs(n);
   }
   bool SkipEncodingLabelsInWildcard() const override { return amp_aware_; }
-  size_t TotalNodeEstimate() const override { return db_.node_count(); }
-  size_t LabelArcEstimate(const std::string& label) const override {
-    return db_.ArcCountForLabel(label);
-  }
-  size_t ChildCountEstimate(NodeId n,
-                            const std::string& label) const override {
-    return db_.LabelChildCount(n, label);
-  }
   NodeId IdFloor() const override { return db_.PeekNextId(); }
 
   const OemDatabase& db() const { return db_; }

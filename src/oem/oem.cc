@@ -112,7 +112,6 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   ++next_arc_seq_;
   p->out.push_back(OutArc{label, child});
   IndexAddedArc(parent, *p, p->out.size() - 1);
-  ++label_counts_[label];
   ++c->in;
   return Status::OK();
 }
@@ -168,8 +167,6 @@ Status OemDatabase::RemArc(NodeId parent, const std::string& label,
   }
   p.out.erase(out);
   IndexRemovedArc(parent, p, label, child);
-  auto lc = label_counts_.find(label);
-  if (lc != label_counts_.end() && --lc->second == 0) label_counts_.erase(lc);
   --Find(*this, child)->in;
   return Status::OK();
 }
@@ -240,11 +237,6 @@ size_t OemDatabase::LabelChildCount(NodeId node,
   return static_cast<size_t>(
       std::count_if(narrow->out.begin(), narrow->out.end(),
                     [&](const OutArc& a) { return a.label == label; }));
-}
-
-size_t OemDatabase::ArcCountForLabel(const std::string& label) const {
-  auto it = label_counts_.find(label);
-  return it == label_counts_.end() ? 0 : it->second;
 }
 
 size_t OemDatabase::InDegree(NodeId node) const {
@@ -351,10 +343,6 @@ void OemDatabase::EraseUnreachable(const std::vector<NodeId>& dead) {
     if (it->second.out.size() > kWideOutDegree) wide_.erase(id);
     for (const OutArc& a : it->second.out) {
       arcs_.erase(arcs_.find(ArcRef{id, a.label, a.child}));
-      auto lc = label_counts_.find(a.label);
-      if (lc != label_counts_.end() && --lc->second == 0) {
-        label_counts_.erase(lc);
-      }
       if (Node* c = Find(*this, a.child)) --c->in;
     }
     nodes_.erase(it);
@@ -383,8 +371,6 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
         Node& p = *Find(*this, arc.parent);
         p.out.pop_back();
         IndexRemovedArc(arc.parent, p, arc.label, arc.child);
-        auto lc = label_counts_.find(arc.label);
-        if (--lc->second == 0) label_counts_.erase(lc);
         --Find(*this, arc.child)->in;
         break;
       }
@@ -394,7 +380,6 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
         Node& p = *Find(*this, arc.parent);
         p.out.insert(p.out.begin() + slot.out_pos, OutArc{arc.label, arc.child});
         IndexAddedArc(arc.parent, p, slot.out_pos);
-        ++label_counts_[arc.label];
         ++Find(*this, arc.child)->in;
         break;
       }

@@ -201,17 +201,8 @@ class OemDatabase {
   size_t node_count() const { return nodes_.size(); }
   size_t arc_count() const { return arcs_.size(); }
 
-  // ---- Cardinality statistics (bytecode-VM cost model; DESIGN.md §6f) --
-
   /// Number of `label`-children of `node`.
   size_t LabelChildCount(NodeId node, const std::string& label) const;
-
-  /// Total arcs labeled `label` anywhere in the graph, maintained
-  /// incrementally by the arc mutators.
-  size_t ArcCountForLabel(const std::string& label) const;
-
-  /// Number of distinct arc labels currently in use.
-  size_t DistinctLabelCount() const { return label_counts_.size(); }
 
   /// All node ids, sorted ascending (deterministic iteration).
   std::vector<NodeId> NodeIds() const;
@@ -352,10 +343,6 @@ class OemDatabase {
   // AddArc/HasArc even when one label has many children under one parent.
   ArcMap<uint64_t> arcs_;
   uint64_t next_arc_seq_ = 0;
-  // Global per-label arc tallies for the VM cost model's cardinality
-  // estimates. Derived state, maintained by AddArcForce, RemArc, garbage
-  // collection and rollback; entries are erased when they reach zero.
-  std::unordered_map<std::string, size_t> label_counts_;
   // Ids of erased nodes.
   std::unordered_set<NodeId> erased_;
   NodeId root_ = kInvalidNode;

@@ -69,7 +69,6 @@ PollGroupManager::PollGroupManager(InformationSource* source, Timestamp start,
       "qss.missed_log_dropped",
       "missed-poll log entries evicted by "
       "QssOptions::fault_tolerance.max_missed_log");
-  ins_.groups = m->GetGauge("qss.groups", "distinct poll groups maintained");
   ins_.group_count = m->GetGauge(
       "qss.group.count",
       "distinct poll groups — one DOEM history and Chorel engine each");
@@ -97,7 +96,6 @@ std::string PollGroupManager::GroupKey(
 }
 
 void PollGroupManager::PublishGroupGauges() {
-  obs::SetGauge(ins_.groups, static_cast<int64_t>(groups_.size()));
   obs::SetGauge(ins_.group_count, static_cast<int64_t>(groups_.size()));
   if (ins_.group_entries != nullptr) {
     int64_t entries = 0;

@@ -295,7 +295,6 @@ class PollGroupManager {
     obs::Counter* retries = nullptr;
     obs::Counter* quarantine_trips = nullptr;
     obs::Counter* missed_log_dropped = nullptr;
-    obs::Gauge* groups = nullptr;
     obs::Gauge* group_count = nullptr;
     obs::Gauge* group_entries = nullptr;
     obs::Gauge* circuits_open = nullptr;

@@ -45,9 +45,8 @@ struct SubscriptionHandle {
 /// What a Query Subscription Client receives when a filter query produces
 /// results at a polling time.
 struct Notification {
-  /// The subscriber's registration handle (0 on legacy facade paths that
-  /// predate handles — never in practice, since the facade is now a thin
-  /// layer over the registry).
+  /// The registration handle of the subscriber notified; every
+  /// notification carries one, the facade's included.
   SubscriptionHandle handle;
   std::string subscription;
   Timestamp poll_time;

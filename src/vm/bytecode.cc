@@ -1,7 +1,5 @@
 #include "vm/bytecode.h"
 
-#include <algorithm>
-
 namespace doem {
 namespace vm {
 
@@ -22,19 +20,13 @@ const char* OpName(Op op) {
   return "?";
 }
 
-std::vector<Instr> AssembleCode(const Program& p,
-                                const std::vector<uint32_t>& order) {
-  size_t n = order.size();
-  // Position of each slot in the nesting.
-  std::vector<int32_t> pos(p.slots.size(), -1);
-  for (size_t k = 0; k < n; ++k) pos[order[k]] = static_cast<int32_t>(k);
+std::vector<Instr> AssembleCode(const Program& p) {
+  size_t n = p.slots.size();
   // Conjunct placement: just inside the deepest loop binding one of its
   // inputs; input-free conjuncts run once, before any loop opens.
   std::vector<std::vector<uint32_t>> at_depth(n + 1);
   for (uint32_t ci = 0; ci < p.conjuncts.size(); ++ci) {
-    int32_t d = -1;
-    for (uint32_t s : p.conjuncts[ci].dep_slots) d = std::max(d, pos[s]);
-    at_depth[static_cast<size_t>(d + 1)].push_back(ci);
+    at_depth[static_cast<size_t>(p.conjuncts[ci].depth + 1)].push_back(ci);
   }
 
   // First pass: lay out program-counter positions.
@@ -75,12 +67,12 @@ std::vector<Instr> AssembleCode(const Program& p,
   for (uint32_t ci : at_depth[0]) emit_conjunct(ci, halt_pc);
   for (size_t k = 0; k < n; ++k) {
     Instr open;
-    open.op = p.slots[order[k]].open;
-    open.a = static_cast<int32_t>(order[k]);
+    open.op = p.slots[k].open;
+    open.a = static_cast<int32_t>(k);
     code.push_back(open);
     Instr next;
     next.op = Op::kLoopNext;
-    next.a = static_cast<int32_t>(order[k]);
+    next.a = static_cast<int32_t>(k);
     next.b = static_cast<int32_t>(k == 0 ? halt_pc : next_pc[k - 1]);
     code.push_back(next);
     for (uint32_t ci : at_depth[k + 1]) emit_conjunct(ci, next_pc[k]);
@@ -95,8 +87,8 @@ std::vector<Instr> AssembleCode(const Program& p,
 
 std::string Program::Disassemble() const {
   std::string out;
-  for (size_t i = 0; i < identity_code.size(); ++i) {
-    const Instr& ins = identity_code[i];
+  for (size_t i = 0; i < code.size(); ++i) {
+    const Instr& ins = code[i];
     out += std::to_string(i) + "\t" + OpName(ins.op);
     switch (ins.op) {
       case Op::kStepLabel:

@@ -69,7 +69,6 @@ struct AtTimeArg {
 struct SlotPlan {
   Op open = Op::kStepLabel;
   int32_t source_reg = -1;  // -1 = database root
-  int32_t source_slot = -1; // slot defining the source variable, -1 = root
   int32_t end_reg = -1;
   bool bind_value = false;
   lorel::PathStep step;  // label / wildcards / annotation shapes
@@ -94,9 +93,9 @@ struct Conjunct {
   static constexpr int32_t kTargetFail = -2;
 
   std::vector<Instr> code;
-  /// Slots whose registers the conjunct reads — it is placed just inside
-  /// the deepest of them in the chosen loop order (predicate push-down).
-  std::vector<uint32_t> dep_slots;
+  /// The deepest slot whose registers the conjunct reads, -1 for none: the
+  /// conjunct is placed just inside that slot's loop (predicate push-down).
+  int32_t depth = -1;
 };
 
 /// One select-clause projection.
@@ -119,10 +118,10 @@ struct BoundTerm {
   Timestamp literal;      // otherwise, pre-coerced to a timestamp
 };
 
-/// A compiled query program: slot plans in original definition order,
+/// A compiled query program: slot plans in definition order,
 /// predicate/projection bytecode, constant pools, and the assembled
-/// instruction stream for the identity (left-to-right) step order.
-/// Reordered plans are assembled per run from the same parts.
+/// instruction stream. Loops nest in definition order, outermost first —
+/// the tree walker's left-to-right nesting (DESIGN.md §6f).
 struct Program {
   std::vector<SlotPlan> slots;
   std::vector<Conjunct> conjuncts;
@@ -133,24 +132,19 @@ struct Program {
   std::vector<BoundTerm> bound_terms;
   std::unordered_set<std::string> seedable_vars;
   uint32_t reg_count = 0;
-  /// Step reordering is sound only when no step can fail per context —
-  /// i.e. no <at T> virtual annotations anywhere (DESIGN.md §6f).
-  bool reorderable = false;
   bool needs_annotations = false;
   bool needs_time_travel = false;
-  /// Instruction stream for the identity order (the common linear-chain
-  /// case), assembled once at compile time.
-  std::vector<Instr> identity_code;
+  /// The instruction stream, assembled once at compile time.
+  std::vector<Instr> code;
 
   /// Human-readable instruction listing (tests, debugging).
   std::string Disassemble() const;
 };
 
-/// Assembles the instruction stream for `order` — a permutation of slot
-/// indices giving the loop nesting, outermost first. Where conjuncts are
-/// pushed down to the deepest loop that binds all their inputs.
-std::vector<Instr> AssembleCode(const Program& p,
-                                const std::vector<uint32_t>& order);
+/// Assembles the instruction stream: one loop per slot, nested in
+/// definition order. Where conjuncts are pushed down to the deepest loop
+/// that binds all their inputs.
+std::vector<Instr> AssembleCode(const Program& p);
 
 const char* OpName(Op op);
 

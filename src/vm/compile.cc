@@ -43,14 +43,7 @@ class Compiler {
     CollectBoundTerms(q_.where);
     p_.labels = q_.labels;
     p_.reg_count = next_reg_;
-    // Reordering is sound only when no step resolves an <at T> operand:
-    // a pruned outer loop could then skip the context in which the tree
-    // walker's per-step time evaluation fails, turning an error into a
-    // success that fallback cannot repair (DESIGN.md §6f).
-    p_.reorderable = !p_.needs_time_travel && p_.slots.size() > 1;
-    std::vector<uint32_t> identity(p_.slots.size());
-    for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
-    p_.identity_code = AssembleCode(p_, identity);
+    p_.code = AssembleCode(p_);
     return std::move(p_);
   }
 
@@ -160,7 +153,6 @@ class Compiler {
                      "' is not bound by an earlier definition");
       }
       sp.source_reg = it->second.reg;
-      sp.source_slot = it->second.slot;
     }
 
     if (st.arc_annot) {
@@ -260,9 +252,8 @@ class Compiler {
     }
     Conjunct cj;
     std::vector<int32_t> labels;
-    std::vector<uint32_t> deps;
     DOEM_RETURN_IF_ERROR(GenBool(e, Conjunct::kTargetPass,
-                                 Conjunct::kTargetFail, &cj, &labels, &deps));
+                                 Conjunct::kTargetFail, &cj, &labels));
     // Rewrite label ids to conjunct-local offsets.
     for (Instr& ins : cj.code) {
       for (int32_t* t : {&ins.a, &ins.b, &ins.c, &ins.d}) {
@@ -271,39 +262,35 @@ class Compiler {
         if (*t >= kLabelBase) *t = labels[*t - kLabelBase];
       }
     }
-    // Dedup + sort dep slots.
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    cj.dep_slots = std::move(deps);
     p_.conjuncts.push_back(std::move(cj));
     return Status::OK();
   }
 
   Status GenBool(const ExprPtr& e, int32_t tt, int32_t ft, Conjunct* cj,
-                 std::vector<int32_t>* labels, std::vector<uint32_t>* deps) {
+                 std::vector<int32_t>* labels) {
     switch (e->kind) {
       case Expr::Kind::kBinary: {
         if (e->op == BinOp::kAnd) {
           int32_t mid = NewLabel(labels);
           DOEM_RETURN_IF_ERROR(
-              GenBool(e->lhs, kLabelBase + mid, ft, cj, labels, deps));
+              GenBool(e->lhs, kLabelBase + mid, ft, cj, labels));
           (*labels)[mid] = static_cast<int32_t>(cj->code.size());
-          return GenBool(e->rhs, tt, ft, cj, labels, deps);
+          return GenBool(e->rhs, tt, ft, cj, labels);
         }
         if (e->op == BinOp::kOr) {
           int32_t mid = NewLabel(labels);
           DOEM_RETURN_IF_ERROR(
-              GenBool(e->lhs, tt, kLabelBase + mid, cj, labels, deps));
+              GenBool(e->lhs, tt, kLabelBase + mid, cj, labels));
           (*labels)[mid] = static_cast<int32_t>(cj->code.size());
-          return GenBool(e->rhs, tt, ft, cj, labels, deps);
+          return GenBool(e->rhs, tt, ft, cj, labels);
         }
         Instr ins;
         ins.op = Op::kCmpJump;
         ins.sub = static_cast<uint8_t>(e->op);
         ArgSrc lsrc, rsrc;
         int32_t lidx, ridx;
-        DOEM_RETURN_IF_ERROR(CompileArg(e->lhs, &lsrc, &lidx, deps));
-        DOEM_RETURN_IF_ERROR(CompileArg(e->rhs, &rsrc, &ridx, deps));
+        DOEM_RETURN_IF_ERROR(CompileArg(e->lhs, &lsrc, &lidx, &cj->depth));
+        DOEM_RETURN_IF_ERROR(CompileArg(e->rhs, &rsrc, &ridx, &cj->depth));
         ins.u1 = static_cast<uint8_t>(lsrc);
         ins.u2 = static_cast<uint8_t>(rsrc);
         ins.a = lidx;
@@ -314,7 +301,7 @@ class Compiler {
         return Status::OK();
       }
       case Expr::Kind::kNot:
-        return GenBool(e->child, ft, tt, cj, labels, deps);
+        return GenBool(e->child, ft, tt, cj, labels);
       case Expr::Kind::kLiteral: {
         if (e->literal.kind() != Value::Kind::kBool) {
           return Unsup("non-boolean literal as a condition");
@@ -337,8 +324,10 @@ class Compiler {
     return static_cast<int32_t>(labels->size()) - 1;
   }
 
+  /// Compiles one operand; a register operand raises `*depth` to the
+  /// slot that binds it.
   Status CompileArg(const ExprPtr& e, ArgSrc* src, int32_t* idx,
-                    std::vector<uint32_t>* deps) {
+                    int32_t* depth) {
     switch (e->kind) {
       case Expr::Kind::kVar: {
         auto it = regs_.find(e->var);
@@ -347,9 +336,7 @@ class Compiler {
         }
         *src = ArgSrc::kReg;
         *idx = it->second.reg;
-        if (deps != nullptr) {
-          deps->push_back(static_cast<uint32_t>(it->second.slot));
-        }
+        if (depth != nullptr) *depth = std::max(*depth, it->second.slot);
         return Status::OK();
       }
       case Expr::Kind::kLiteral:

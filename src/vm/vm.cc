@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "lorel/coerce.h"
-#include "vm/cost.h"
 
 namespace doem {
 namespace vm {
@@ -17,6 +17,7 @@ namespace {
 
 using lorel::AnnotExpr;
 using lorel::AnnotKind;
+using lorel::BinOp;
 using lorel::EvalOptions;
 using lorel::EvalStats;
 using lorel::GraphView;
@@ -25,10 +26,60 @@ using lorel::RtVal;
 using lorel::UpdEntry;
 using AnnotStat = GraphView::AnnotStat;
 
+/// Per-run [lo, hi] time bounds of seedable annotation variables.
+using BoundsMap =
+    std::unordered_map<std::string, std::pair<Timestamp, Timestamp>>;
+
+/// Folds the program's where-derived time bounds (BoundTerm) for one run.
+/// `times` holds the run's resolved time slots (t[i] values).
+BoundsMap ReplayBounds(const Program& p, const std::vector<Timestamp>& times) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  BoundsMap m;
+  for (const BoundTerm& bt : p.bound_terms) {
+    Timestamp t = bt.is_time_ref ? times[static_cast<size_t>(bt.time_slot)]
+                                 : bt.literal;
+    auto it = m.find(bt.var);
+    if (it == m.end()) {
+      it = m.emplace(bt.var,
+                     std::make_pair(Timestamp(kMin), Timestamp(kMax)))
+               .first;
+    }
+    auto& [lo, hi] = it->second;
+    switch (bt.op) {
+      case BinOp::kGt:
+        // Strict bounds saturate at the tick limits — a sound widening.
+        lo = std::max(lo, Timestamp(t.ticks == kMax ? kMax : t.ticks + 1));
+        break;
+      case BinOp::kGe:
+        lo = std::max(lo, t);
+        break;
+      case BinOp::kLt:
+        hi = std::min(hi, Timestamp(t.ticks == kMin ? kMin : t.ticks - 1));
+        break;
+      case BinOp::kLe:
+        hi = std::min(hi, t);
+        break;
+      case BinOp::kEq:
+        lo = std::max(lo, t);
+        hi = std::min(hi, t);
+        break;
+      default:
+        // kNe / kLike constrain nothing; drop the entry if this term was
+        // the only mention.
+        if (it->second == std::make_pair(Timestamp(kMin), Timestamp(kMax))) {
+          m.erase(it);
+        }
+        break;
+    }
+  }
+  return m;
+}
+
 /// One match of an annotated step: the endpoint node plus the annotation
 /// payloads its registers bind (arc time for add/rem, node time and
 /// old/new values for cre/upd). Matches are stored in the tree walker's
-/// candidate order so slot cursors double as emission ranks.
+/// candidate order.
 struct RichMatch {
   NodeId node = kInvalidNode;
   bool has_arc_time = false;
@@ -71,7 +122,7 @@ class Machine {
   Machine(const Program& p, const GraphView& view, const EvalOptions& opts)
       : p_(p), view_(view), opts_(opts) {}
 
-  Result<QueryResult> Run(RunInfo* info) {
+  Result<QueryResult> Run() {
     // Capability and time-operand preconditions, hoisted to run start.
     // The tree walker only fails when the offending step executes with a
     // non-empty context, so an error here must trigger fallback rather
@@ -94,43 +145,11 @@ class Machine {
     }
     bounds_ = ReplayBounds(p_, times_);
 
-    std::vector<uint32_t> order(p_.slots.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    bool reordered = false;
-    if (p_.reorderable) {
-      std::vector<uint32_t> planned = PlanOrder(p_, view_, bounds_);
-      reordered = planned != order;
-      order = std::move(planned);
-    }
-    if (info != nullptr) {
-      info->reordered = reordered;
-      info->order = order;
-    }
-
     QueryResult result;
     result.labels = p_.labels;
     regs_.assign(p_.reg_count, RtVal{});
     slots_.assign(p_.slots.size(), SlotState{});
-
-    Status s;
-    if (!reordered) {
-      s = Exec(p_.identity_code, /*ranked=*/false, &result);
-    } else {
-      std::vector<Instr> code = AssembleCode(p_, order);
-      s = Exec(code, /*ranked=*/true, &result);
-      if (s.ok()) {
-        // Restore the tree walker's emission order: ranks are per-slot
-        // candidate cursors at original definition positions, so their
-        // lexicographic order is exactly the original nesting order.
-        std::sort(pending_.begin(), pending_.end(),
-                  [](const Pending& a, const Pending& b) {
-                    return a.rank < b.rank;
-                  });
-        result.rows.reserve(pending_.size());
-        for (Pending& pe : pending_) result.rows.push_back(std::move(pe.row));
-      }
-    }
-    if (!s.ok()) return s;
+    DOEM_RETURN_IF_ERROR(Exec(&result));
     if (opts_.package_results) {
       DOEM_RETURN_IF_ERROR(
           lorel::PackageResult(view_, p_.select.size(), &result));
@@ -148,11 +167,6 @@ class Machine {
   }
 
  private:
-  struct Pending {
-    std::vector<uint32_t> rank;
-    std::vector<RtVal> row;
-  };
-
   Timestamp ResolveTimeRef(int i) const {
     const auto& times = *opts_.polling_times;
     int64_t idx = static_cast<int64_t>(times.size()) - 1 + i;
@@ -162,8 +176,8 @@ class Machine {
 
   // ---- dispatch loop ---------------------------------------------------
 
-  Status Exec(const std::vector<Instr>& code, bool ranked,
-              QueryResult* result) {
+  Status Exec(QueryResult* result) {
+    const std::vector<Instr>& code = p_.code;
     size_t pc = 0;
     Value lscratch, rscratch;
     while (true) {
@@ -203,7 +217,7 @@ class Machine {
           pc = static_cast<size_t>(ins.a);
           break;
         case Op::kEmit:
-          DOEM_RETURN_IF_ERROR(Emit(ranked, result));
+          DOEM_RETURN_IF_ERROR(Emit(result));
           pc = static_cast<size_t>(ins.a);
           break;
       }
@@ -611,7 +625,7 @@ class Machine {
     regs_[static_cast<size_t>(sp.end_reg)] = MakeEnd(sp, st, m.node);
   }
 
-  Status Emit(bool ranked, QueryResult* result) {
+  Status Emit(QueryResult* result) {
     std::vector<RtVal> row;
     row.reserve(p_.select.size());
     for (const SelectArg& sa : p_.select) {
@@ -629,30 +643,10 @@ class Machine {
           break;
       }
     }
-    std::string key = lorel::RowDedupKey(row);
-    if (!ranked) {
-      if (!seen_.insert(std::move(key)).second) return Status::OK();
-      result->rows.push_back(std::move(row));
-      if (opts_.max_rows != 0 && result->rows.size() > opts_.max_rows) {
-        return Status::InvalidArgument("query exceeded max_rows limit");
-      }
-      return Status::OK();
-    }
-    std::vector<uint32_t> rank(p_.slots.size());
-    for (size_t i = 0; i < rank.size(); ++i) rank[i] = slots_[i].cur;
-    auto [it, fresh] = seen_ranked_.try_emplace(std::move(key),
-                                                pending_.size());
-    if (fresh) {
-      pending_.push_back(Pending{std::move(rank), std::move(row)});
-      // max_rows counts distinct rows, so the crossing point is
-      // order-independent.
-      if (opts_.max_rows != 0 && pending_.size() > opts_.max_rows) {
-        return Status::InvalidArgument("query exceeded max_rows limit");
-      }
-    } else if (rank < pending_[it->second].rank) {
-      // Keep the occurrence the walker would have seen first.
-      pending_[it->second].rank = std::move(rank);
-      pending_[it->second].row = std::move(row);
+    if (!seen_.insert(lorel::RowDedupKey(row)).second) return Status::OK();
+    result->rows.push_back(std::move(row));
+    if (opts_.max_rows != 0 && result->rows.size() > opts_.max_rows) {
+      return Status::InvalidArgument("query exceeded max_rows limit");
     }
     return Status::OK();
   }
@@ -666,18 +660,14 @@ class Machine {
   std::vector<Value> time_values_;
   BoundsMap bounds_;
   EvalStats stats_;
-  // Identity-order emission.
   std::unordered_set<std::string> seen_;
-  // Reordered emission: rows held back with their ranks until halt.
-  std::vector<Pending> pending_;
-  std::unordered_map<std::string, size_t> seen_ranked_;
 };
 
 }  // namespace
 
 Result<QueryResult> Run(const Program& p, const GraphView& view,
-                        const EvalOptions& opts, RunInfo* info) {
-  return Machine(p, view, opts).Run(info);
+                        const EvalOptions& opts) {
+  return Machine(p, view, opts).Run();
 }
 
 }  // namespace vm

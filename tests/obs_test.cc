@@ -576,7 +576,7 @@ TEST(QssObsTest, ObservabilityDoesNotPerturbTheRun) {
   EXPECT_EQ(metrics.CounterValue("qss.notifications"),
             observed.notifications.size());
   EXPECT_GT(metrics.CounterValue("qss.quarantine_trips"), 0u);
-  EXPECT_EQ(metrics.GaugeValue("qss.groups"), 2);
+  EXPECT_EQ(metrics.GaugeValue("qss.group.count"), 2);
 #ifndef DOEM_TRACING_DISABLED
   EXPECT_GT(observed.trace->Events().size(), 0u);
 #endif

@@ -1,13 +1,14 @@
 // DESIGN.md §6f guard tests: the bytecode VM must be observationally
 // identical to the tree-walking evaluator — byte-identical rows (order
 // included), packaged answers, and error statuses — across the random
-// query corpus, Chorel time-bound queries with polling times, and whole
-// QSS runs (an oracle instance); cost-based step reordering must never
-// change the rows; and uncovered constructs must fall back to the
-// walker transparently.
+// query corpus plus cross products of independent definitions, Chorel
+// time-bound queries with polling times, and whole QSS runs (an oracle
+// instance); and uncovered constructs must fall back to the walker
+// transparently.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,6 @@
 #include "testing/generators.h"
 #include "vm/bytecode.h"
 #include "vm/compile.h"
-#include "vm/cost.h"
 #include "vm/vm.h"
 
 namespace doem {
@@ -74,9 +74,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VmDifferentialTest, ::testing::Range(1u, 13u));
 // The core acceptance property: over the whole query corpus, both
 // strategies, and both seeding modes, the VM-backed engine returns
 // byte-identical results to a walker-only engine — and a verify_vm
-// engine (which cross-checks every run internally) never trips.
+// engine (which cross-checks every run internally) never trips. The
+// corpus is extended here with cross products of independent
+// definitions, with and without a predicate on the outer loop, so rows
+// that nest two unrelated loops stay in the walker's order. (Atomic
+// values are drawn from 0..999, so X < 500 keeps about half of them.)
 TEST_P(VmDifferentialTest, VmMatchesTreeWalkerOverCorpus) {
   DoemDatabase d = MakeDoem();
+  std::vector<std::string> queries = ChorelQueryCorpus(alphabet());
+  std::vector<std::string> cross_products;
+  for (size_t i = 0; i < std::min<size_t>(alphabet(), 4); ++i) {
+    std::string a = "l" + std::to_string(i);
+    std::string b = "l" + std::to_string((i + 1) % alphabet());
+    std::string cross = "select X, Y from " + a + " X, " + b + " Y";
+    cross_products.push_back(cross);
+    cross_products.push_back(cross + " where X < 500");
+  }
+  queries.insert(queries.end(), cross_products.begin(), cross_products.end());
+  size_t cross_rows = 0;
   for (bool seed : {false, true}) {
     chorel::ChorelEngineOptions vm_on;
     vm_on.seed_from_index = seed;
@@ -87,7 +102,7 @@ TEST_P(VmDifferentialTest, VmMatchesTreeWalkerOverCorpus) {
     chorel::ChorelEngine fast(d, vm_on);
     chorel::ChorelEngine slow(d, vm_off);
     chorel::ChorelEngine veri(d, checked);
-    for (const std::string& q : ChorelQueryCorpus(alphabet())) {
+    for (const std::string& q : queries) {
       for (chorel::Strategy strategy :
            {chorel::Strategy::kDirect, chorel::Strategy::kTranslated}) {
         auto a = fast.Run(q, strategy);
@@ -95,9 +110,14 @@ TEST_P(VmDifferentialTest, VmMatchesTreeWalkerOverCorpus) {
         ExpectSameResult(a, b, q);
         auto c = veri.Run(q, strategy);
         ExpectSameResult(c, b, "verify_vm: " + q);
+        if (b.ok() && std::find(cross_products.begin(), cross_products.end(),
+                                q) != cross_products.end()) {
+          cross_rows += b->rows.size();
+        }
       }
     }
   }
+  EXPECT_GT(cross_rows, 0u);  // the cross products are not vacuous
 }
 
 // max_rows is a row-count error raised mid-enumeration; the VM must
@@ -162,10 +182,10 @@ TEST(VmPollingTimeTest, TimeWindowQueriesMatchWalkerEveryPoll) {
   }
 }
 
-// ------------------------------------------ cost-based reordering
+// ------------------------------------------ cross products
 
-// A database engineered so the left-to-right nesting is the wrong one:
-// `wide` has many children, `rare` has two.
+// A database where the left-to-right nesting is lopsided: `wide` has
+// many children, `rare` has two.
 OemDatabase SkewedDb() {
   OemDatabase db;
   NodeId root = db.NewComplex();
@@ -181,28 +201,8 @@ OemDatabase SkewedDb() {
   return db;
 }
 
-// The compiler marks multi-definition, time-travel-free programs
-// reorderable; the planner then schedules the cheap slot outermost.
-TEST(VmCostModelTest, PlannerPutsNarrowSlotOutermost) {
-  auto d = DoemDatabase::Build(SkewedDb(), OemHistory());
-  ASSERT_TRUE(d.ok());
-  auto nq = lorel::ParseAndNormalize("select X, Y from wide X, rare Y");
-  ASSERT_TRUE(nq.ok()) << nq.status().ToString();
-  auto p = vm::Compile(*nq);
-  ASSERT_TRUE(p.ok()) << p.status().ToString();
-  EXPECT_TRUE(p->reorderable);
-  chorel::DoemView view(*d, nullptr);
-  vm::BoundsMap bounds = vm::ReplayBounds(*p, {});
-  EXPECT_GT(vm::EstimateSlot(*p, 0, view, bounds),
-            vm::EstimateSlot(*p, 1, view, bounds));
-  std::vector<uint32_t> order = vm::PlanOrder(*p, view, bounds);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1u);  // rare runs outermost
-  EXPECT_EQ(order[1], 0u);
-}
-
-// Reordered execution must be invisible in the output: rows come back
-// in the walker's nesting order even though the loops ran inverted.
+// A cross product of independent definitions with a filter: the VM's
+// rows come back in the walker's nesting order, byte for byte.
 TEST(VmCostModelTest, ReorderedRunIsByteIdenticalToWalker) {
   auto d = DoemDatabase::Build(SkewedDb(), OemHistory());
   ASSERT_TRUE(d.ok());
@@ -212,52 +212,13 @@ TEST(VmCostModelTest, ReorderedRunIsByteIdenticalToWalker) {
   auto p = vm::Compile(*nq);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   chorel::DoemView view(*d, nullptr);
-  vm::RunInfo info;
-  auto got = vm::Run(*p, view, {}, &info);
+  auto got = vm::Run(*p, view, {});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(info.reordered);
   auto want = lorel::Evaluate(*nq, view);
   ASSERT_TRUE(want.ok());
   EXPECT_FALSE(want->rows.empty());
   EXPECT_EQ(got->RowsToString(), want->RowsToString());
   EXPECT_TRUE(got->answer.Equals(want->answer));
-}
-
-// A statistics-free nesting (dependent path steps) and a single-slot
-// query keep the identity order — no reorder, no rank machinery.
-TEST(VmCostModelTest, DependentSlotsKeepIdentityOrder) {
-  auto d = DoemDatabase::Build(SkewedDb(), OemHistory());
-  ASSERT_TRUE(d.ok());
-  auto nq = lorel::ParseAndNormalize("select wide");
-  ASSERT_TRUE(nq.ok());
-  auto p = vm::Compile(*nq);
-  ASSERT_TRUE(p.ok());
-  EXPECT_FALSE(p->reorderable);
-  chorel::DoemView view(*d, nullptr);
-  vm::RunInfo info;
-  auto got = vm::Run(*p, view, {}, &info);
-  ASSERT_TRUE(got.ok());
-  EXPECT_FALSE(info.reordered);
-}
-
-// The engine counts reordered runs and still matches the walker.
-TEST(VmCostModelTest, EngineReordersAndCountsIt) {
-  auto d = DoemDatabase::Build(SkewedDb(), OemHistory());
-  ASSERT_TRUE(d.ok());
-  obs::MetricsRegistry metrics;
-  chorel::ChorelEngineOptions vm_on;
-  vm_on.metrics = &metrics;
-  chorel::ChorelEngineOptions vm_off;
-  vm_off.use_vm = false;
-  chorel::ChorelEngine fast(*d, vm_on);
-  chorel::ChorelEngine slow(*d, vm_off);
-  const std::string q = "select X, Y from wide X, rare Y where X < 9";
-  auto a = fast.Run(q, chorel::Strategy::kDirect);
-  auto b = slow.Run(q, chorel::Strategy::kDirect);
-  ExpectSameResult(a, b, q);
-  EXPECT_EQ(metrics.GetCounter("vm.runs", "")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("vm.reordered_runs", "")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("vm.verify_failures", "")->value(), 0u);
 }
 
 // ------------------------------------------ fallback coverage
@@ -313,11 +274,11 @@ TEST(VmFallbackTest, SupportedQueryStillCompiles) {
   EXPECT_GT(metrics.GetGauge("vm.program_instructions", "")->value(), 0);
 }
 
-// ------------------------------------------ cost-model inputs (gauges)
+// ------------------------------------------ index gauges
 
-// The satellite accessors: annotation-index posting sizes and the label
-// statistic surface as chorel.* gauges once the index is built.
-TEST(VmMetricsTest, CostModelInputGaugesArePublished) {
+// The annotation-index posting sizes surface as chorel.index_postings_*
+// gauges once the index is built.
+TEST(VmMetricsTest, IndexPostingGaugesArePublished) {
   OemDatabase guide = testing::SyntheticGuide(8);
   OemHistory churn = testing::SyntheticGuideChurn(guide, 6, 4);
   auto d = DoemDatabase::Build(guide, churn);
@@ -339,7 +300,6 @@ TEST(VmMetricsTest, CostModelInputGaugesArePublished) {
             static_cast<int64_t>(fresh.add_count()));
   EXPECT_EQ(metrics.GetGauge("chorel.index_postings_rem", "")->value(),
             static_cast<int64_t>(fresh.rem_count()));
-  EXPECT_GT(metrics.GetGauge("chorel.distinct_labels", "")->value(), 0);
 }
 
 // ------------------------------------------ disassembler smoke
