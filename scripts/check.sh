@@ -24,10 +24,11 @@
 #                               # this tree's (Release build in build-bench/)
 #                               # and compares each file with REV's; fails on
 #                               # any >15% slowdown. Both captures run on the
-#                               # same box one after the other, so the gate
-#                               # measures the change, not the machine. Not
-#                               # part of `all` — timing needs a quiet
-#                               # machine.
+#                               # same box, one after the other, with one
+#                               # sample per row, so noise alone can flag a
+#                               # row the change did not touch (ROADMAP item
+#                               # 12). Not part of `all` — timing needs a
+#                               # quiet machine.
 #
 # Each mode uses its own build tree (build/, build-werror/, build-tsan/,
 # build-asan/, build-coverage/), all ignored by git.

@@ -183,48 +183,66 @@ class StructuralMatcher {
   std::unordered_map<NodeId, NodeId> fwd_, rev_;
 };
 
+// The ops against the matching, from one pass over each side's node
+// records. As in keyed mode only the emitted ops are sorted: unmatched
+// `to` ids (their order hands out the fresh ids), then add and rem by
+// parent and out-arc position. Updates follow the matching's order.
 Result<ChangeSet> StructuralDiff(const OemDatabase& from,
                                  const OemDatabase& to) {
-  std::unordered_map<NodeId, NodeId> fwd =
-      StructuralMatcher(from, to).Match();
+  std::unordered_map<NodeId, NodeId> fwd = MatchStructure(from, to);
   std::unordered_map<NodeId, NodeId> rev;  // to -> from-space id
   for (const auto& [f, t] : fwd) rev[t] = f;
+
+  // A `to` arc is kept only if both ends are matched and their
+  // counterparts share it; an unmatched end gets a fresh id.
+  std::vector<NodeId> unmatched;
+  std::vector<std::pair<NodeId, size_t>> adds, rems;
+  to.ForEachNode([&](NodeId t, const Value&, const std::vector<OutArc>& out) {
+    auto p = rev.find(t);
+    if (p == rev.end()) unmatched.push_back(t);
+    for (size_t i = 0; i < out.size(); ++i) {
+      auto c = rev.find(out[i].child);
+      if (p == rev.end() || c == rev.end() ||
+          !from.HasArc(p->second, out[i].label, c->second)) {
+        adds.emplace_back(t, i);
+      }
+    }
+  });
+  // An unmatched `from` parent dies; deletion is by reachability.
+  from.ForEachNode([&](NodeId f, const Value&,
+                       const std::vector<OutArc>& out) {
+    auto p = fwd.find(f);
+    if (p == fwd.end()) return;
+    for (size_t i = 0; i < out.size(); ++i) {
+      auto c = fwd.find(out[i].child);
+      if (c == fwd.end() || !to.HasArc(p->second, out[i].label, c->second)) {
+        rems.emplace_back(f, i);
+      }
+    }
+  });
+  std::sort(unmatched.begin(), unmatched.end());
+  std::sort(adds.begin(), adds.end());
+  std::sort(rems.begin(), rems.end());
 
   ChangeSet ops;
   // Fresh ids for unmatched to-nodes, safely above both id spaces.
   NodeId next_fresh = std::max(from.PeekNextId(), to.PeekNextId());
-  for (NodeId t : to.NodeIds()) {
-    if (!rev.contains(t)) {
-      NodeId fresh = next_fresh++;
-      rev[t] = fresh;
-      ops.push_back(ChangeOp::CreNode(fresh, *to.GetValue(t)));
-    }
+  for (NodeId t : unmatched) {
+    rev[t] = next_fresh;
+    ops.push_back(ChangeOp::CreNode(next_fresh++, *to.GetValue(t)));
   }
-  // Updates on matched nodes whose values differ.
   for (const auto& [f, t] : fwd) {
     if (!(*from.GetValue(f) == *to.GetValue(t))) {
       ops.push_back(ChangeOp::UpdNode(f, *to.GetValue(t)));
     }
   }
-  // Arcs of `to`, mapped into from-space.
-  for (const Arc& a : to.AllArcs()) {
-    NodeId p = rev.at(a.parent);
-    NodeId c = rev.at(a.child);
-    if (!from.HasNode(p) || !from.HasNode(c) ||
-        !from.HasArc(p, a.label, c)) {
-      ops.push_back(ChangeOp::AddArc(p, a.label, c));
-    }
+  for (const auto& [t, i] : adds) {
+    const OutArc& a = to.OutArcs(t)[i];
+    ops.push_back(ChangeOp::AddArc(rev.at(t), a.label, rev.at(a.child)));
   }
-  // Arcs of `from` with no counterpart in `to`.
-  for (const Arc& a : from.AllArcs()) {
-    auto fp = fwd.find(a.parent);
-    if (fp == fwd.end()) continue;  // parent dies; deletion by reachability
-    auto fc = fwd.find(a.child);
-    bool kept = fc != fwd.end() &&
-                to.HasArc(fp->second, a.label, fc->second);
-    if (!kept) {
-      ops.push_back(ChangeOp::RemArc(a.parent, a.label, a.child));
-    }
+  for (const auto& [f, i] : rems) {
+    const OutArc& a = from.OutArcs(f)[i];
+    ops.push_back(ChangeOp::RemArc(f, a.label, a.child));
   }
   return ops;
 }
@@ -244,6 +262,11 @@ Status CheckRoot(const OemDatabase& db, const char* side) {
 }
 
 }  // namespace
+
+std::unordered_map<NodeId, NodeId> MatchStructure(const OemDatabase& from,
+                                                  const OemDatabase& to) {
+  return StructuralMatcher(from, to).Match();
+}
 
 Result<ChangeSet> DiffSnapshots(const OemDatabase& from,
                                 const OemDatabase& to, DiffMode mode) {

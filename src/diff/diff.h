@@ -1,6 +1,8 @@
 #ifndef DOEM_DIFF_DIFF_H_
 #define DOEM_DIFF_DIFF_H_
 
+#include <unordered_map>
+
 #include "common/result.h"
 #include "oem/change.h"
 #include "oem/oem.h"
@@ -44,6 +46,12 @@ enum class DiffMode { kKeyed, kStructural };
 /// ops it emits: O(|to| + |U| log |U|) hash probes and comparisons.
 Result<ChangeSet> DiffSnapshots(const OemDatabase& from,
                                 const OemDatabase& to, DiffMode mode);
+
+/// kStructural's node matching: a partial injective map from `from` ids to
+/// `to` ids, rooted at the two roots. The structural diff emits its ops
+/// against it, in an order that follows from it and the two graphs alone.
+std::unordered_map<NodeId, NodeId> MatchStructure(const OemDatabase& from,
+                                                  const OemDatabase& to);
 
 /// Summary counters for reporting (htmldiff markup, QSS logs, benches).
 struct DiffStats {

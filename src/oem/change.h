@@ -85,7 +85,7 @@ ChangeSet CanonicalOrder(const ChangeSet& ops);
 /// not O(graph): U is applied in place in canonical order,
 /// each op through its OemDatabase mutator (so those stay the one
 /// statement of the op rules and their errors), and an undo log restores
-/// the exact pre-state (arc order, ArcSeq, label counts, burned ids, id
+/// the exact pre-state (arc order, ArcSeq, label buckets, burned ids, id
 /// floor) on the first failure, whose Status is returned unchanged.
 /// Garbage is then collected only in the out-closure of the created nodes
 /// and of the removed arcs' children.

@@ -124,11 +124,14 @@ bool FindIsomorphism(const OemDatabase& a, const OemDatabase& b,
   if (fwd.size() != a.node_count()) return false;
 
   // Verify arcs under the mapping.
-  for (const Arc& arc : a.AllArcs()) {
-    if (!b.HasArc(fwd.at(arc.parent), arc.label, fwd.at(arc.child))) {
-      return false;
+  bool arcs_match = true;
+  a.ForEachNode([&](NodeId p, const Value&, const std::vector<OutArc>& out) {
+    for (const OutArc& arc : out) {
+      arcs_match = arcs_match &&
+                   b.HasArc(fwd.at(p), arc.label, fwd.at(arc.child));
     }
-  }
+  });
+  if (!arcs_match) return false;
   if (mapping) *mapping = std::move(fwd);
   return true;
 }

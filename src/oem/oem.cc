@@ -104,13 +104,12 @@ Status OemDatabase::AddArcForce(NodeId parent, const std::string& label,
   if (c == nullptr) {
     return Status::NotFound("addArc: no child node " + std::to_string(child));
   }
-  if (!arcs_.try_emplace(Arc{parent, label, child}, next_arc_seq_).second) {
+  if (FindArc(parent, *p, label, child) != nullptr) {
     return Status::InvalidChange("addArc: arc " +
                                  Arc{parent, label, child}.ToString() +
                                  " already exists");
   }
-  ++next_arc_seq_;
-  p->out.push_back(OutArc{label, child});
+  p->out.push_back(OutArc{label, child, next_arc_seq_++});
   IndexAddedArc(parent, *p, p->out.size() - 1);
   ++c->in;
   return Status::OK();
@@ -127,12 +126,6 @@ Status OemDatabase::MoveOutArcs(NodeId from, NodeId to) {
     return Status::InvalidArgument(
         "MoveOutArcs: target " + std::to_string(to) +
         " must be another complex node without out-arcs");
-  }
-  // Re-key each arc in place: the node handle keeps its label and ArcSeq.
-  for (const OutArc& a : src->out) {
-    auto moved = arcs_.extract(arcs_.find(ArcRef{from, a.label, a.child}));
-    moved.key().parent = to;
-    arcs_.insert(std::move(moved));
   }
   if (src->out.size() > kWideOutDegree) {
     auto buckets = wide_.extract(from);
@@ -151,35 +144,50 @@ Status OemDatabase::RemArc(NodeId parent, const std::string& label,
 
 Status OemDatabase::RemArc(NodeId parent, const std::string& label,
                            NodeId child, ArcSlot* slot) {
-  auto arc = arcs_.find(ArcRef{parent, label, child});
-  if (arc == arcs_.end()) {
+  auto missing = [&] {
     return Status::NotFound("remArc: no arc " +
                             Arc{parent, label, child}.ToString());
-  }
-  uint64_t seq = arc->second;
-  arcs_.erase(arc);
-  Node& p = *Find(*this, parent);
-  auto out = std::find_if(p.out.begin(), p.out.end(), [&](const OutArc& a) {
+  };
+  Node* p = Find(*this, parent);
+  if (p == nullptr) return missing();
+  auto out = std::find_if(p->out.begin(), p->out.end(), [&](const OutArc& a) {
     return a.child == child && a.label == label;
   });
+  if (out == p->out.end()) return missing();
   if (slot != nullptr) {
-    *slot = ArcSlot{seq, static_cast<size_t>(out - p.out.begin())};
+    *slot = ArcSlot{out->seq, static_cast<size_t>(out - p->out.begin())};
   }
-  p.out.erase(out);
-  IndexRemovedArc(parent, p, label, child);
+  p->out.erase(out);
+  IndexRemovedArc(parent, *p, label, child);
   --Find(*this, child)->in;
   return Status::OK();
 }
 
+const uint64_t* OemDatabase::FindArc(NodeId node, const Node& n,
+                                     std::string_view label,
+                                     NodeId child) const {
+  if (n.out.size() <= kWideOutDegree) {
+    for (const OutArc& a : n.out) {
+      if (a.child == child && a.label == label) return &a.seq;
+    }
+    return nullptr;
+  }
+  const auto& seqs = wide_.find(node)->second.seq;
+  auto seq = seqs.find(LabelChild{label, child});
+  return seq == seqs.end() ? nullptr : &seq->second;
+}
+
 bool OemDatabase::HasArc(NodeId parent, const std::string& label,
                          NodeId child) const {
-  return arcs_.contains(ArcRef{parent, label, child});
+  const Node* p = Find(*this, parent);
+  return p != nullptr && FindArc(parent, *p, label, child) != nullptr;
 }
 
 std::optional<uint64_t> OemDatabase::ArcSeq(ArcRef arc) const {
-  auto it = arcs_.find(arc);
-  if (it == arcs_.end()) return std::nullopt;
-  return it->second;
+  const Node* p = Find(*this, arc.parent);
+  const uint64_t* seq =
+      p == nullptr ? nullptr : FindArc(arc.parent, *p, arc.label, arc.child);
+  return seq == nullptr ? std::nullopt : std::optional(*seq);
 }
 
 const Value* OemDatabase::GetValue(NodeId node) const {
@@ -203,7 +211,7 @@ const std::vector<NodeId>* OemDatabase::Bucket(NodeId node,
     *narrow = n;
     return nullptr;
   }
-  const Buckets& buckets = wide_.find(node)->second;
+  const auto& buckets = wide_.find(node)->second.buckets;
   auto bucket = buckets.find(label);
   return bucket == buckets.end() ? nullptr : &bucket->second;
 }
@@ -259,14 +267,18 @@ NodeId OemDatabase::Child(NodeId node, const std::string& label) const {
 void OemDatabase::IndexAddedArc(NodeId node, const Node& n, size_t pos) {
   if (n.out.size() <= kWideOutDegree) return;
   auto [entry, fresh] = wide_.try_emplace(node);
-  Buckets& buckets = entry->second;
+  Wide& wide = entry->second;
   if (fresh) {
     // The node just became wide.
-    for (const OutArc& a : n.out) buckets[a.label].push_back(a.child);
+    for (const OutArc& a : n.out) {
+      wide.buckets[a.label].push_back(a.child);
+      wide.seq.emplace(std::pair(a.label, a.child), a.seq);
+    }
     return;
   }
   const OutArc& arc = n.out[pos];
-  std::vector<NodeId>& bucket = buckets[arc.label];
+  wide.seq.emplace(std::pair(arc.label, arc.child), arc.seq);
+  std::vector<NodeId>& bucket = wide.buckets[arc.label];
   // The arc's place among its label's arcs; an appended arc is last.
   size_t rank = pos + 1 == n.out.size()
                     ? bucket.size()
@@ -286,10 +298,12 @@ void OemDatabase::IndexRemovedArc(NodeId node, const Node& n,
     wide_.erase(entry);  // it was wide and is narrow now
     return;
   }
-  auto bucket = entry->second.find(label);
+  Wide& wide = entry->second;
+  wide.seq.erase(wide.seq.find(LabelChild{label, child}));
+  auto bucket = wide.buckets.find(label);
   std::vector<NodeId>& children = bucket->second;
   children.erase(std::find(children.begin(), children.end(), child));
-  if (children.empty()) entry->second.erase(bucket);
+  if (children.empty()) wide.buckets.erase(bucket);
 }
 
 std::vector<NodeId> OemDatabase::NodeIds() const {
@@ -302,7 +316,6 @@ std::vector<NodeId> OemDatabase::NodeIds() const {
 
 std::vector<Arc> OemDatabase::AllArcs() const {
   std::vector<Arc> arcs;
-  arcs.reserve(arcs_.size());
   for (NodeId p : NodeIds()) {
     for (const OutArc& a : OutArcs(p)) {
       arcs.push_back(Arc{p, a.label, a.child});
@@ -342,7 +355,6 @@ void OemDatabase::EraseUnreachable(const std::vector<NodeId>& dead) {
     auto it = nodes_.find(id);
     if (it->second.out.size() > kWideOutDegree) wide_.erase(id);
     for (const OutArc& a : it->second.out) {
-      arcs_.erase(arcs_.find(ArcRef{id, a.label, a.child}));
       if (Node* c = Find(*this, a.child)) --c->in;
     }
     nodes_.erase(it);
@@ -367,7 +379,6 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
         break;
       case ChangeOp::Kind::kAddArc: {
         // The arc is the newest of its parent's, so last in both lists.
-        arcs_.erase(arc);
         Node& p = *Find(*this, arc.parent);
         p.out.pop_back();
         IndexRemovedArc(arc.parent, p, arc.label, arc.child);
@@ -376,9 +387,9 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
       }
       case ChangeOp::Kind::kRemArc: {
         const ArcSlot& slot = undo->slot;
-        arcs_.emplace(arc, slot.seq);
         Node& p = *Find(*this, arc.parent);
-        p.out.insert(p.out.begin() + slot.out_pos, OutArc{arc.label, arc.child});
+        p.out.insert(p.out.begin() + slot.out_pos,
+                     OutArc{arc.label, arc.child, slot.seq});
         IndexAddedArc(arc.parent, p, slot.out_pos);
         ++Find(*this, arc.child)->in;
         break;
@@ -476,16 +487,20 @@ Status OemDatabase::Validate() const {
 }
 
 bool OemDatabase::Equals(const OemDatabase& other) const {
-  if (root_ != other.root_ || nodes_.size() != other.nodes_.size() ||
-      arcs_.size() != other.arcs_.size()) {
+  if (root_ != other.root_ || nodes_.size() != other.nodes_.size()) {
     return false;
   }
+  // Neither side has duplicate arcs, so equal out-degrees and containment
+  // make each node's out-arcs the same set.
   for (const auto& [id, n] : nodes_) {
-    const Value* ov = other.GetValue(id);
-    if (ov == nullptr || !(*ov == n.value)) return false;
-  }
-  for (const auto& [a, seq] : arcs_) {
-    if (!other.arcs_.contains(a)) return false;
+    const Node* o = Find(other, id);
+    if (o == nullptr || !(o->value == n.value) ||
+        o->out.size() != n.out.size()) {
+      return false;
+    }
+    for (const OutArc& a : n.out) {
+      if (other.FindArc(id, *o, a.label, a.child) == nullptr) return false;
+    }
   }
   return true;
 }

@@ -24,12 +24,17 @@ using NodeId = uint64_t;
 constexpr NodeId kInvalidNode = 0;
 
 /// A labeled outgoing arc (l, c) of some parent object: "the object with
-/// identifier c is an l-labeled subobject of the parent".
+/// identifier c is an l-labeled subobject of the parent". `seq` is its
+/// ArcSeq; equality compares only (l, c), so out-arc lists of two
+/// databases are equal when they list the same arcs in the same order.
 struct OutArc {
   std::string label;
   NodeId child = kInvalidNode;
+  uint64_t seq = 0;
 
-  bool operator==(const OutArc& o) const = default;
+  bool operator==(const OutArc& o) const {
+    return child == o.child && label == o.label;
+  }
 };
 
 /// An arc (p, l, c) with a borrowed label, for probing Arc-keyed tables
@@ -54,8 +59,8 @@ struct Arc {
 };
 
 /// Hash and equality of an arc's identity (p, l, c). The one key for every
-/// arc-indexed table: OemDatabase's arc set, DOEM arc annotations and the
-/// encoder's arc-history map. Transparent, so lookups take an ArcRef.
+/// arc-indexed table: the DOEM arc annotations and the encoder's
+/// arc-history map. Transparent, so lookups take an ArcRef.
 struct ArcHash {
   using is_transparent = void;
   size_t operator()(ArcRef a) const {
@@ -162,6 +167,8 @@ class OemDatabase {
 
   NodeId root() const { return root_; }
   bool HasNode(NodeId node) const { return nodes_.contains(node); }
+  /// Whether arc (parent, label, child) exists. One probe when `parent` is
+  /// wide, a scan of its out-arcs otherwise.
   bool HasArc(NodeId parent, const std::string& label, NodeId child) const;
 
   /// Value of `node`; null if the node does not exist.
@@ -170,7 +177,7 @@ class OemDatabase {
   /// The arc's insertion sequence number, or nullopt if there is no such
   /// arc. Every AddArc takes the next number and none is reused; out-arc
   /// lists and label buckets only append and erase, so both list their
-  /// arcs in ascending sequence order.
+  /// arcs in ascending sequence order. Found as HasArc finds the arc.
   std::optional<uint64_t> ArcSeq(ArcRef arc) const;
 
   /// Outgoing arcs of `node` in insertion order; empty if none/unknown.
@@ -199,7 +206,12 @@ class OemDatabase {
   size_t InDegree(NodeId node) const;
 
   size_t node_count() const { return nodes_.size(); }
-  size_t arc_count() const { return arcs_.size(); }
+  /// Number of arcs: the sum of the out-degrees, O(nodes).
+  size_t arc_count() const {
+    size_t arcs = 0;
+    for (const auto& [id, n] : nodes_) arcs += n.out.size();
+    return arcs;
+  }
 
   /// Number of `label`-children of `node`.
   size_t LabelChildCount(NodeId node, const std::string& label) const;
@@ -256,8 +268,9 @@ class OemDatabase {
 
  private:
   /// One object: its value, its out-arcs in insertion order (which is
-  /// ArcSeq order), and its in-degree. Label lookups on it scan `out`
-  /// unless the node is wide, when they probe its buckets in `wide_`.
+  /// ArcSeq order), and its in-degree; `out` is the one record of each arc.
+  /// Label and arc lookups on it scan `out` unless the node is wide, when
+  /// they probe its index in `wide_`.
   struct Node {
     Value value;
     std::vector<OutArc> out;
@@ -267,12 +280,32 @@ class OemDatabase {
     size_t in = 0;
   };
 
-  /// A wide node's children by label, each list in out-arc order.
-  using Buckets = std::unordered_map<std::string, std::vector<NodeId>>;
+  /// An arc (label, child) of one node, with a borrowed label. Transparent
+  /// hash and equality, so probes build no string.
+  using LabelChild = std::pair<std::string_view, NodeId>;
+  struct LabelChildHash {
+    using is_transparent = void;
+    size_t operator()(LabelChild a) const {
+      return std::hash<std::string_view>{}(a.first) ^
+             (a.second * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+  struct LabelChildEq {
+    using is_transparent = void;
+    bool operator()(LabelChild a, LabelChild b) const { return a == b; }
+  };
+  /// A wide node's index: its children by label, each list in out-arc
+  /// order, and the ArcSeq of each of its arcs by (label, child).
+  struct Wide {
+    std::unordered_map<std::string, std::vector<NodeId>> buckets;
+    std::unordered_map<std::pair<std::string, NodeId>, uint64_t,
+                       LabelChildHash, LabelChildEq>
+        seq;
+  };
 
   /// The width bound: a node whose out-degree exceeds it is wide and keeps
-  /// Buckets in `wide_`, so a label lookup on it is one probe however many
-  /// labels it has (the guide root; a merged QSS group's wrapper root has
+  /// a Wide index in `wide_`, so a label or arc lookup on it is one probe
+  /// however many labels it has (the guide root; a merged QSS group's wrapper root has
   /// one per subscriber). Below it a scan of `out` is as fast and costs no
   /// allocation per node. Exact after every mutator, rollback, move and
   /// copy: a node has an entry in `wide_` iff its out-degree is above it.
@@ -318,6 +351,10 @@ class OemDatabase {
   /// `*narrow` to the record of a narrow node, which the caller scans.
   const std::vector<NodeId>* Bucket(NodeId node, const std::string& label,
                                     const Node** narrow) const;
+  /// The ArcSeq of arc (node, label, child), or null if there is none;
+  /// `n` is the record of `node`.
+  const uint64_t* FindArc(NodeId node, const Node& n, std::string_view label,
+                          NodeId child) const;
   /// Keeps `wide_` exact after n.out (the record of `node`) gained the arc
   /// at `pos`.
   void IndexAddedArc(NodeId node, const Node& n, size_t pos);
@@ -337,11 +374,9 @@ class OemDatabase {
   }
 
   std::unordered_map<NodeId, Node> nodes_;
-  // The label buckets of the wide nodes, by node id.
-  std::unordered_map<NodeId, Buckets> wide_;
-  // Every arc with its insertion sequence number (ArcSeq), for O(1)
-  // AddArc/HasArc even when one label has many children under one parent.
-  ArcMap<uint64_t> arcs_;
+  // The index of each wide node, by node id.
+  std::unordered_map<NodeId, Wide> wide_;
+  // The ArcSeq the next AddArc takes.
   uint64_t next_arc_seq_ = 0;
   // Ids of erased nodes.
   std::unordered_set<NodeId> erased_;

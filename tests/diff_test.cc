@@ -272,6 +272,129 @@ TEST(KeyedDiffTest, SameAsReferenceOverGuideSteps) {
   }
 }
 
+// The structural diff's ops read straight off NodeIds() and AllArcs(),
+// against the same matching: the reference for the ops, and their order,
+// of the diff over node records.
+ChangeSet ReferenceStructuralDiff(const OemDatabase& from,
+                                  const OemDatabase& to) {
+  std::unordered_map<NodeId, NodeId> fwd = MatchStructure(from, to);
+  std::unordered_map<NodeId, NodeId> rev;
+  for (const auto& [f, t] : fwd) rev[t] = f;
+  ChangeSet ops;
+  NodeId next_fresh = std::max(from.PeekNextId(), to.PeekNextId());
+  for (NodeId t : to.NodeIds()) {
+    if (!rev.contains(t)) {
+      NodeId fresh = next_fresh++;
+      rev[t] = fresh;
+      ops.push_back(ChangeOp::CreNode(fresh, *to.GetValue(t)));
+    }
+  }
+  for (const auto& [f, t] : fwd) {
+    if (!(*from.GetValue(f) == *to.GetValue(t))) {
+      ops.push_back(ChangeOp::UpdNode(f, *to.GetValue(t)));
+    }
+  }
+  for (const Arc& a : to.AllArcs()) {
+    NodeId p = rev.at(a.parent);
+    NodeId c = rev.at(a.child);
+    if (!from.HasNode(p) || !from.HasNode(c) ||
+        !from.HasArc(p, a.label, c)) {
+      ops.push_back(ChangeOp::AddArc(p, a.label, c));
+    }
+  }
+  for (const Arc& a : from.AllArcs()) {
+    auto fp = fwd.find(a.parent);
+    if (fp == fwd.end()) continue;
+    auto fc = fwd.find(a.child);
+    if (fc == fwd.end() || !to.HasArc(fp->second, a.label, fc->second)) {
+      ops.push_back(ChangeOp::RemArc(a.parent, a.label, a.child));
+    }
+  }
+  return ops;
+}
+
+// Adds the ops' counts to `*seen`, if non-null.
+void ExpectSameAsStructuralReference(const OemDatabase& from,
+                                     const OemDatabase& to,
+                                     DiffStats* seen = nullptr) {
+  auto ops = DiffSnapshots(from, to, DiffMode::kStructural);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  if (seen != nullptr) {
+    DiffStats s = SummarizeChanges(*ops);
+    seen->creations += s.creations;
+    seen->updates += s.updates;
+    seen->arc_additions += s.arc_additions;
+    seen->arc_removals += s.arc_removals;
+  }
+  ChangeSet expected = ReferenceStructuralDiff(from, to);
+  EXPECT_EQ(*ops, expected) << "got:\n"
+                            << ChangeSetToString(*ops) << "expected:\n"
+                            << ChangeSetToString(expected);
+}
+
+// `db` with every id moved above both id spaces, as a source that
+// re-packages each answer hands it over.
+OemDatabase Renumbered(const OemDatabase& db, NodeId floor) {
+  OemDatabase fresh;
+  fresh.ReserveIdsBelow(floor);
+  auto map = CopyReachable(db, {db.root()}, &fresh, false);
+  EXPECT_TRUE(map.ok());
+  EXPECT_TRUE(fresh.SetRoot(map->at(db.root())).ok());
+  return fresh;
+}
+
+TEST(StructuralDiffTest, SameAsReferenceOverRandomPairs) {
+  DiffStats seen;
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    testing::DatabaseOptions opts;
+    opts.seed = seed;
+    opts.node_count = 40 + 20 * seed;
+    OemDatabase from = testing::RandomDatabase(opts);
+    OemDatabase to = from;
+    testing::HistoryOptions hopts;
+    hopts.seed = seed + 100;
+    hopts.steps = 4;
+    ASSERT_TRUE(testing::RandomHistory(from, hopts).ApplyTo(&to).ok());
+    ExpectSameAsStructuralReference(from, to, &seen);
+    ExpectSameAsStructuralReference(to, from, &seen);
+    OemDatabase moved = Renumbered(to, from.PeekNextId() + 1000);
+    ExpectSameAsStructuralReference(from, moved, &seen);
+    ExpectSameAsStructuralReference(moved, from, &seen);
+    opts.seed = seed + 1000;
+    ExpectSameAsStructuralReference(from, testing::RandomDatabase(opts),
+                                    &seen);
+  }
+  // Every kind of op, so each sorted key order is checked.
+  EXPECT_GT(seen.creations, 0u);
+  EXPECT_GT(seen.updates, 0u);
+  EXPECT_GT(seen.arc_additions, 0u);
+  EXPECT_GT(seen.arc_removals, 0u);
+}
+
+TEST(StructuralDiffTest, SameAsReferenceOverGuideSteps) {
+  const OemDatabase guide = testing::SyntheticGuide(40);
+  for (const OemHistory& h :
+       {testing::SyntheticGuideChurn(guide, 12, 4),
+        testing::SyntheticGuideHistory(guide, 12, 6)}) {
+    OemDatabase before = guide;
+    for (const HistoryStep& step : h.steps()) {
+      OemDatabase after = before;
+      ASSERT_TRUE(ApplyChangeSet(&after, step.changes).ok());
+      ExpectSameAsStructuralReference(before, after);
+      ExpectSameAsStructuralReference(
+          before, Renumbered(after, after.PeekNextId() + 1000));
+      before = std::move(after);
+    }
+  }
+  // The paper's guide and its Example 2.2 modifications.
+  Guide g = BuildGuide();
+  OemDatabase to = g.db;
+  ASSERT_TRUE(GuideHistory().ApplyTo(&to).ok());
+  ExpectSameAsStructuralReference(g.db, to);
+  ExpectSameAsStructuralReference(to, g.db);
+}
+
 TEST(DiffTest, RejectsIllFormedInputs) {
   OemDatabase no_root;
   no_root.NewComplex();

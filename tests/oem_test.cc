@@ -273,6 +273,30 @@ TEST(OemDatabaseTest, EqualsIsExact) {
   EXPECT_TRUE(a.db.Equals(b.db));
   ASSERT_TRUE(b.db.UpdNode(b.bangkok_price, Value::Int(11)).ok());
   EXPECT_FALSE(a.db.Equals(b.db));
+
+  // The same arcs in another out-arc order: Bangkok's name arc, removed
+  // and added again, moves to the end of its list.
+  Guide c = BuildGuide();
+  NodeId name = c.db.Child(c.bangkok, "name");
+  ASSERT_TRUE(c.db.RemArc(c.bangkok, "name", name).ok());
+  ASSERT_TRUE(c.db.AddArc(c.bangkok, "name", name).ok());
+  ASSERT_NE(c.db.OutArcs(c.bangkok), a.db.OutArcs(c.bangkok));
+  EXPECT_TRUE(a.db.Equals(c.db));
+  EXPECT_TRUE(c.db.Equals(a.db));
+
+  // Two name arcs swap parents: every node keeps its value and its
+  // out-degree, and the counts of nodes and arcs stay the same.
+  Guide d = BuildGuide();
+  NodeId bangkok_name = d.db.Child(d.bangkok, "name");
+  NodeId janta_name = d.db.Child(d.janta, "name");
+  ASSERT_TRUE(d.db.RemArc(d.bangkok, "name", bangkok_name).ok());
+  ASSERT_TRUE(d.db.RemArc(d.janta, "name", janta_name).ok());
+  ASSERT_TRUE(d.db.AddArc(d.bangkok, "name", janta_name).ok());
+  ASSERT_TRUE(d.db.AddArc(d.janta, "name", bangkok_name).ok());
+  ASSERT_EQ(d.db.node_count(), a.db.node_count());
+  ASSERT_EQ(d.db.arc_count(), a.db.arc_count());
+  EXPECT_FALSE(a.db.Equals(d.db));
+  EXPECT_FALSE(d.db.Equals(a.db));
 }
 
 // A brute-force OemDatabase: values by id, every arc in one list in
@@ -628,23 +652,49 @@ TEST(OemDatabaseTest, LabelBucketsOnlyAboveTheWidthBound) {
   ASSERT_TRUE(db.AddArc(root, "hub", hub).ok());
   ASSERT_TRUE(db.AddArc(root, "spare", spare).ok());
   std::vector<NodeId> kids;
+  // The arc lookups of a node whose out-arcs are the x-arcs to `kids`:
+  // HasArc, a duplicate AddArc and a RemArc of a missing arc.
+  auto expect_arc_lookups = [&](NodeId parent) {
+    SCOPED_TRACE(std::to_string(kids.size()) + " arcs");
+    for (NodeId k : kids) {
+      EXPECT_TRUE(db.HasArc(parent, "x", k)) << k;
+      EXPECT_FALSE(db.HasArc(parent, "y", k)) << k;
+      EXPECT_EQ(db.AddArc(parent, "x", k).code(), StatusCode::kInvalidChange)
+          << k;
+    }
+    EXPECT_FALSE(db.HasArc(parent, "x", spare));
+    EXPECT_EQ(db.RemArc(parent, "x", spare).code(), StatusCode::kNotFound);
+    EXPECT_EQ(db.RemArc(parent, "y", kids.front()).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(db.OutArcs(parent).size(), kids.size());
+  };
   for (size_t i = 0; i <= kWideOutDegree; ++i) {
     EXPECT_EQ(db.ChildBucket(hub, "x"), nullptr) << i << " arcs";
     kids.push_back(db.NewInt(static_cast<int64_t>(i)));
     ASSERT_TRUE(db.AddArc(hub, "x", kids.back()).ok());
     EXPECT_EQ(db.Children(hub, "x"), kids);
     EXPECT_EQ(db.LabelChildCount(hub, "x"), kids.size());
+    if (kids.size() >= kWideOutDegree) expect_arc_lookups(hub);
   }
   const std::vector<NodeId>* bucket = db.ChildBucket(hub, "x");
   ASSERT_NE(bucket, nullptr) << kWideOutDegree + 1 << " arcs";
   EXPECT_EQ(*bucket, kids);
   EXPECT_EQ(db.ChildBucket(hub, "y"), nullptr) << "no y-children";
 
-  // The buckets move with the arcs, and go with a collected node.
+  // The buckets move with the arcs, which keep their ArcSeq, and go with
+  // a collected node.
+  std::vector<std::optional<uint64_t>> seqs;
+  for (NodeId k : kids) seqs.push_back(db.ArcSeq({hub, "x", k}));
   ASSERT_TRUE(db.MoveOutArcs(hub, spare).ok());
   EXPECT_EQ(db.ChildBucket(hub, "x"), nullptr);
   ASSERT_NE(db.ChildBucket(spare, "x"), nullptr);
   EXPECT_EQ(*db.ChildBucket(spare, "x"), kids);
+  for (size_t i = 0; i < kids.size(); ++i) {
+    ASSERT_TRUE(seqs[i].has_value());
+    EXPECT_EQ(db.ArcSeq({spare, "x", kids[i]}), seqs[i]) << kids[i];
+    EXPECT_FALSE(db.HasArc(hub, "x", kids[i])) << kids[i];
+  }
+  expect_arc_lookups(spare);
   OemDatabase collected = db;
   ASSERT_TRUE(collected.RemArc(root, "spare", spare).ok());
   EXPECT_EQ(collected.CollectGarbage().size(), kids.size() + 1);
@@ -655,6 +705,7 @@ TEST(OemDatabaseTest, LabelBucketsOnlyAboveTheWidthBound) {
   EXPECT_EQ(db.ChildBucket(spare, "x"), nullptr) << kWideOutDegree << " arcs";
   EXPECT_EQ(db.Children(spare, "x"), kids);
   EXPECT_EQ(db.Child(spare, "x"), kids.front());
+  expect_arc_lookups(spare);
 }
 
 // ------------------------------------------------------------- ChangeOps
