@@ -10,12 +10,16 @@
 //                          (interval 1 = checkpoint every poll).
 //   BM_StoreRecovery     — cold Open() latency vs committed history
 //                          length at a fixed checkpoint interval.
+//   BM_StoreAsOf         — time travel over a recovered history: the
+//   BM_StoreBetween        snapshot at the middle step, and a 16-step
+//                          window from there, vs history length.
 //
 // Claims to check: append cost is flat in history length (the log is
 // append-only); checkpoint interval trades write amplification
 // (bytes_written shrinks as the interval grows) against recovery replay;
 // recovery latency grows with the distance back to the last checkpoint,
-// not with total history length.
+// not with total history length; AsOf and Between grow with the graph and
+// the window, not with the number of steps outside it.
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +30,7 @@
 #include "doem/doem.h"
 #include "store/file.h"
 #include "store/store.h"
+#include "store/time_travel.h"
 #include "testing/generators.h"
 
 namespace doem {
@@ -144,6 +149,44 @@ void BM_StoreRecovery(benchmark::State& state) {
   state.counters["history"] = static_cast<double>(steps);
 }
 BENCHMARK(BM_StoreRecovery)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
+    ->ArgNames({"history"});
+
+// The DOEM database of a `steps`-step script and the stamps of the 16-step
+// window that starts at its middle step.
+struct Archive {
+  DoemDatabase db;
+  Timestamp from;
+  Timestamp to;
+};
+
+Archive MakeArchive(size_t steps) {
+  Script s = MakeScript(steps, 4);
+  auto db = DoemDatabase::Build(s.base, s.history);
+  assert(db.ok());
+  const auto& all = s.history.steps();
+  return {std::move(db).value(), all[steps / 2].time,
+          all[steps / 2 + 16].time};
+}
+
+void BM_StoreAsOf(benchmark::State& state) {
+  Archive a = MakeArchive(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto past = store::AsOf(a.db, a.from);
+    benchmark::DoNotOptimize(past.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreAsOf)->Arg(64)->Arg(256)->Arg(1024)->ArgNames({"history"});
+
+void BM_StoreBetween(benchmark::State& state) {
+  Archive a = MakeArchive(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto window = store::Between(a.db, a.from, a.to);
+    benchmark::DoNotOptimize(window.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreBetween)->Arg(64)->Arg(256)->Arg(1024)
     ->ArgNames({"history"});
 
 }  // namespace

@@ -13,7 +13,8 @@
 #   BENCH_chorel_incremental.json  BM_ChorelDeltaMaintenance
 #   BENCH_obs_overhead.json        BM_QssObsOverhead + instrument microcosts
 #   BENCH_store_recovery.json      BM_StoreAppend / BM_StoreCheckpoint /
-#                                  BM_StoreRecovery
+#                                  BM_StoreRecovery / BM_StoreAsOf /
+#                                  BM_StoreBetween
 #   BENCH_vm_dispatch.json         BM_VmPathLength / BM_VmChorelFilter /
 #                                  BM_VmDirectSeeded
 #   BENCH_qss_fanout.json          BM_QssFanOut (layered poll-group fan-out,
@@ -29,6 +30,9 @@
 #                                  snapshot size and change volume) +
 #                                  BM_SourceFetch (the fetch layer: source
 #                                  query, answer packaging, validation)
+#   BENCH_extract_history.json     BM_ExtractHistory / BM_IsFeasible /
+#                                  BM_OriginalSnapshot (E3: H(D), the
+#                                  feasibility check, O_0(D))
 #
 # With --compare, captures go to a temporary directory instead of the
 # repo root and each named baseline is diffed against the fresh capture
@@ -45,11 +49,15 @@
 # BENCH_obs_overhead.json, obs:1 and obs:2 stay within ~5% of obs:0
 # (DESIGN.md §6d overhead budget). In BENCH_store_recovery.json,
 # append cost is flat in history length and log_bytes shrinks as the
-# checkpoint interval grows. In BENCH_doem_apply.json, an O(delta) DOEM
-# core is flat in `restaurants`; the ChangeSet rows are, while the
+# checkpoint interval grows; the AsOf and Between rows grow with the
+# graph and the window, not with the history outside the window. In
+# BENCH_doem_apply.json, an O(delta) DOEM core is flat in
+# `restaurants`; the ChangeSet rows are, while the
 # CurrentSnapshot and TwoSnapshotRebase rows still grow with the graph.
 # In BENCH_diff.json the keyed rows grow linearly in `restaurants` (one
-# pass over the new snapshot) and the structural rows faster.
+# pass over the new snapshot) and the structural rows faster. In
+# BENCH_extract_history.json, BM_ExtractHistory is one pass over the
+# graph plus a sort of its ops, not a pass per timestamp.
 #
 # Numbers from unoptimized builds are not comparable: the script reads
 # CMAKE_BUILD_TYPE from the build tree's actual CMakeCache.txt, records
@@ -124,7 +132,7 @@ esac
 cmake --build "$build" -j "$jobs" --target \
   bench_qss_cycle bench_chorel_strategies bench_obs_overhead \
   bench_store_recovery bench_vm_dispatch bench_qss_fanout bench_history_apply \
-  bench_diff
+  bench_diff bench_extract_feasible
 
 # Stamps the cache-derived build type into the capture's context block so
 # downstream consumers can reject or flag non-release data.
@@ -177,10 +185,17 @@ annotate "$outdir"/BENCH_doem_apply.json
   --benchmark_out_format=json
 annotate "$outdir"/BENCH_diff.json
 
+"$build"/bench/bench_extract_feasible \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+  --benchmark_out="$outdir"/BENCH_extract_history.json \
+  --benchmark_out_format=json
+annotate "$outdir"/BENCH_extract_history.json
+
 echo "wrote BENCH_qss_incremental.json, BENCH_chorel_incremental.json," \
      "BENCH_obs_overhead.json, BENCH_store_recovery.json," \
      "BENCH_vm_dispatch.json, BENCH_qss_fanout.json," \
-     "BENCH_doem_apply.json, and BENCH_diff.json to $outdir" \
+     "BENCH_doem_apply.json, BENCH_diff.json, and" \
+     "BENCH_extract_history.json to $outdir" \
      "(cmake_build_type=$build_type)"
 
 if [ "${#baselines[@]}" -gt 0 ]; then

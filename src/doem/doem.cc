@@ -11,6 +11,14 @@ namespace doem {
 
 namespace {
 const AnnotationList kNoAnnotations;
+
+// The first annotation strictly after t in a time-ordered list.
+AnnotationList::const_iterator FirstAfter(const AnnotationList& annots,
+                                          Timestamp t) {
+  return std::upper_bound(
+      annots.begin(), annots.end(), t,
+      [](Timestamp lhs, const Annotation& a) { return lhs < a.time; });
+}
 }  // namespace
 
 Result<DoemDatabase> DoemDatabase::FromSnapshot(OemDatabase base) {
@@ -206,10 +214,7 @@ Value DoemDatabase::ValueAt(NodeId n, Timestamp t) const {
   // Annotation lists are time-ordered, so the earliest annotation strictly
   // after t is found by binary search.
   const AnnotationList& annots = NodeAnnotations(n);
-  auto it = std::upper_bound(
-      annots.begin(), annots.end(), t,
-      [](Timestamp lhs, const Annotation& a) { return lhs < a.time; });
-  for (; it != annots.end(); ++it) {
+  for (auto it = FirstAfter(annots, t); it != annots.end(); ++it) {
     if (it->kind == Annotation::Kind::kUpd) return it->old_value;
   }
   return *current;
@@ -227,9 +232,7 @@ bool DoemDatabase::ArcLiveAt(NodeId p, const std::string& l, NodeId c,
   const AnnotationList& annots = ArcAnnotations(p, l, c);
   // Time-ordered list: the latest annotation at or before t is the one
   // just before the first annotation strictly after t.
-  auto it = std::upper_bound(
-      annots.begin(), annots.end(), t,
-      [](Timestamp lhs, const Annotation& a) { return lhs < a.time; });
+  auto it = FirstAfter(annots, t);
   if (it != annots.begin()) {
     return std::prev(it)->kind == Annotation::Kind::kAdd;
   }
@@ -330,43 +333,56 @@ std::vector<std::pair<Timestamp, NodeId>> DoemDatabase::ArcEvents(
   return out;
 }
 
-OemHistory DoemDatabase::ExtractHistory() const {
+OemHistory DoemDatabase::ExtractHistory(Timestamp after,
+                                        Timestamp through) const {
+  // One pass lists each op of the window with its time, node ops (by id)
+  // before arc ops (AllArcs order); the stable sort by time keeps that
+  // order within each step, which fixes the ArcSeq order of a rebuild.
+  std::vector<std::pair<Timestamp, ChangeOp>> timed;
+  auto is_upd = [](const Annotation& a) {
+    return a.kind == Annotation::Kind::kUpd;
+  };
+  const std::vector<NodeId> ids = graph_.NodeIds();
+  for (NodeId n : ids) {
+    const AnnotationList& annots = NodeAnnotations(n);
+    auto next_upd = annots.begin();
+    for (auto it = FirstAfter(annots, after);
+         it != annots.end() && it->time <= through; ++it) {
+      // Value right after *it: the old value of the next upd annotation,
+      // or the current value (Section 3.2, cases 2-3).
+      if (next_upd <= it) next_upd = std::find_if(it + 1, annots.end(), is_upd);
+      Value v_after =
+          next_upd == annots.end() ? CurrentValue(n) : next_upd->old_value;
+      if (it->kind == Annotation::Kind::kCre) {
+        timed.emplace_back(it->time, ChangeOp::CreNode(n, std::move(v_after)));
+      } else if (it->kind == Annotation::Kind::kUpd) {
+        timed.emplace_back(it->time, ChangeOp::UpdNode(n, std::move(v_after)));
+      }
+    }
+  }
+  for (NodeId p : ids) {
+    for (const OutArc& a : graph_.OutArcs(p)) {
+      const AnnotationList& annots = ArcAnnotations(p, a.label, a.child);
+      for (auto it = FirstAfter(annots, after);
+           it != annots.end() && it->time <= through; ++it) {
+        timed.emplace_back(it->time,
+                           it->kind == Annotation::Kind::kAdd
+                               ? ChangeOp::AddArc(p, a.label, a.child)
+                               : ChangeOp::RemArc(p, a.label, a.child));
+      }
+    }
+  }
+  std::stable_sort(
+      timed.begin(), timed.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
   OemHistory history;
-  for (Timestamp t : AllTimestamps()) {
+  for (size_t i = 0, j = 0; i < timed.size(); i = j) {
     ChangeSet ops;
-    for (NodeId n : graph_.NodeIds()) {
-      const AnnotationList& annots = NodeAnnotations(n);
-      for (size_t i = 0; i < annots.size(); ++i) {
-        if (annots[i].time != t) continue;
-        // Value right after time t: the old value of the next upd
-        // annotation, or the current value (Section 3.2, cases 2-3).
-        Value v_after = CurrentValue(n);
-        for (size_t j = i + 1; j < annots.size(); ++j) {
-          if (annots[j].kind == Annotation::Kind::kUpd) {
-            v_after = annots[j].old_value;
-            break;
-          }
-        }
-        if (annots[i].kind == Annotation::Kind::kCre) {
-          ops.push_back(ChangeOp::CreNode(n, std::move(v_after)));
-        } else if (annots[i].kind == Annotation::Kind::kUpd) {
-          ops.push_back(ChangeOp::UpdNode(n, std::move(v_after)));
-        }
-      }
+    for (; j < timed.size() && timed[j].first == timed[i].first; ++j) {
+      ops.push_back(std::move(timed[j].second));
     }
-    for (const Arc& arc : graph_.AllArcs()) {
-      for (const Annotation& ann :
-           ArcAnnotations(arc.parent, arc.label, arc.child)) {
-        if (ann.time != t) continue;
-        if (ann.kind == Annotation::Kind::kAdd) {
-          ops.push_back(ChangeOp::AddArc(arc.parent, arc.label, arc.child));
-        } else if (ann.kind == Annotation::Kind::kRem) {
-          ops.push_back(ChangeOp::RemArc(arc.parent, arc.label, arc.child));
-        }
-      }
-    }
-    Status s = history.Append(t, std::move(ops));
-    (void)s;  // Timestamps come sorted from AllTimestamps.
+    Status s = history.Append(timed[i].first, std::move(ops));
+    (void)s;  // Steps come sorted by time.
   }
   return history;
 }

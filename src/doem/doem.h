@@ -154,8 +154,14 @@ class DoemDatabase {
   /// All timestamps occurring in annotations, sorted ascending.
   std::vector<Timestamp> AllTimestamps() const;
 
-  /// H(D): the encoded history.
-  OemHistory ExtractHistory() const;
+  /// H(D): the encoded history, restricted to the steps in the window
+  /// (after, through]; by default the whole history. One pass over the
+  /// nodes and arcs, O(N + A + ops in the window) plus a sort of those ops.
+  /// Each step lists node ops by ascending id, then arc ops in AllArcs
+  /// order. A change at time -inf belongs to OriginalSnapshot().
+  OemHistory ExtractHistory(
+      Timestamp after = Timestamp::NegativeInfinity(),
+      Timestamp through = Timestamp::PositiveInfinity()) const;
 
   /// Whether D is feasible: D(O_0(D), H(D)) == D. Every database built via
   /// FromSnapshot/ApplyHistory is feasible; hand-assembled annotation sets

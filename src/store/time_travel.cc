@@ -1,7 +1,5 @@
 #include "store/time_travel.h"
 
-#include "oem/history.h"
-
 namespace doem {
 namespace store {
 
@@ -15,13 +13,7 @@ Result<DoemDatabase> Between(const DoemDatabase& db, Timestamp t1,
     return Status::InvalidArgument("Between: t2 " + t2.ToString() +
                                    " precedes t1 " + t1.ToString());
   }
-  OemHistory window;
-  OemHistory full = db.ExtractHistory();
-  for (const auto& step : full.steps()) {
-    if (step.time <= t1 || t2 < step.time) continue;
-    DOEM_RETURN_IF_ERROR(window.Append(step.time, step.changes));
-  }
-  return DoemDatabase::Build(db.SnapshotAt(t1), window);
+  return DoemDatabase::Build(db.SnapshotAt(t1), db.ExtractHistory(t1, t2));
 }
 
 }  // namespace store

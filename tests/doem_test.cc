@@ -180,6 +180,84 @@ TEST(DoemTest, ExtractHistoryRecoversGuideHistory) {
       << GuideHistory().ToString();
 }
 
+// H(D) by its per-timestamp definition: for each timestamp, node ops by
+// ascending id, then arc ops in AllArcs order. The op order within a step
+// fixes the ArcSeq order of a rebuilt database, so ExtractHistory must
+// print the same as this, not merely equal it step by step as a multiset.
+OemHistory ReferenceExtractHistory(const DoemDatabase& d) {
+  OemHistory history;
+  for (Timestamp t : d.AllTimestamps()) {
+    ChangeSet ops;
+    for (NodeId n : d.graph().NodeIds()) {
+      const AnnotationList& annots = d.NodeAnnotations(n);
+      for (size_t i = 0; i < annots.size(); ++i) {
+        if (annots[i].time != t) continue;
+        Value v_after = d.CurrentValue(n);
+        for (size_t j = i + 1; j < annots.size(); ++j) {
+          if (annots[j].kind == Annotation::Kind::kUpd) {
+            v_after = annots[j].old_value;
+            break;
+          }
+        }
+        if (annots[i].kind == Annotation::Kind::kCre) {
+          ops.push_back(ChangeOp::CreNode(n, std::move(v_after)));
+        } else if (annots[i].kind == Annotation::Kind::kUpd) {
+          ops.push_back(ChangeOp::UpdNode(n, std::move(v_after)));
+        }
+      }
+    }
+    for (const Arc& arc : d.graph().AllArcs()) {
+      for (const Annotation& ann :
+           d.ArcAnnotations(arc.parent, arc.label, arc.child)) {
+        if (ann.time != t) continue;
+        if (ann.kind == Annotation::Kind::kAdd) {
+          ops.push_back(ChangeOp::AddArc(arc.parent, arc.label, arc.child));
+        } else if (ann.kind == Annotation::Kind::kRem) {
+          ops.push_back(ChangeOp::RemArc(arc.parent, arc.label, arc.child));
+        }
+      }
+    }
+    EXPECT_TRUE(history.Append(t, std::move(ops)).ok());
+  }
+  return history;
+}
+
+TEST(DoemTest, ExtractHistoryKeepsThePerTimestampOrder) {
+  std::vector<std::pair<std::string, DoemDatabase>> cases;
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    testing::DatabaseOptions dopts;
+    dopts.seed = seed;
+    dopts.node_count = 30;
+    OemDatabase base = testing::RandomDatabase(dopts);
+    testing::HistoryOptions hopts;
+    hopts.seed = seed + 100;
+    hopts.steps = 12;
+    hopts.ops_per_step = 6;
+    OemHistory history = testing::RandomHistory(base, hopts);
+    auto d = DoemDatabase::Build(std::move(base), history);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    cases.emplace_back("seed " + std::to_string(seed), std::move(d).value());
+  }
+  cases.emplace_back("guide", GuideDoem());
+  // Bangkok's price updated twice; Janta's parking removed, then re-added.
+  Guide g = BuildGuide();
+  OemHistory twice(
+      {{Timestamp(100),
+        {ChangeOp::UpdNode(g.bangkok_price, Value::Int(20)),
+         ChangeOp::RemArc(g.janta, "parking", g.parking)}},
+       {Timestamp(200), {ChangeOp::UpdNode(g.bangkok_price, Value::Int(30))}},
+       {Timestamp(300), {ChangeOp::AddArc(g.janta, "parking", g.parking)}}});
+  auto d = DoemDatabase::Build(g.db, twice);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  cases.emplace_back("updated twice, re-added", std::move(d).value());
+
+  for (const auto& [name, db] : cases) {
+    EXPECT_EQ(db.ExtractHistory().ToString(),
+              ReferenceExtractHistory(db).ToString())
+        << name;
+  }
+}
+
 TEST(DoemTest, FeasibilityOfBuiltDatabases) {
   EXPECT_TRUE(GuideDoem().IsFeasible());
   auto d = DoemDatabase::FromSnapshot(BuildGuide().db);

@@ -594,6 +594,35 @@ TEST(TimeTravelTest, BetweenWindowsCarryOnlyWindowAnnotations) {
   EXPECT_TRUE(Isomorphic(window->OriginalSnapshot(), db.SnapshotAt(t1)));
 }
 
+TEST(TimeTravelTest, BetweenMatchesTheFilteredWholeHistory) {
+  DoemDatabase db = SampleDb(6);
+  OemHistory whole = db.ExtractHistory();
+  std::vector<Timestamp> times = db.AllTimestamps();
+  ASSERT_GE(times.size(), 2u);
+  ASSERT_LT(times[0].ticks + 1, times[1].ticks);
+  std::vector<Timestamp> points = {Timestamp::NegativeInfinity()};
+  points.insert(points.end(), times.begin(), times.end());
+  points.push_back(Timestamp(times[0].ticks + 1));  // between two stamps
+  points.push_back(Timestamp::PositiveInfinity());
+  for (Timestamp t1 : points) {
+    for (Timestamp t2 : points) {
+      if (t2 < t1) continue;
+      OemHistory window;
+      for (const HistoryStep& step : whole.steps()) {
+        if (t1 < step.time && step.time <= t2) {
+          ASSERT_TRUE(window.Append(step.time, step.changes).ok());
+        }
+      }
+      auto expected = DoemDatabase::Build(db.SnapshotAt(t1), window);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto got = Between(db, t1, t2);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->ToString(), expected->ToString())
+          << "(" << t1.ToString() << ", " << t2.ToString() << "]";
+    }
+  }
+}
+
 TEST(TimeTravelTest, BetweenRejectsInvertedInterval) {
   DoemDatabase db = SampleDb(2);
   EXPECT_FALSE(Between(db, Timestamp(10), Timestamp(5)).ok());
