@@ -3,11 +3,17 @@
 // CRGMW96-style step the paper's QSS pays when the wrapper has no
 // persistent ids. BM_SourceFetch times the layer before the diff: the
 // source's query and answer packaging plus the answer's validation.
+// BM_WholeGraphPass times the whole-graph passes inside the fetch one by
+// one.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <optional>
+
 #include "bench/bench_common.h"
 #include "diff/diff.h"
+#include "lorel/lorel.h"
 #include "oem/subgraph.h"
 #include "qss/source.h"
 
@@ -120,6 +126,65 @@ BENCHMARK(BM_SourceFetch)
     ->Arg(1000)
     ->Arg(10000)
     ->ArgName("restaurants")
+    ->Unit(benchmark::kMicrosecond);
+
+// The whole-graph passes of a fetch, each timed alone: `pass` 0 packages
+// the answer of `select guide.restaurant` from its rows, 1 validates that
+// answer, 2 copies the guide and 3 destroys a copy of the answer. Each
+// should cost a small constant per node, so a row should grow about 10x
+// from restaurants:1000 to restaurants:10000.
+void BM_WholeGraphPass(benchmark::State& state) {
+  static const char* const kPasses[] = {"package", "validate", "copy",
+                                        "destroy"};
+  const int64_t pass = state.range(0);
+  const OemDatabase guide =
+      testing::SyntheticGuide(static_cast<size_t>(state.range(1)));
+  lorel::OemView view(guide);
+  auto query = lorel::RunQuery("select guide.restaurant", view);
+  if (!query.ok()) {
+    state.SkipWithError("query failed");
+    return;
+  }
+  const OemDatabase& answer = query->answer;
+  for (auto _ : state) {
+    lorel::QueryResult packaged;
+    std::optional<OemDatabase> db;
+    if (pass == 0) {
+      packaged.rows = query->rows;
+      packaged.labels = query->labels;
+    } else if (pass == 3) {
+      db = answer;
+    }
+    bool ok = true;
+    auto start = std::chrono::steady_clock::now();
+    switch (pass) {
+      case 0:
+        ok = lorel::PackageResult(view, 1, &packaged).ok();
+        break;
+      case 1:
+        ok = answer.Validate().ok();
+        break;
+      case 2:
+        db = guide;
+        break;
+      case 3:
+        db.reset();
+        break;
+    }
+    auto end = std::chrono::steady_clock::now();
+    if (!ok) state.SkipWithError("pass failed");
+    benchmark::DoNotOptimize(packaged.answer.node_count());
+    benchmark::DoNotOptimize(db.has_value());
+    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+  }
+  state.SetLabel(kPasses[pass]);
+  state.counters["nodes"] = static_cast<double>(
+      pass == 2 ? guide.node_count() : answer.node_count());
+}
+BENCHMARK(BM_WholeGraphPass)
+    ->ArgsProduct({{0, 1, 2, 3}, {100, 1000, 10000}})
+    ->ArgNames({"pass", "restaurants"})
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

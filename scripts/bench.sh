@@ -29,7 +29,10 @@
 #                                  BM_DiffNoChanges (E7: OEMdiff cost vs.
 #                                  snapshot size and change volume) +
 #                                  BM_SourceFetch (the fetch layer: source
-#                                  query, answer packaging, validation)
+#                                  query, answer packaging, validation) +
+#                                  BM_WholeGraphPass (its whole-graph
+#                                  passes one by one: package, validate,
+#                                  copy, destroy)
 #   BENCH_extract_history.json     BM_ExtractHistory / BM_IsFeasible /
 #                                  BM_OriginalSnapshot (E3: H(D), the
 #                                  feasibility check, O_0(D))

@@ -486,7 +486,9 @@ class Evaluator {
 };
 
 /// Copies result subgraphs into the answer database, preserving node ids
-/// and reusing already-copied nodes across rows.
+/// and reusing already-copied nodes across rows. Copied nodes keep their
+/// source ids, which lie below the view's id floor, and the answer's own
+/// nodes lie above it, so a source node was copied iff the answer has it.
 class ResultPackager {
  public:
   ResultPackager(const GraphView& view, OemDatabase* answer)
@@ -495,24 +497,24 @@ class ResultPackager {
   /// Copies the subgraph below `n` (live arcs, current values) into the
   /// answer, unless an earlier row copied `n` already. Breadth-first: the
   /// nodes not copied before are created in discovery order, and each
-  /// one's arcs are added once, in its out-arc order, so the answer's
-  /// ArcSeq follows the same walk. The source has no duplicate arcs and
-  /// the answer's own nodes sit above its ids, so no arc of a copied node
-  /// can exist yet.
+  /// one's out-arcs are installed at once, in its out-arc order, so the
+  /// answer's ArcSeq follows the same walk.
   Status CopyIntoAnswer(NodeId n) {
-    if (!copied_.insert(n).second) return Status::OK();
+    if (answer_->HasNode(n)) return Status::OK();
     DOEM_RETURN_IF_ERROR(answer_->CreNode(n, view_.value(n)));
     queue_.assign(1, n);
     for (size_t i = 0; i < queue_.size(); ++i) {
       NodeId cur = queue_[i];
-      for (const OutArc& a : view_.OutArcsOf(cur, &scratch_)) {
-        if (copied_.insert(a.child).second) {
+      const std::vector<OutArc>& arcs = view_.OutArcsOf(cur, &scratch_);
+      if (arcs.empty()) continue;
+      for (const OutArc& a : arcs) {
+        if (!answer_->HasNode(a.child)) {
           DOEM_RETURN_IF_ERROR(
               answer_->CreNode(a.child, view_.value(a.child)));
           queue_.push_back(a.child);
         }
-        DOEM_RETURN_IF_ERROR(answer_->AddArc(cur, a.label, a.child));
       }
+      DOEM_RETURN_IF_ERROR(answer_->SetOutArcs(cur, arcs));
     }
     return Status::OK();
   }
@@ -520,7 +522,6 @@ class ResultPackager {
  private:
   const GraphView& view_;
   OemDatabase* answer_;
-  std::unordered_set<NodeId> copied_;
   std::vector<NodeId> queue_;
   std::vector<OutArc> scratch_;
 };

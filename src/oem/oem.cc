@@ -1,7 +1,6 @@
 #include "oem/oem.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "oem/change.h"
 
@@ -13,10 +12,12 @@ std::string Arc::ToString() const {
 }
 
 NodeId OemDatabase::NewNode(const Value& value) {
-  while (IsBurned(next_id_)) ++next_id_;
-  NodeId id = next_id_++;
-  nodes_.emplace(id, Node{value, {}, 0});
-  return id;
+  // Skips used ids: live or erased. Deleted ids are never reused
+  // (Section 2.2).
+  for (;; ++next_id_) {
+    if (erased_.contains(next_id_)) continue;
+    if (nodes_.Insert(next_id_, Node{value, {}, 0}).second) return next_id_++;
+  }
 }
 
 Status OemDatabase::SetRoot(NodeId root) {
@@ -35,12 +36,12 @@ Status OemDatabase::CreNode(NodeId node, const Value& value) {
   if (node == kInvalidNode) {
     return Status::InvalidArgument("creNode: id 0 is reserved");
   }
-  if (IsBurned(node)) {
+  if (erased_.contains(node) ||
+      !nodes_.Insert(node, Node{value, {}, 0}).second) {
     return Status::InvalidChange("creNode: identifier " +
                                  std::to_string(node) +
                                  " already used (ids are never reused)");
   }
-  nodes_.emplace(node, Node{value, {}, 0});
   if (node >= next_id_) next_id_ = node + 1;
   return Status::OK();
 }
@@ -69,16 +70,16 @@ Status OemDatabase::SetValueForce(NodeId node, const Value& value) {
 }
 
 Status OemDatabase::EraseNodeForce(NodeId node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
+  const Node* n = Find(*this, node);
+  if (n == nullptr) {
     return Status::NotFound("EraseNodeForce: no node " +
                             std::to_string(node));
   }
-  if (!it->second.out.empty()) {
+  if (!n->out.empty()) {
     return Status::InvalidArgument("EraseNodeForce: node " +
                                    std::to_string(node) + " has out-arcs");
   }
-  nodes_.erase(it);
+  nodes_.Erase(node);
   erased_.insert(node);
   return Status::OK();
 }
@@ -134,6 +135,58 @@ Status OemDatabase::MoveOutArcs(NodeId from, NodeId to) {
   }
   dst->out = std::move(src->out);
   src->out.clear();
+  return Status::OK();
+}
+
+Status OemDatabase::SetOutArcs(NodeId parent, std::vector<OutArc> arcs) {
+  Node* p = Find(*this, parent);
+  if (p == nullptr) {
+    return Status::NotFound("SetOutArcs: no parent node " +
+                            std::to_string(parent));
+  }
+  if (!p->value.is_complex()) {
+    return Status::InvalidChange("SetOutArcs: parent " +
+                                 std::to_string(parent) + " is atomic");
+  }
+  if (!p->out.empty()) {
+    return Status::InvalidArgument("SetOutArcs: parent " +
+                                   std::to_string(parent) +
+                                   " already has out-arcs");
+  }
+  const bool wide = arcs.size() > kWideOutDegree;
+  Wide index;
+  // Each child's in-degree is bumped as its arc passes the checks, and
+  // dropped again if a later arc fails them.
+  size_t counted = 0;
+  auto fail = [&](Status s) {
+    for (size_t i = 0; i < counted; ++i) --Find(*this, arcs[i].child)->in;
+    return s;
+  };
+  for (OutArc& a : arcs) {
+    Node* c = Find(*this, a.child);
+    if (c == nullptr) {
+      return fail(Status::NotFound("SetOutArcs: no child node " +
+                                   std::to_string(a.child)));
+    }
+    a.seq = next_arc_seq_ + counted;
+    bool repeats =
+        wide ? !index.seq.emplace(std::pair(a.label, a.child), a.seq).second
+             : std::find(arcs.begin(), arcs.begin() + counted, a) !=
+                   arcs.begin() + counted;
+    if (repeats) {
+      return fail(Status::InvalidChange(
+          "SetOutArcs: arc " + Arc{parent, a.label, a.child}.ToString() +
+          " repeats"));
+    }
+    ++c->in;
+    ++counted;
+  }
+  if (wide) {
+    for (const OutArc& a : arcs) index.buckets[a.label].push_back(a.child);
+    wide_.emplace(parent, std::move(index));
+  }
+  next_arc_seq_ += arcs.size();
+  p->out = std::move(arcs);
   return Status::OK();
 }
 
@@ -309,7 +362,7 @@ void OemDatabase::IndexRemovedArc(NodeId node, const Node& n,
 std::vector<NodeId> OemDatabase::NodeIds() const {
   std::vector<NodeId> ids;
   ids.reserve(nodes_.size());
-  for (const auto& [id, n] : nodes_) ids.push_back(id);
+  nodes_.ForEach([&](NodeId id, const Node&) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -324,26 +377,54 @@ std::vector<Arc> OemDatabase::AllArcs() const {
   return arcs;
 }
 
-std::unordered_set<NodeId> OemDatabase::ReachableFromRoot() const {
-  std::unordered_set<NodeId> seen;
-  if (root_ == kInvalidNode || !HasNode(root_)) return seen;
-  std::deque<NodeId> queue{root_};
-  seen.insert(root_);
-  while (!queue.empty()) {
-    NodeId n = queue.front();
-    queue.pop_front();
-    for (const OutArc& a : OutArcs(n)) {
-      if (seen.insert(a.child).second) queue.push_back(a.child);
+std::vector<bool> OemDatabase::ReachableSlots(size_t* count,
+                                              bool* sound) const {
+  std::vector<bool> seen(nodes_.slot_end());
+  *count = 0;
+  *sound = true;
+  const uint32_t root = nodes_.SlotOf(root_);
+  if (root == nodes_.kNoSlot) return seen;
+  // Expands the reached nodes in slot order, which is mostly parent
+  // before child, so the records are read front to back. A child found
+  // behind the sweep is expanded at once, from `behind`.
+  std::vector<uint32_t> behind;
+  uint32_t sweep = 0;
+  auto expand = [&](uint32_t slot) {
+    const Node& n = nodes_.At(slot);
+    if (!n.out.empty() && !n.value.is_complex()) *sound = false;
+    for (const OutArc& a : n.out) {
+      const uint32_t c = nodes_.SlotOf(a.child);
+      if (c == nodes_.kNoSlot) {
+        *sound = false;
+      } else if (!seen[c]) {
+        seen[c] = true;
+        ++*count;
+        if (c < sweep) behind.push_back(c);
+      }
+    }
+  };
+  seen[root] = true;
+  *count = 1;
+  for (; sweep < seen.size(); ++sweep) {
+    if (!seen[sweep]) continue;
+    expand(sweep);
+    while (!behind.empty()) {
+      const uint32_t slot = behind.back();
+      behind.pop_back();
+      expand(slot);
     }
   }
   return seen;
 }
 
 std::vector<NodeId> OemDatabase::CollectGarbage() {
-  std::unordered_set<NodeId> live = ReachableFromRoot();
+  size_t live_count;
+  bool sound;
+  const std::vector<bool> live = ReachableSlots(&live_count, &sound);
   std::vector<NodeId> removed;
-  for (const auto& [id, n] : nodes_) {
-    if (!live.contains(id)) removed.push_back(id);
+  for (uint32_t slot = 0; slot < live.size(); ++slot) {
+    const NodeId id = nodes_.IdAt(slot);
+    if (id != kInvalidNode && !live[slot]) removed.push_back(id);
   }
   std::sort(removed.begin(), removed.end());
   EraseUnreachable(removed);
@@ -352,12 +433,12 @@ std::vector<NodeId> OemDatabase::CollectGarbage() {
 
 void OemDatabase::EraseUnreachable(const std::vector<NodeId>& dead) {
   for (NodeId id : dead) {
-    auto it = nodes_.find(id);
-    if (it->second.out.size() > kWideOutDegree) wide_.erase(id);
-    for (const OutArc& a : it->second.out) {
+    const Node& n = *Find(*this, id);
+    if (n.out.size() > kWideOutDegree) wide_.erase(id);
+    for (const OutArc& a : n.out) {
       if (Node* c = Find(*this, a.child)) --c->in;
     }
-    nodes_.erase(it);
+    nodes_.Erase(id);
     erased_.insert(id);
   }
   // Arcs from live nodes to dead nodes cannot exist: a live parent would
@@ -372,7 +453,7 @@ void OemDatabase::RollBack(std::vector<Undo>* log, NodeId next_id,
     switch (op.kind) {
       case ChangeOp::Kind::kCreNode:
         // Every arc the set added at the node is undone by now.
-        nodes_.erase(op.node);
+        nodes_.Erase(op.node);
         break;
       case ChangeOp::Kind::kUpdNode:
         Find(*this, op.node)->value = std::move(undo->old_value);
@@ -465,25 +546,33 @@ Status OemDatabase::Validate() const {
   if (!GetValue(root_)->is_complex()) {
     return Status::InvalidArgument("Validate: root is not complex");
   }
-  for (const auto& [p, n] : nodes_) {
+  // One walk from the root checks every node and arc of a well-formed
+  // database; only a faulty one pays for a sweep that finds the fault the
+  // checks report first.
+  size_t live;
+  bool sound;
+  ReachableSlots(&live, &sound);
+  if (sound && live == nodes_.size()) return Status::OK();
+  Status bad;
+  nodes_.ForEach([&](NodeId p, const Node& n) {
+    if (!bad.ok()) return;
     if (!n.out.empty() && !n.value.is_complex()) {
-      return Status::InvalidArgument("Validate: atomic node " +
-                                     std::to_string(p) + " has out-arcs");
+      bad = Status::InvalidArgument("Validate: atomic node " +
+                                    std::to_string(p) + " has out-arcs");
+      return;
     }
     for (const OutArc& a : n.out) {
       if (!HasNode(a.child)) {
-        return Status::InvalidArgument(
-            "Validate: arc to unknown node " + std::to_string(a.child));
+        bad = Status::InvalidArgument("Validate: arc to unknown node " +
+                                      std::to_string(a.child));
+        return;
       }
     }
-  }
-  std::unordered_set<NodeId> live = ReachableFromRoot();
-  if (live.size() != nodes_.size()) {
-    return Status::InvalidArgument(
-        "Validate: " + std::to_string(nodes_.size() - live.size()) +
-        " node(s) unreachable from the root");
-  }
-  return Status::OK();
+  });
+  if (!bad.ok()) return bad;
+  return Status::InvalidArgument(
+      "Validate: " + std::to_string(nodes_.size() - live) +
+      " node(s) unreachable from the root");
 }
 
 bool OemDatabase::Equals(const OemDatabase& other) const {
@@ -492,17 +581,17 @@ bool OemDatabase::Equals(const OemDatabase& other) const {
   }
   // Neither side has duplicate arcs, so equal out-degrees and containment
   // make each node's out-arcs the same set.
-  for (const auto& [id, n] : nodes_) {
+  bool equal = true;
+  nodes_.ForEach([&](NodeId id, const Node& n) {
+    if (!equal) return;
     const Node* o = Find(other, id);
-    if (o == nullptr || !(o->value == n.value) ||
-        o->out.size() != n.out.size()) {
-      return false;
-    }
-    for (const OutArc& a : n.out) {
-      if (other.FindArc(id, *o, a.label, a.child) == nullptr) return false;
-    }
-  }
-  return true;
+    equal = o != nullptr && o->value == n.value &&
+            o->out.size() == n.out.size() &&
+            std::all_of(n.out.begin(), n.out.end(), [&](const OutArc& a) {
+              return other.FindArc(id, *o, a.label, a.child) != nullptr;
+            });
+  });
+  return equal;
 }
 
 void OemDatabase::ReserveIdsBelow(NodeId floor) {

@@ -12,6 +12,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "oem/node_table.h"
 #include "oem/value.h"
 
 namespace doem {
@@ -163,6 +164,14 @@ class OemDatabase {
   /// QSS re-roots each polled answer with it.
   Status MoveOutArcs(NodeId from, NodeId to);
 
+  /// Installs `arcs` as the whole out-arc list of `parent`, in their
+  /// order, as that many AddArcs would: consecutive ArcSeqs (the `seq`
+  /// fields passed in are ignored), a wide node's index built once, and
+  /// each child's in-degree bumped. All or nothing: `parent` must exist,
+  /// be complex and have no out-arcs, every child must exist, and no
+  /// (label, child) may repeat. Answers are packaged and copied with it.
+  Status SetOutArcs(NodeId parent, std::vector<OutArc> arcs);
+
   // ---- Lookup ---------------------------------------------------------
 
   NodeId root() const { return root_; }
@@ -209,7 +218,7 @@ class OemDatabase {
   /// Number of arcs: the sum of the out-degrees, O(nodes).
   size_t arc_count() const {
     size_t arcs = 0;
-    for (const auto& [id, n] : nodes_) arcs += n.out.size();
+    nodes_.ForEach([&](NodeId, const Node& n) { arcs += n.out.size(); });
     return arcs;
   }
 
@@ -222,18 +231,17 @@ class OemDatabase {
   /// All arcs, ordered by (parent id, insertion order). Deterministic.
   std::vector<Arc> AllArcs() const;
 
-  /// Calls visit(id, value, out_arcs) once per node, in unspecified
-  /// order, without building NodeIds() or AllArcs(). `visit` must not
-  /// mutate this database.
+  /// Calls visit(id, value, out_arcs) once per node without building
+  /// NodeIds() or AllArcs(). The order is the node table's slot order:
+  /// creation order until an erased node's slot is reused, so callers
+  /// must treat it as unspecified. `visit` must not mutate this database.
   template <typename Visit>
   void ForEachNode(Visit&& visit) const {
-    for (const auto& [id, n] : nodes_) visit(id, n.value, n.out);
+    nodes_.ForEach(
+        [&](NodeId id, const Node& n) { visit(id, n.value, n.out); });
   }
 
   // ---- Reachability & integrity ---------------------------------------
-
-  /// Set of nodes reachable from the root by directed paths.
-  std::unordered_set<NodeId> ReachableFromRoot() const;
 
   /// Deletes all nodes unreachable from the root (and their arcs),
   /// implementing "persistence by reachability". Returns the ids removed,
@@ -346,6 +354,11 @@ class OemDatabase {
   /// Deletes `dead` (sorted, unreachable) with their out-arcs and burns
   /// their ids.
   void EraseUnreachable(const std::vector<NodeId>& dead);
+  /// The slots of the nodes reachable from the root, as a bit vector over
+  /// the node table's slots; `*count` is how many bits are set. `*sound`
+  /// says whether every node reached is complex or has no out-arcs and
+  /// every arc reached ends at a node.
+  std::vector<bool> ReachableSlots(size_t* count, bool* sound) const;
 
   /// The `label` bucket of `node` if the node is wide, else null; sets
   /// `*narrow` to the record of a narrow node, which the caller scans.
@@ -365,15 +378,11 @@ class OemDatabase {
   /// The record of `node`, or null; as const as `self`.
   template <typename Self>
   static auto* Find(Self& self, NodeId node) {
-    auto it = self.nodes_.find(node);
-    return it == self.nodes_.end() ? nullptr : &it->second;
-  }
-  /// Used ids: live or erased. Deleted ids are never reused (Section 2.2).
-  bool IsBurned(NodeId node) const {
-    return nodes_.contains(node) || erased_.contains(node);
+    return self.nodes_.Find(node);
   }
 
-  std::unordered_map<NodeId, Node> nodes_;
+  // The node records, in blocks, with an id -> slot index.
+  NodeTable<Node> nodes_;
   // The index of each wide node, by node id.
   std::unordered_map<NodeId, Wide> wide_;
   // The ArcSeq the next AddArc takes.

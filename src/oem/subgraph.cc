@@ -40,11 +40,13 @@ Result<std::unordered_map<NodeId, NodeId>> CopyReachable(
       map[n] = dst->NewNode(v);
     }
   }
-  // Second pass: arcs.
+  // Second pass: each node's out-arcs at once.
   for (NodeId n : order) {
-    for (const OutArc& a : src.OutArcs(n)) {
-      DOEM_RETURN_IF_ERROR(dst->AddArc(map[n], a.label, map[a.child]));
-    }
+    const std::vector<OutArc>& out = src.OutArcs(n);
+    if (out.empty()) continue;
+    std::vector<OutArc> arcs = out;
+    for (OutArc& a : arcs) a.child = map[a.child];
+    DOEM_RETURN_IF_ERROR(dst->SetOutArcs(map[n], std::move(arcs)));
   }
   return map;
 }

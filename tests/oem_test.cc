@@ -305,6 +305,8 @@ struct OemModel {
   std::map<NodeId, Value> values;
   std::vector<Arc> arcs;
   std::set<NodeId> erased;
+  // Erased ids let go by ForgetErasedIds, which CreNode may use again.
+  std::set<NodeId> forgotten;
   NodeId root = kInvalidNode;
   NodeId next_id = 1;
 
@@ -466,10 +468,13 @@ constexpr NodeId kHubs[] = {2, 3};
 // Applies one random operation to both `db` and `m`, and checks that
 // both accept or reject it alike. With `hubs`, three of four addArcs go
 // from a hub to a live node, half of the remArcs are skipped, and one of
-// two MoveOutArcs starts at a hub, so hubs cross the width bound; without
-// it the draws are the same as before hubs existed.
+// two MoveOutArcs starts at a hub, so hubs cross the width bound. With
+// `recreate`, one step in eight first forgets the erased ids, and half of
+// the creNodes take a forgotten id, so erased nodes come back and their
+// node-table slots are reused. Without either flag the draws are the same
+// as before they existed.
 void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m,
-                bool hubs = false) {
+                bool hubs = false, bool recreate = false) {
   auto pick = [&](size_t n) {
     return std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
   };
@@ -484,6 +489,11 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m,
         return Value::Complex();
     }
   };
+  if (recreate && pick(8) == 0) {
+    db->ForgetErasedIds();
+    m->forgotten.insert(m->erased.begin(), m->erased.end());
+    m->erased.clear();
+  }
   const std::string& label = kModelLabels[pick(kModelLabels.size())];
   switch (pick(11)) {
     case 0: {
@@ -492,13 +502,17 @@ void RandomStep(std::mt19937* rng, OemDatabase* db, OemModel* m,
       break;
     }
     case 1: {
-      NodeId n = any_id();
+      NodeId n = recreate && !m->forgotten.empty() && pick(2) == 0
+                     ? *std::next(m->forgotten.begin(),
+                                  pick(m->forgotten.size()))
+                     : any_id();
       Value v = any_value();
       bool ok = n != kInvalidNode && !m->Burned(n);
       ASSERT_EQ(db->CreNode(n, v).ok(), ok) << n;
       if (ok) {
         m->values[n] = v;
         m->next_id = std::max(m->next_id, n + 1);
+        m->forgotten.erase(n);
       }
       break;
     }
@@ -587,10 +601,12 @@ std::set<NodeId> WideNodes(const OemModel& m) {
 TEST(OemDatabaseTest, IndexesMatchBruteForceModel) {
   // Seeds 1-8 draw uniformly; seeds 9-16 bias arcs towards two hubs, so
   // that nodes become wide and narrow again, and wide nodes are moved
-  // and collected. The tallies check that they are.
-  size_t widened = 0, narrowed = 0, moved = 0, collected = 0;
-  for (uint32_t seed = 1; seed <= 16; ++seed) {
-    const bool hubs = seed > 8;
+  // and collected; seeds 17-20 erase nodes and create them again under
+  // their old ids. The tallies check that all of this happens.
+  size_t widened = 0, narrowed = 0, moved = 0, collected = 0, recreated = 0;
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    const bool hubs = seed > 8 && seed <= 16;
+    const bool recreate = seed > 16;
     std::mt19937 rng(seed);
     OemDatabase db;
     OemModel m;
@@ -618,8 +634,9 @@ TEST(OemDatabaseTest, IndexesMatchBruteForceModel) {
       // Mutate a copy; the original must not notice.
       OemDatabase copy = db;
       OemModel next = m;
-      RandomStep(&rng, &copy, &next, hubs);
+      RandomStep(&rng, &copy, &next, hubs, recreate);
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db, m));
+      recreated += next.forgotten.size() < m.forgotten.size();
       std::set<NodeId> was_wide = WideNodes(m);
       std::set<NodeId> is_wide = WideNodes(next);
       for (NodeId n : is_wide) widened += !was_wide.contains(n);
@@ -641,6 +658,7 @@ TEST(OemDatabaseTest, IndexesMatchBruteForceModel) {
   EXPECT_GT(narrowed, 0u);
   EXPECT_GT(moved, 0u);
   EXPECT_GT(collected, 0u);
+  EXPECT_GT(recreated, 0u);
 }
 
 TEST(OemDatabaseTest, LabelBucketsOnlyAboveTheWidthBound) {
@@ -706,6 +724,174 @@ TEST(OemDatabaseTest, LabelBucketsOnlyAboveTheWidthBound) {
   EXPECT_EQ(db.Children(spare, "x"), kids);
   EXPECT_EQ(db.Child(spare, "x"), kids.front());
   expect_arc_lookups(spare);
+}
+
+// A root with a complex `parent` and `n` atomic nodes; the arcs to
+// install on `parent`: a self-loop, then n - 1 arcs over the first half
+// of the nodes, so that some are reached under two labels.
+struct OutArcsCase {
+  OemDatabase db;
+  NodeId parent = kInvalidNode;
+  std::vector<OutArc> arcs;
+};
+OutArcsCase MakeOutArcsCase(size_t n) {
+  OutArcsCase c;
+  NodeId root = c.db.NewComplex();
+  EXPECT_TRUE(c.db.SetRoot(root).ok());
+  c.parent = c.db.NewComplex();
+  EXPECT_TRUE(c.db.AddArc(root, "p", c.parent).ok());
+  std::vector<NodeId> kids;
+  for (size_t i = 0; i < n; ++i) {
+    kids.push_back(c.db.NewInt(static_cast<int64_t>(i)));
+  }
+  if (n > 0) c.arcs.push_back({"self", c.parent});
+  const size_t half = n / 2 + 1;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    c.arcs.push_back({kModelLabels[i / half], kids[i % half]});
+  }
+  return c;
+}
+
+TEST(OemDatabaseTest, SetOutArcsMatchesAddArcs) {
+  for (size_t n : std::vector<size_t>{0, 1, 5, kWideOutDegree,
+                                      kWideOutDegree + 1, 40}) {
+    SCOPED_TRACE(std::to_string(n) + " arcs");
+    OutArcsCase added = MakeOutArcsCase(n);
+    OutArcsCase set = MakeOutArcsCase(n);
+    for (const OutArc& a : added.arcs) {
+      ASSERT_TRUE(added.db.AddArc(added.parent, a.label, a.child).ok())
+          << a.label << a.child;
+    }
+    ASSERT_TRUE(set.db.SetOutArcs(set.parent, set.arcs).ok());
+    EXPECT_TRUE(set.db.Equals(added.db));
+    EXPECT_EQ(set.db.Validate().message(), added.db.Validate().message());
+    EXPECT_EQ(set.db.OutArcs(set.parent), added.db.OutArcs(added.parent));
+    for (NodeId id : added.db.NodeIds()) {
+      EXPECT_EQ(set.db.InDegree(id), added.db.InDegree(id)) << id;
+      for (const char* l : {"self", "a", "b", "c"}) {
+        const std::vector<NodeId>* want = added.db.ChildBucket(id, l);
+        const std::vector<NodeId>* got = set.db.ChildBucket(id, l);
+        ASSERT_EQ(got != nullptr, want != nullptr) << id << l;
+        if (got != nullptr) {
+          EXPECT_EQ(*got, *want) << id << l;
+        }
+      }
+    }
+    for (const OutArc& a : added.arcs) {
+      EXPECT_EQ(set.db.ArcSeq({set.parent, a.label, a.child}),
+                added.db.ArcSeq({added.parent, a.label, a.child}))
+          << a.label << a.child;
+    }
+    // The next arc takes the same ArcSeq in both.
+    ASSERT_TRUE(added.db.AddArc(added.db.root(), "next", added.parent).ok());
+    ASSERT_TRUE(set.db.AddArc(set.db.root(), "next", set.parent).ok());
+    EXPECT_EQ(set.db.ArcSeq({set.db.root(), "next", set.parent}),
+              added.db.ArcSeq({added.db.root(), "next", added.parent}));
+  }
+}
+
+TEST(OemDatabaseTest, SetOutArcsIsAllOrNothing) {
+  // Each failure leaves the database equal to its copy, every in-degree
+  // as it was, and the ArcSeq counter where it was.
+  auto expect_refused = [](const OemDatabase& before, NodeId parent,
+                           const std::vector<OutArc>& arcs, StatusCode code) {
+    OemDatabase db = before;
+    EXPECT_EQ(db.SetOutArcs(parent, arcs).code(), code);
+    EXPECT_TRUE(db.Equals(before));
+    for (NodeId id : before.NodeIds()) {
+      EXPECT_EQ(db.InDegree(id), before.InDegree(id)) << id;
+    }
+    EXPECT_EQ(db.OutArcs(parent), before.OutArcs(parent));
+    OemDatabase fresh = before;
+    ASSERT_TRUE(db.AddArc(db.root(), "next", db.root()).ok());
+    ASSERT_TRUE(fresh.AddArc(fresh.root(), "next", fresh.root()).ok());
+    EXPECT_EQ(db.ArcSeq({db.root(), "next", db.root()}),
+              fresh.ArcSeq({fresh.root(), "next", fresh.root()}));
+  };
+  for (size_t n : {5, 40}) {
+    SCOPED_TRACE(std::to_string(n) + " arcs");
+    OutArcsCase c = MakeOutArcsCase(n);
+    const NodeId atomic = c.arcs.back().child;
+    expect_refused(c.db, 9999, c.arcs, StatusCode::kNotFound);
+    expect_refused(c.db, atomic, c.arcs, StatusCode::kInvalidChange);
+    OemDatabase has_arcs = c.db;
+    NodeId leaf = has_arcs.NewComplex();
+    ASSERT_TRUE(has_arcs.AddArc(c.parent, "leaf", leaf).ok());
+    expect_refused(has_arcs, c.parent, c.arcs, StatusCode::kInvalidArgument);
+    // The failing arc comes last, after every other child was counted.
+    std::vector<OutArc> missing = c.arcs;
+    missing.push_back({"a", 9999});
+    expect_refused(c.db, c.parent, missing, StatusCode::kNotFound);
+    std::vector<OutArc> repeated = c.arcs;
+    repeated.push_back(c.arcs[1]);
+    expect_refused(c.db, c.parent, repeated, StatusCode::kInvalidChange);
+  }
+}
+
+TEST(OemDatabaseTest, ValidateReportsTheFirstFaultClass) {
+  // A root with children x (complex) and y (an atomic 1).
+  OemDatabase good;
+  NodeId root = good.NewComplex();
+  ASSERT_TRUE(good.SetRoot(root).ok());
+  NodeId x = good.NewComplex();
+  NodeId y = good.NewInt(1);
+  ASSERT_TRUE(good.AddArc(root, "x", x).ok());
+  ASSERT_TRUE(good.AddArc(root, "y", y).ok());
+  ASSERT_TRUE(good.Validate().ok());
+  auto message = [](const OemDatabase& db) { return db.Validate().message(); };
+
+  EXPECT_EQ(message(OemDatabase()), "Validate: database has no root");
+  OemDatabase root_gone;
+  ASSERT_TRUE(root_gone.SetRoot(root_gone.NewComplex()).ok());
+  ASSERT_TRUE(root_gone.EraseNodeForce(root_gone.root()).ok());
+  EXPECT_EQ(message(root_gone), "Validate: database has no root");
+
+  OemDatabase atomic_root;
+  ASSERT_TRUE(atomic_root.SetRoot(atomic_root.NewComplex()).ok());
+  ASSERT_TRUE(atomic_root.UpdNode(atomic_root.root(), Value::Int(3)).ok());
+  EXPECT_EQ(message(atomic_root), "Validate: root is not complex");
+
+  OemDatabase atomic_parent = good;
+  ASSERT_TRUE(atomic_parent.AddArcForce(y, "z", x).ok());
+  EXPECT_EQ(message(atomic_parent),
+            "Validate: atomic node " + std::to_string(y) + " has out-arcs");
+
+  // EraseNodeForce leaves the arc from x dangling.
+  OemDatabase dangling = good;
+  NodeId gone = dangling.NewInt(2);
+  ASSERT_TRUE(dangling.AddArc(x, "gone", gone).ok());
+  ASSERT_TRUE(dangling.EraseNodeForce(gone).ok());
+  EXPECT_EQ(message(dangling),
+            "Validate: arc to unknown node " + std::to_string(gone));
+
+  OemDatabase unreachable = good;
+  NodeId island = unreachable.NewComplex();
+  ASSERT_TRUE(unreachable.AddArc(island, "in", unreachable.NewInt(4)).ok());
+  EXPECT_EQ(message(unreachable),
+            "Validate: 2 node(s) unreachable from the root");
+
+  // Precedence: the root first, then atomic nodes with out-arcs and
+  // dangling arcs anywhere (reachable or not), then reachability.
+  OemDatabase both = unreachable;
+  NodeId stray = both.NewInt(5);
+  ASSERT_TRUE(both.AddArcForce(stray, "s", island).ok());
+  EXPECT_EQ(message(both),
+            "Validate: atomic node " + std::to_string(stray) + " has out-arcs");
+  OemDatabase hidden_dangling = unreachable;
+  NodeId lost = hidden_dangling.NewInt(6);
+  ASSERT_TRUE(hidden_dangling.AddArc(island, "lost", lost).ok());
+  ASSERT_TRUE(hidden_dangling.EraseNodeForce(lost).ok());
+  EXPECT_EQ(message(hidden_dangling),
+            "Validate: arc to unknown node " + std::to_string(lost));
+  OemDatabase no_root = both;
+  ASSERT_TRUE(no_root.RemArc(root, "x", x).ok());
+  ASSERT_TRUE(no_root.RemArc(root, "y", y).ok());
+  ASSERT_TRUE(no_root.EraseNodeForce(root).ok());
+  EXPECT_EQ(message(no_root), "Validate: database has no root");
+  for (const OemDatabase* db :
+       {&root_gone, &atomic_root, &atomic_parent, &dangling, &unreachable}) {
+    EXPECT_EQ(db->Validate().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------------------------------------- ChangeOps
