@@ -8,10 +8,10 @@
 // SyntheticGuideChurn step through ApplyChangeSet, walking a 1,024-step
 // churn so that the untimed reset to the base is rare; CurrentSnapshot
 // times a copy of the kept current snapshot (QSS diffs against it by
-// reference); TwoSnapshotRebase times a kTwoSnapshots poll's DOEM work:
-// the copy of the current snapshot, FromSnapshot (which copies it once
-// more into the graph) and the apply. An O(delta) core is flat in
-// `restaurants` (ROADMAP); the apply is, the rebase is not yet.
+// reference); TwoSnapshotRebase times a kTwoSnapshots poll's DOEM work,
+// DoemDatabase::RebaseAndApply, which drops the previous step and applies
+// the set in place. An O(delta) core is flat in `restaurants` (ROADMAP):
+// ChangeSet and TwoSnapshotRebase are, CurrentSnapshot copies the graph.
 // scripts/bench.sh writes all three to BENCH_doem_apply.json.
 //
 // BM_OemWideNode: one node with `labels` distinct out-labels, built arc by
@@ -173,25 +173,32 @@ BENCHMARK(BM_DoemApply_CurrentSnapshot)
     ->Unit(benchmark::kMicrosecond);
 
 // As PollGroupManager does under HistoryRetention::kTwoSnapshots: each
-// set starts a fresh history at the previous current snapshot, so the
-// churn steps cycle without a reset.
+// set goes through RebaseAndApply, so the history keeps one step. The
+// churn steps cycle without a reset, each lap shifted past the previous
+// one in time. `failed_steps` counts refused sets, which return early
+// and would look fast; it must read 0.
 void BM_DoemApply_TwoSnapshotRebase(benchmark::State& state) {
   const ChurnWorkload& w = Churn(static_cast<size_t>(state.range(0)),
                                  static_cast<size_t>(state.range(1)));
   const auto& steps = w.churn.steps();
   DoemDatabase d = w.base;
   size_t next = 0;
+  int64_t lap_ticks = 0;
+  size_t failed = 0;
   for (auto _ : state) {
-    OemDatabase base = d.CurrentSnapshot();
-    base.ForgetErasedIds();
-    auto rebased = DoemDatabase::FromSnapshot(std::move(base));
-    Status s = rebased->ApplyChangeSet(steps[next].time, steps[next].changes);
+    const HistoryStep& step = steps[next];
+    Status s =
+        d.RebaseAndApply(Timestamp(step.time.ticks + lap_ticks), step.changes);
     benchmark::DoNotOptimize(s.ok());
-    d = std::move(rebased).value();
-    next = (next + 1) % steps.size();
+    failed += !s.ok();
+    if (++next == steps.size()) {
+      next = 0;
+      lap_ticks += static_cast<int64_t>(steps.size());
+    }
   }
   state.counters["graph_nodes"] =
       static_cast<double>(w.base.graph().node_count());
+  state.counters["failed_steps"] = static_cast<double>(failed);
 }
 BENCHMARK(BM_DoemApply_TwoSnapshotRebase)
     ->ArgNames({"restaurants", "ops"})

@@ -2,7 +2,9 @@
 # Benchmark capture driver (DESIGN.md §6c, §6e, §6f).
 #
 #   scripts/bench.sh [build-dir] [--allow-debug]    # default: build
-#   scripts/bench.sh [build-dir] --compare BENCH_x.json [--compare ...]
+#   scripts/bench.sh [build-dir] [--only NAME]... [--out DIR]
+#                    [--repetitions N] [--build-only]
+#   scripts/bench.sh --list
 #
 # Runs the history-length sweeps — per-poll QSS filter cost and
 # engine-level per-delta maintenance cost, incremental vs rebuild — plus
@@ -37,14 +39,14 @@
 #                                  BM_OriginalSnapshot (E3: H(D), the
 #                                  feasibility check, O_0(D))
 #
-# With --compare, captures go to a temporary directory instead of the
-# repo root and each named baseline is diffed against the fresh capture
-# with the same basename via scripts/bench_compare.py; the script exits
-# nonzero if any benchmark slowed by more than 15% (the regression
-# gate — `scripts/check.sh bench [REV]` runs it against a capture of
-# REV, default HEAD, taken just before in a temporary git worktree, so
-# both sides are measured on the same box; the committed BENCH_*.json
-# files record what a change measured; they are not the gate's baseline).
+# --only NAME takes BENCH_NAME.json alone (repeatable); --out DIR writes
+# the captures to DIR instead of the repo root; --repetitions N runs
+# every row N times and records the aggregates; --build-only builds the
+# bench binaries and stops; --list prints the capture names. The build
+# tree may belong to another checkout: it is configured from this one
+# only if it has no CMakeCache.txt. `scripts/check.sh bench [REV]` is
+# the regression gate built on these options; the committed BENCH_*.json
+# files record what a change measured, not the gate's baseline.
 #
 # The claims to check in the output: with incremental:1 the per-poll
 # counters stay flat as `history` grows; with incremental:0 they grow,
@@ -55,8 +57,9 @@
 # checkpoint interval grows; the AsOf and Between rows grow with the
 # graph and the window, not with the history outside the window. In
 # BENCH_doem_apply.json, an O(delta) DOEM core is flat in
-# `restaurants`; the ChangeSet rows are, while the
-# CurrentSnapshot and TwoSnapshotRebase rows still grow with the graph.
+# `restaurants`: the ChangeSet and TwoSnapshotRebase rows are (the
+# latter with failed_steps 0), while the CurrentSnapshot rows, a copy of
+# the graph, grow with it.
 # In BENCH_diff.json the keyed rows grow linearly in `restaurants` (one
 # pass over the new snapshot) and the structural rows faster. In
 # BENCH_extract_history.json, BM_ExtractHistory is one pass over the
@@ -72,41 +75,59 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# NAME BINARY ARGS...: the capture BENCH_NAME.json and how it is taken.
+# ARGS hold no blanks.
+aggregates="--benchmark_repetitions=5 --benchmark_report_aggregates_only=true"
+captures=(
+  "qss_incremental bench_qss_cycle --benchmark_filter=BM_QssHistorySweep"
+  "chorel_incremental bench_chorel_strategies --benchmark_filter=BM_ChorelDeltaMaintenance"
+  "obs_overhead bench_obs_overhead"
+  "store_recovery bench_store_recovery"
+  "vm_dispatch bench_vm_dispatch"
+  "qss_fanout bench_qss_fanout"
+  "doem_apply bench_history_apply --benchmark_filter=BM_DoemApply|BM_OemWideNode $aggregates"
+  "diff bench_diff $aggregates"
+  "extract_history bench_extract_feasible $aggregates"
+)
+
 build="build"
 allow_debug=0
-baselines=()
-expect_baseline=0
-for arg in "$@"; do
-  if [ "$expect_baseline" -eq 1 ]; then
-    baselines+=("$arg")
-    expect_baseline=0
-    continue
-  fi
-  case "$arg" in
+build_only=0
+outdir="."
+repetitions=""
+only=()
+while [ "$#" -gt 0 ]; do
+  case "$1" in
     --allow-debug) allow_debug=1 ;;
-    --compare) expect_baseline=1 ;;
+    --build-only) build_only=1 ;;
+    --list)
+      for c in "${captures[@]}"; do echo "${c%% *}"; done
+      exit 0
+      ;;
+    --only | --out | --repetitions)
+      if [ "$#" -lt 2 ]; then
+        echo "error: $1 needs an argument" >&2
+        exit 2
+      fi
+      case "$1" in
+        --only) only+=("$2") ;;
+        --out) outdir="$2" ;;
+        --repetitions) repetitions="$2" ;;
+      esac
+      shift
+      ;;
     -*)
-      echo "usage: $0 [build-dir] [--allow-debug] [--compare BENCH_x.json]..." >&2
+      echo "usage: $0 [build-dir] [--allow-debug] [--only NAME]... [--out DIR]" \
+        "[--repetitions N] [--build-only] | --list" >&2
       exit 2
       ;;
-    *) build="$arg" ;;
+    *) build="$1" ;;
   esac
+  shift
 done
-if [ "$expect_baseline" -eq 1 ]; then
-  echo "error: --compare needs a baseline JSON argument" >&2
-  exit 2
-fi
 jobs=$(nproc 2>/dev/null || echo 2)
 
-# Where captures land: the repo root normally, a scratch dir in compare
-# mode so the committed baselines are never clobbered by the run that is
-# checked against them.
-outdir="."
-if [ "${#baselines[@]}" -gt 0 ]; then
-  outdir=$(mktemp -d)
-fi
-
-cmake -B "$build" -S . >/dev/null
+[ -f "$build/CMakeCache.txt" ] || cmake -B "$build" -S . >/dev/null
 
 # The authoritative build type is the configured cache, not what the
 # caller believes they configured.
@@ -132,89 +153,36 @@ EOF
     ;;
 esac
 
-cmake --build "$build" -j "$jobs" --target \
-  bench_qss_cycle bench_chorel_strategies bench_obs_overhead \
-  bench_store_recovery bench_vm_dispatch bench_qss_fanout bench_history_apply \
-  bench_diff bench_extract_feasible
+targets=()
+for c in "${captures[@]}"; do
+  read -r _ binary _ <<<"$c"
+  targets+=("$binary")
+done
+cmake --build "$build" -j "$jobs" --target "${targets[@]}"
+[ "$build_only" -eq 1 ] && exit 0
 
-# Stamps the cache-derived build type into the capture's context block so
-# downstream consumers can reject or flag non-release data.
-annotate() {
-  sed -i "0,/\"context\": {/s//\"context\": {\n    \"cmake_build_type\": \"${build_type:-unknown}\",/" "$1"
-}
-
-"$build"/bench/bench_qss_cycle \
-  --benchmark_filter='BM_QssHistorySweep' \
-  --benchmark_out="$outdir"/BENCH_qss_incremental.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_qss_incremental.json
-
-"$build"/bench/bench_chorel_strategies \
-  --benchmark_filter='BM_ChorelDeltaMaintenance' \
-  --benchmark_out="$outdir"/BENCH_chorel_incremental.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_chorel_incremental.json
-
-"$build"/bench/bench_obs_overhead \
-  --benchmark_out="$outdir"/BENCH_obs_overhead.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_obs_overhead.json
-
-"$build"/bench/bench_store_recovery \
-  --benchmark_out="$outdir"/BENCH_store_recovery.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_store_recovery.json
-
-"$build"/bench/bench_vm_dispatch \
-  --benchmark_out="$outdir"/BENCH_vm_dispatch.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_vm_dispatch.json
-
-"$build"/bench/bench_qss_fanout \
-  --benchmark_out="$outdir"/BENCH_qss_fanout.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_qss_fanout.json
-
-"$build"/bench/bench_history_apply \
-  --benchmark_filter='BM_DoemApply|BM_OemWideNode' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  --benchmark_out="$outdir"/BENCH_doem_apply.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_doem_apply.json
-
-"$build"/bench/bench_diff \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  --benchmark_out="$outdir"/BENCH_diff.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_diff.json
-
-"$build"/bench/bench_extract_feasible \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  --benchmark_out="$outdir"/BENCH_extract_history.json \
-  --benchmark_out_format=json
-annotate "$outdir"/BENCH_extract_history.json
-
-echo "wrote BENCH_qss_incremental.json, BENCH_chorel_incremental.json," \
-     "BENCH_obs_overhead.json, BENCH_store_recovery.json," \
-     "BENCH_vm_dispatch.json, BENCH_qss_fanout.json," \
-     "BENCH_doem_apply.json, BENCH_diff.json, and" \
-     "BENCH_extract_history.json to $outdir" \
-     "(cmake_build_type=$build_type)"
-
-if [ "${#baselines[@]}" -gt 0 ]; then
-  failed=0
-  for baseline in "${baselines[@]}"; do
-    fresh="$outdir/$(basename "$baseline")"
-    if [ ! -f "$fresh" ]; then
-      echo "error: no fresh capture matching baseline '$baseline'" >&2
-      failed=1
-      continue
-    fi
-    echo
-    echo "== $(basename "$baseline"): committed baseline vs this run =="
-    if ! python3 scripts/bench_compare.py "$baseline" "$fresh"; then
-      failed=1
-    fi
-  done
-  exit "$failed"
+mkdir -p "$outdir"
+written=()
+for c in "${captures[@]}"; do
+  read -r name binary args <<<"$c"
+  if [ "${#only[@]}" -gt 0 ] && [[ " ${only[*]} " != *" $name "* ]]; then
+    continue
+  fi
+  out="$outdir/BENCH_$name.json"
+  # The later of two repetition flags wins, so --repetitions overrides
+  # the table's.
+  # shellcheck disable=SC2086
+  "$build/bench/$binary" $args \
+    ${repetitions:+--benchmark_repetitions=$repetitions} \
+    ${repetitions:+--benchmark_report_aggregates_only=true} \
+    --benchmark_out="$out" --benchmark_out_format=json
+  # Stamps the cache-derived build type into the capture's context block
+  # so downstream consumers can reject or flag non-release data.
+  sed -i "0,/\"context\": {/s//\"context\": {\n    \"cmake_build_type\": \"${build_type:-unknown}\",/" "$out"
+  written+=("BENCH_$name.json")
+done
+if [ "${#written[@]}" -eq 0 ]; then
+  echo "error: no capture named ${only[*]} (see --list)" >&2
+  exit 2
 fi
+echo "wrote ${written[*]} to $outdir (cmake_build_type=$build_type)"

@@ -17,18 +17,20 @@
 #                               # line and branch totals of src/*.cc
 #                               # from gcov -b
 #   scripts/check.sh all        # tier-1, werror, tsan, then asan
-#   scripts/check.sh bench [REV]  # opt-in regression gate (REV defaults
-#                               # to HEAD): checks REV out into a temporary
-#                               # git worktree, captures its benchmarks there
-#                               # with its own scripts/bench.sh, then captures
-#                               # this tree's (Release build in build-bench/)
-#                               # and compares each file with REV's; fails on
-#                               # any >15% slowdown. Both captures run on the
-#                               # same box, one after the other, with one
-#                               # sample per row, so noise alone can flag a
-#                               # row the change did not touch (ROADMAP item
-#                               # 12). Not part of `all` — timing needs a
-#                               # quiet machine.
+#   scripts/check.sh bench [REV] [NAME...]
+#                               # opt-in regression gate (REV defaults to
+#                               # HEAD; NAMEs pick captures, default all,
+#                               # see `scripts/bench.sh --list`): builds
+#                               # REV (a git archive in a temporary
+#                               # directory) and this tree as Release
+#                               # trees, then runs each bench binary on the
+#                               # two sides in turn, 5 rounds of 3
+#                               # repetitions, and compares the medians
+#                               # with scripts/bench_compare.py; fails on
+#                               # any >15% slowdown and names the rows
+#                               # whose round-to-round spread exceeds 15%
+#                               # as noisy. Not part of `all` — timing
+#                               # needs a quiet machine.
 #
 # Each mode uses its own build tree (build/, build-werror/, build-tsan/,
 # build-asan/, build-coverage/), all ignored by git.
@@ -92,34 +94,54 @@ coverage() {
 
 bench() {
   local rev="${1:-HEAD}"
+  shift || true
+  local rounds=5 repetitions=3
   if ! git rev-parse --verify --quiet "$rev^{commit}" >/dev/null; then
     echo "error: '$rev' does not name a commit" >&2
     exit 2
   fi
-  # Globals, not locals: the EXIT trap runs after this function returns.
+  local names=("$@")
+  [ "${#names[@]}" -gt 0 ] || mapfile -t names < <(scripts/bench.sh --list)
+  # A global, not a local: the EXIT trap runs after this function returns.
   bench_tmp=$(mktemp -d)
-  base="$bench_tmp/base"
-  # The worktree is removed however the capture ends.
-  trap 'git worktree remove --force "$base" 2>/dev/null || true;
-        git worktree prune; rm -rf "$bench_tmp"' EXIT
-  git worktree add --detach --quiet "$base" "$rev"
+  trap 'rm -rf "$bench_tmp"' EXIT
+  local base="$bench_tmp/base"
+  mkdir -p "$base"
+  git archive "$rev" | tar -x -C "$base"
 
-  echo "== capturing $rev in $base =="
+  echo "== building $rev and this tree =="
   cmake -B "$base/build-bench" -S "$base" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  "$base/scripts/bench.sh" build-bench
-
-  compare_args=()
-  for baseline in "$base"/BENCH_*.json; do
-    [ -f "$baseline" ] && compare_args+=(--compare "$baseline")
-  done
-  if [ "${#compare_args[@]}" -eq 0 ]; then
-    echo "error: the capture of $rev wrote no BENCH_*.json" >&2
-    exit 2
-  fi
-
-  echo "== capturing this tree against $rev =="
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  scripts/bench.sh build-bench "${compare_args[@]}"
+  scripts/bench.sh "$base/build-bench" --build-only
+  scripts/bench.sh build-bench --build-only
+
+  # The two sides of a binary run back to back, in turn, each round in a
+  # fresh process: drift of the box falls on both alike, and so does the
+  # spread between processes, which repetitions inside one process do
+  # not sample.
+  local name round side dir order failed=0
+  for name in "${names[@]}"; do
+    for round in $(seq "$rounds"); do
+      echo "== $name, round $round of $rounds =="
+      # Odd rounds run REV first, even rounds this tree.
+      order=(rev this)
+      [ $((round % 2)) -eq 1 ] || order=(this rev)
+      for side in "${order[@]}"; do
+        dir=build-bench
+        [ "$side" = rev ] && dir="$base/build-bench"
+        scripts/bench.sh "$dir" --only "$name" --repetitions "$repetitions" \
+          --out "$bench_tmp/$side/$round"
+      done
+    done
+    echo
+    echo "== BENCH_$name.json: $rev against this tree =="
+    if ! python3 scripts/bench_compare.py \
+        --baseline "$bench_tmp"/rev/*/"BENCH_$name.json" \
+        --current "$bench_tmp"/this/*/"BENCH_$name.json"; then
+      failed=1
+    fi
+  done
+  return "$failed"
 }
 
 mode="${1:-tier1}"
@@ -130,9 +152,9 @@ case "$mode" in
   werror) werror ;;
   coverage) coverage ;;
   all) tier1 && werror && tsan && asan ;;
-  bench) bench "${2:-HEAD}" ;;
+  bench) shift; bench "$@" ;;
   *)
-    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench [REV]]" >&2
+    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench [REV] [NAME...]]" >&2
     exit 2
     ;;
 esac

@@ -142,8 +142,9 @@ class ChorelEngine {
   Status ApplyDelta(Timestamp t, const ChangeSet& ops);
 
   /// Drops all cached derived state (encoding and annotation index).
-  /// Required when the database was replaced wholesale (e.g. the QSS
-  /// two-snapshot rebase) rather than mutated by a change set.
+  /// Required when the database changed other than by one appended change
+  /// set: e.g. DoemDatabase::RebaseAndApply, the QSS two-snapshot step,
+  /// which also drops the previous step's history.
   void Invalidate();
 
   /// The cached encoding (encodes now if needed). Exposed for benchmarks.

@@ -129,15 +129,59 @@ const AnnotationList& DoemDatabase::ArcAnnotations(NodeId p,
 }
 
 Status DoemDatabase::ApplyChangeSet(Timestamp t, const ChangeSet& ops) {
+  return Apply(t, ops, /*rebase=*/false);
+}
+
+Status DoemDatabase::RebaseAndApply(Timestamp t, const ChangeSet& ops) {
+  return Apply(t, ops, /*rebase=*/true);
+}
+
+Status DoemDatabase::Apply(Timestamp t, const ChangeSet& ops, bool rebase) {
   if (last_time_.has_value() && t <= *last_time_) {
     return Status::InvalidChange(
         "change-set timestamps must be strictly increasing: " +
         t.ToString() + " after " + last_time_->ToString());
   }
+  // A rebase drops the deleted objects, found before U changes current_:
+  // each hangs below a removed arc, through deleted objects only (graph_
+  // is reachable from the root, and a path's first deleted object is
+  // entered by an arc that is not live). U may create their ids again.
+  std::vector<NodeId> dead;
+  std::unordered_set<NodeId> burned;
+  if (rebase) {
+    std::unordered_set<NodeId> seen;
+    auto visit = [&](NodeId n) {
+      if (!current_.HasNode(n) && seen.insert(n).second) dead.push_back(n);
+    };
+    for (const auto& [arc, annots] : arc_annots_) {
+      if (annots.back().kind == Annotation::Kind::kRem) visit(arc.child);
+    }
+    for (size_t i = 0; i < dead.size(); ++i) {
+      for (const OutArc& a : graph_.OutArcs(dead[i])) visit(a.child);
+    }
+    burned = current_.ForgetErasedIds();
+  }
   // The OEM rules decide: current_ takes U whole or not at all, and
   // reports the objects U left unreachable.
   std::vector<NodeId> gone;
-  DOEM_RETURN_IF_ERROR(doem::ApplyChangeSet(&current_, ops, &gone));
+  Status s = doem::ApplyChangeSet(&current_, ops, &gone);
+  if (!s.ok()) {
+    current_.RestoreErasedIds(std::move(burned));
+    return s;
+  }
+  if (rebase) {
+    // graph_ becomes the kept snapshot, its live arcs in their order.
+    for (const auto& [arc, annots] : arc_annots_) {
+      if (annots.back().kind == Annotation::Kind::kRem) {
+        graph_.RemArc(arc.parent, arc.label, arc.child);
+      }
+    }
+    graph_.EraseUnreachable(dead);
+    graph_.ForgetErasedIds();
+    // New tables: clear() would sweep every bucket the largest step grew.
+    node_annots_ = decltype(node_annots_)();
+    arc_annots_ = decltype(arc_annots_)();
+  }
   for (const ChangeOp& op : CanonicalOrder(ops)) ApplyOne(t, op);
   // Stillborn nodes: created by U and already unreachable. They never
   // existed in any snapshot, so they are erased physically rather than

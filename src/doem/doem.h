@@ -82,6 +82,16 @@ class DoemDatabase {
   /// it as deleted.
   Status ApplyChangeSet(Timestamp t, const ChangeSet& ops);
 
+  /// Makes the current snapshot the new original, then applies the set U
+  /// at time t as ApplyChangeSet does, so the history keeps one step: the
+  /// QSS two-snapshot retention (paper Section 6.1). Ids of objects
+  /// deleted before the current snapshot may be created again; the id
+  /// floor stays. Transactional: U is checked against the current snapshot
+  /// before the old history is dropped, so on error the database is
+  /// unchanged. Costs O(annotations + deleted objects + |U|): after a
+  /// previous RebaseAndApply, O(previous step + |U|), not O(graph).
+  Status RebaseAndApply(Timestamp t, const ChangeSet& ops);
+
   /// Applies all steps of `h` in order.
   Status ApplyHistory(const OemHistory& h);
 
@@ -90,9 +100,9 @@ class DoemDatabase {
   /// The full annotated graph, including removed arcs and deleted nodes.
   const OemDatabase& graph() const { return graph_; }
   /// Raises the id allocators of graph() and the current snapshot to at
-  /// least `floor`, so ids burned by nodes a rebase dropped are not handed
-  /// out again. Recovery restores the position a checkpoint recorded with
-  /// it.
+  /// least `floor`, so ids of nodes RebaseAndApply dropped are not handed
+  /// out by NewNode again. Recovery restores the position a checkpoint
+  /// recorded with it.
   void ReserveIdsBelow(NodeId floor) {
     graph_.ReserveIdsBelow(floor);
     current_.ReserveIdsBelow(floor);
@@ -201,6 +211,9 @@ class DoemDatabase {
   std::vector<std::pair<Timestamp, NodeId>> ArcEvents(
       NodeId n, const std::string& label, Annotation::Kind kind) const;
 
+  /// ApplyChangeSet, after making the current snapshot the new original
+  /// if `rebase` (RebaseAndApply).
+  Status Apply(Timestamp t, const ChangeSet& ops, bool rebase);
   /// Records one op of a set current_ has accepted in graph_ and the
   /// annotations, at time t.
   void ApplyOne(Timestamp t, const ChangeOp& op);

@@ -267,9 +267,18 @@ class OemDatabase {
   /// with a value below `floor`. Used when merging databases.
   void ReserveIdsBelow(NodeId floor);
 
-  /// Lets the ids of erased nodes be created again with CreNode. NewNode
-  /// still never hands out an id below PeekNextId().
-  void ForgetErasedIds() { erased_.clear(); }
+  /// Lets the ids of erased nodes be created again with CreNode, and
+  /// returns them. NewNode still never hands out an id below PeekNextId().
+  std::unordered_set<NodeId> ForgetErasedIds() {
+    return std::exchange(erased_, {});
+  }
+  /// Burns `ids` again, as ForgetErasedIds returned them.
+  void RestoreErasedIds(std::unordered_set<NodeId> ids) { erased_.merge(ids); }
+
+  /// Deletes `dead` with their out-arcs and burns their ids. No arc from
+  /// a node outside `dead` may end in one: true of unreachable nodes, as
+  /// no arc from a reachable node ends in one. O(dead and their arcs).
+  void EraseUnreachable(const std::vector<NodeId>& dead);
 
   /// The next identifier NewNode would hand out.
   NodeId PeekNextId() const { return next_id_; }
@@ -351,9 +360,6 @@ class OemDatabase {
   /// only at the out-closure of the nodes it created and the children of
   /// the arcs it removed. Exact if every node was reachable before.
   std::vector<NodeId> CollectGarbageBelow(const std::vector<Undo>& log);
-  /// Deletes `dead` (sorted, unreachable) with their out-arcs and burns
-  /// their ids.
-  void EraseUnreachable(const std::vector<NodeId>& dead);
   /// The slots of the nodes reachable from the root, as a bit vector over
   /// the node table's slots; `*count` is how many bits are set. `*sound`
   /// says whether every node reached is complex or has no out-arcs and

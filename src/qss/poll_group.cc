@@ -456,42 +456,24 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
   Status failure = pending->failure;
   Status maintain;  // engine-cache maintenance outcome (see below)
   if (failure.ok()) {
-    // 4. DOEM manager: incorporate (t, U_k). The apply is all or
-    // nothing: under kFull it changes the group's database in place and
-    // rolls itself back on failure; under kTwoSnapshots the rebased
-    // database replaces the group's only on success. Either way a failed
-    // incorporation never costs history (kTwoSnapshots used to drop it
-    // before applying). On success, bring the group engine's caches
-    // along: patched in O(delta) under kFull, dropped under kTwoSnapshots
-    // (the rebase replaced the history wholesale, so a patch of the old
-    // encoding would describe the wrong database). A failed apply leaves
-    // both the history and the caches untouched and consistent.
+    // 4. DOEM manager: incorporate (t, U_k), all or nothing, in place.
+    // Under kTwoSnapshots the step first makes R_{k-1} the new original
+    // (DoemDatabase::RebaseAndApply). On success, bring the group
+    // engine's caches along: patched in O(delta) under kFull, dropped
+    // under kTwoSnapshots, whose step also dropped the previous step's
+    // annotations, which no patch expresses. A failed apply leaves both
+    // the history and the caches untouched and consistent.
     obs::TraceSpan apply_span(options_.observability.trace, "qss.apply", "qss",
                               t);
     int64_t apply_start = obs::NowNs();
-    if (options_.retention == HistoryRetention::kTwoSnapshots) {
-      // The rebase starts the history over at R_{k-1}: ids deleted
-      // before it go with the old history, so a keyed source may bring
-      // such an object back. The id floor stays. It copies the graph
-      // twice (the base here, and FromSnapshot's graph); the apply
-      // itself copies nothing.
-      OemDatabase base = group->doem.CurrentSnapshot();
-      base.ForgetErasedIds();
-      auto rebased = DoemDatabase::FromSnapshot(std::move(base));
-      if (rebased.ok()) {
-        failure = rebased->ApplyChangeSet(t, pending->delta);
-        if (failure.ok()) {
-          group->doem = std::move(rebased).value();
-          group->engine->Invalidate();
-        }
-      } else {
-        failure = rebased.status();
-      }
-    } else {
-      failure = group->doem.ApplyChangeSet(t, pending->delta);
-      if (failure.ok()) {
-        maintain = group->engine->ApplyDelta(t, pending->delta);
-      }
+    const bool two_snapshots =
+        options_.retention == HistoryRetention::kTwoSnapshots;
+    failure = two_snapshots ? group->doem.RebaseAndApply(t, pending->delta)
+                            : group->doem.ApplyChangeSet(t, pending->delta);
+    if (failure.ok() && two_snapshots) {
+      group->engine->Invalidate();
+    } else if (failure.ok()) {
+      maintain = group->engine->ApplyDelta(t, pending->delta);
     }
     int64_t apply_ns = obs::ElapsedNs(apply_start);
     report->apply_ns += apply_ns;

@@ -52,8 +52,8 @@ struct PollGroup {
   /// Persistent per-group Chorel engine: its encoding / index caches
   /// survive across polls and are patched with each poll's delta
   /// (QssOptions::Acceleration). References `doem`, whose address is
-  /// stable (groups are heap-allocated; the two-snapshot rebase
-  /// move-assigns in place).
+  /// stable (groups are heap-allocated, and every commit changes `doem`
+  /// in place).
   std::unique_ptr<chorel::ChorelEngine> engine;
   /// Per-group compiled-filter pool: subscribers sharing one filter text
   /// against this group's engine share one compiled query (and one

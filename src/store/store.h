@@ -88,10 +88,10 @@ class Store {
                 const DoemDatabase& current);
 
   /// Commits one time whose new state is *not* expressible as a delta on
-  /// the previous record — e.g. the QSS two-snapshot rebase, which
-  /// replaces the history wholesale each poll. Appends `t` to the
-  /// committed times and writes a checkpoint of `current` (the state
-  /// after the commit at `t`).
+  /// the previous record — e.g. the QSS two-snapshot step
+  /// (DoemDatabase::RebaseAndApply), which drops the previous step's
+  /// history each poll. Appends `t` to the committed times and writes a
+  /// checkpoint of `current` (the state after the commit at `t`).
   Status CommitCheckpoint(Timestamp t, const DoemDatabase& current);
 
   /// Durability point when options.sync_each_append is false.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "doem/doem.h"
+#include "encoding/doem_text.h"
 #include "encoding/encode.h"
 #include "encoding/encode_incremental.h"
 #include "oem/graph_compare.h"
@@ -682,23 +683,46 @@ void ExpectSameBookkeeping(const OemDatabase& db, const OemDatabase& want,
   EXPECT_EQ(BurnedIds(db), BurnedIds(want)) << where;
 }
 
-// Applies `ops` to a copy of `pre` and expects it to fail and leave the
-// copy exactly as `pre`; then applies `good` to the copy and expects the
-// same outcome as on an untouched copy of `pre`.
+// The two-snapshot step as a rebuild: a new database at a copy of the
+// current snapshot with its erased ids forgotten, then the set. The
+// reference for DoemDatabase::RebaseAndApply; `*d` changes only on
+// success.
+Status ReferenceRebase(DoemDatabase* d, Timestamp t, const ChangeSet& ops) {
+  OemDatabase base = d->CurrentSnapshot();
+  base.ForgetErasedIds();
+  auto rebased = DoemDatabase::FromSnapshot(std::move(base));
+  if (!rebased.ok()) return rebased.status();
+  DOEM_RETURN_IF_ERROR(rebased->ApplyChangeSet(t, ops));
+  *d = std::move(rebased).value();
+  return Status::OK();
+}
+
+// Applies `ops` to a copy of `pre` (by RebaseAndApply if `rebase`) and
+// expects it to fail and leave the copy exactly as `pre`; then applies
+// `good` to the copy and expects the same outcome as on an untouched copy
+// of `pre` (by ReferenceRebase if `rebase`).
 void ExpectRollback(const DoemDatabase& pre, Timestamp t,
                     const ChangeSet& ops, const ChangeSet& good,
-                    const std::string& where) {
+                    const std::string& where, bool rebase = false) {
+  auto apply = [&](DoemDatabase* db, const ChangeSet& set) {
+    return rebase ? db->RebaseAndApply(t, set) : db->ApplyChangeSet(t, set);
+  };
   DoemDatabase d = pre;
-  EXPECT_FALSE(d.ApplyChangeSet(t, ops).ok()) << where;
+  EXPECT_FALSE(apply(&d, ops).ok()) << where;
   EXPECT_TRUE(d.Equals(pre)) << where;
+  EXPECT_EQ(d.ToString(), pre.ToString()) << where;
   EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
             WriteOemText(pre.CurrentSnapshot()))
       << where;
   ExpectSameBookkeeping(d.CurrentSnapshot(), pre.CurrentSnapshot(), where);
 
   DoemDatabase fresh = pre;
-  ASSERT_TRUE(fresh.ApplyChangeSet(t, good).ok()) << where;
-  ASSERT_TRUE(d.ApplyChangeSet(t, good).ok()) << where;
+  ASSERT_TRUE((rebase ? ReferenceRebase(&fresh, t, good)
+                      : fresh.ApplyChangeSet(t, good))
+                  .ok())
+      << where;
+  ASSERT_TRUE(apply(&d, good).ok()) << where;
+  EXPECT_EQ(d.ToString(), fresh.ToString()) << where;
   EXPECT_TRUE(d.Equals(fresh)) << where;
   EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
             WriteOemText(fresh.CurrentSnapshot()))
@@ -725,30 +749,51 @@ TEST(DoemCurrentTest, FailedChangeSetLeavesDatabaseUnchanged) {
 
   size_t injected = 0;
   size_t on_deleted = 0;
+  size_t rebases_refused = 0;
+  size_t readmitted = 0;
   for (size_t i = 0; i < sets.steps.size(); ++i) {
     const DoemDatabase& pre = sets.pre[i];
     const HistoryStep& step = sets.steps[i];
     // A creNode above the id floor, which the failure must lower again.
     const ChangeOp above_floor = ChangeOp::CreNode(
         pre.CurrentSnapshot().PeekNextId() + 1000, Value::Int(1));
+    // The good set of a two-snapshot step also brings a deleted object's
+    // id back, which only that step allows.
+    ChangeSet readmit = step.changes;
+    for (NodeId n : pre.graph().NodeIds()) {
+      if (!pre.IsDeleted(n)) continue;
+      readmit.push_back(ChangeOp::CreNode(n, Value::Int(2)));
+      readmit.push_back(ChangeOp::AddArc(pre.root(), "back", n));
+      ++readmitted;
+      break;
+    }
     for (const ChangeOp& bad : FailingOps(pre, step.changes)) {
       if (bad.kind == ChangeOp::Kind::kAddArc) ++on_deleted;
       for (size_t at = 0; at <= step.changes.size(); ++at) {
         ChangeSet ops = step.changes;
         ops.insert(ops.begin() + at, bad);
-        const std::string where = bad.ToString() + " in " +
-                                  ChangeSetToString(ops);
-        ASSERT_NO_FATAL_FAILURE(
-            ExpectRollback(pre, step.time, ops, step.changes, where));
-        ops.push_back(above_floor);
-        ASSERT_NO_FATAL_FAILURE(ExpectRollback(
-            pre, step.time, ops, step.changes, where + " + creNode"));
-        injected += 2;
+        for (bool plus_cre : {false, true}) {
+          if (plus_cre) ops.push_back(above_floor);
+          const std::string where = bad.ToString() + " in " +
+                                    ChangeSetToString(ops) +
+                                    (plus_cre ? " + creNode" : "");
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectRollback(pre, step.time, ops, step.changes, where));
+          ++injected;
+          // A creNode of a deleted object's id is no fault in this step.
+          DoemDatabase probe = pre;
+          if (ReferenceRebase(&probe, step.time, ops).ok()) continue;
+          ASSERT_NO_FATAL_FAILURE(ExpectRollback(
+              pre, step.time, ops, readmit, where + " (rebase)", true));
+          ++rebases_refused;
+        }
       }
     }
   }
   EXPECT_GT(on_deleted, 0u) << "no set ran against a deleted node";
   EXPECT_GT(injected, 200u);
+  EXPECT_GT(rebases_refused, 200u);
+  EXPECT_GT(readmitted, 0u);
 
   // remArcs in the middle of the guide's wide `restaurant` bucket, then a
   // failing updNode of the guide, which still has subobjects.
@@ -765,6 +810,142 @@ TEST(DoemCurrentTest, FailedChangeSetLeavesDatabaseUnchanged) {
   ChangeSet ops = good;
   ops.push_back(ChangeOp::UpdNode(g, Value::Int(0)));
   ExpectRollback(pre, sets.steps.front().time, ops, good, "wide parent");
+  ExpectRollback(pre, sets.steps.front().time, ops, good,
+                 "wide parent (rebase)", true);
+}
+
+// ------------------------------------------- The two-snapshot step
+
+// After the same set, `d` (stepped by RebaseAndApply) and `ref` (by
+// ReferenceRebase) must compare, print, encode and check alike.
+void ExpectSameDatabase(const DoemDatabase& d, const DoemDatabase& ref,
+                        const std::string& where) {
+  EXPECT_TRUE(d.Equals(ref)) << where;
+  EXPECT_EQ(d.ToString(), ref.ToString()) << where;
+  EXPECT_EQ(WriteDoemText(d), WriteDoemText(ref)) << where;
+  EXPECT_TRUE(d.IsFeasible()) << where;
+  EXPECT_TRUE(ref.IsFeasible()) << where;
+  ExpectSameBookkeeping(d.CurrentSnapshot(), ref.CurrentSnapshot(), where);
+}
+
+// Steps both databases with (t, ops): both accept the set or both refuse
+// it, with the same error; a refused set leaves `d` as it was.
+void ExpectSameStep(DoemDatabase* d, DoemDatabase* ref, Timestamp t,
+                    const ChangeSet& ops, const std::string& where) {
+  const std::string before = d->ToString();
+  Status got = d->RebaseAndApply(t, ops);
+  Status want = ReferenceRebase(ref, t, ops);
+  ASSERT_EQ(got.ToString(), want.ToString()) << where;
+  if (!got.ok()) EXPECT_EQ(d->ToString(), before) << where;
+  ExpectSameDatabase(*d, *ref, where);
+}
+
+TEST(DoemRebaseTest, MatchesTheCopyingReference) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    testing::DatabaseOptions dopts;
+    dopts.seed = seed;
+    dopts.node_count = 30;
+    OemDatabase base = testing::RandomDatabase(dopts);
+    testing::HistoryOptions hopts;
+    hopts.seed = seed + 300;
+    hopts.steps = 10;
+    hopts.ops_per_step = 6;
+    OemHistory history = testing::RandomHistory(base, hopts);
+    auto d = DoemDatabase::FromSnapshot(base);
+    ASSERT_TRUE(d.ok());
+    DoemDatabase ref = *d;
+    for (size_t i = 0; i < history.steps().size(); ++i) {
+      const HistoryStep& step = history.steps()[i];
+      const std::string where =
+          "seed " + std::to_string(seed) + " @" + step.time.ToString();
+      // The first steps build a longer history, which the first
+      // two-snapshot step drops whole.
+      if (i < 3) {
+        ASSERT_TRUE(d->ApplyChangeSet(step.time, step.changes).ok()) << where;
+        ASSERT_TRUE(ref.ApplyChangeSet(step.time, step.changes).ok())
+            << where;
+        continue;
+      }
+      ChangeSet bad = step.changes;
+      bad.push_back(ChangeOp::RemArc(d->root(), "no-such-arc", d->root()));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameStep(&*d, &ref, step.time, bad, where + " (refused)"));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameStep(&*d, &ref, step.time, step.changes, where));
+    }
+  }
+}
+
+TEST(DoemRebaseTest, ChurnCycleMatchesTheCopyingReference) {
+  OemDatabase guide = testing::SyntheticGuide(20);
+  const OemHistory churn = testing::SyntheticGuideChurn(guide, 8, 3);
+  auto d = DoemDatabase::FromSnapshot(std::move(guide));
+  ASSERT_TRUE(d.ok());
+  DoemDatabase ref = *d;
+  for (int64_t lap = 0; lap < 3; ++lap) {
+    for (const HistoryStep& step : churn.steps()) {
+      const Timestamp t(step.time.ticks + lap * 8);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameStep(&*d, &ref, t, step.changes,
+                                             "@" + t.ToString()));
+    }
+  }
+}
+
+TEST(DoemRebaseTest, DeletedIdsComeBackAsTheReferenceHasIt) {
+  Guide g = BuildGuide();
+  const NodeId janta_name = g.db.Child(g.janta, "name");
+  auto d = DoemDatabase::FromSnapshot(g.db);
+  ASSERT_TRUE(d.ok());
+  DoemDatabase ref = *d;
+  const std::vector<std::pair<Timestamp, ChangeSet>> sets = {
+      // Janta is deleted, and keeps its arc to the live parking object;
+      // node 100 is stillborn.
+      {Timestamp(100),
+       {ChangeOp::RemArc(g.guide, "restaurant", g.janta),
+        ChangeOp::CreNode(100, Value::Int(1))}},
+      // Refused: Janta's address went with Janta.
+      {Timestamp(200),
+       {ChangeOp::CreNode(g.janta, Value::Complex()),
+        ChangeOp::AddArc(g.guide, "restaurant", g.janta),
+        ChangeOp::AddArc(g.janta, "address", g.janta_address)}},
+      // Janta and the stillborn id, deleted one step earlier, come back;
+      // the parking object is deleted, with its arc to live Bangkok.
+      {Timestamp(300),
+       {ChangeOp::CreNode(g.janta, Value::Complex()),
+        ChangeOp::AddArc(g.guide, "restaurant", g.janta),
+        ChangeOp::CreNode(100, Value::Int(2)),
+        ChangeOp::AddArc(g.janta, "x", 100),
+        ChangeOp::RemArc(g.bangkok, "parking", g.parking)}},
+      // Janta's name, deleted two steps earlier, comes back; Janta
+      // shares Bangkok's price.
+      {Timestamp(400),
+       {ChangeOp::CreNode(janta_name, Value::String("Janta")),
+        ChangeOp::AddArc(g.janta, "name", janta_name),
+        ChangeOp::AddArc(g.janta, "price", g.bangkok_price)}},
+      // The shared arc is removed, then added again.
+      {Timestamp(500), {ChangeOp::RemArc(g.janta, "price", g.bangkok_price)}},
+      {Timestamp(600), {ChangeOp::AddArc(g.janta, "price", g.bangkok_price)}},
+      // Refused: the parking object went one step before the last.
+      {Timestamp(700), {ChangeOp::AddArc(g.janta, "parking", g.parking)}},
+      {Timestamp(800),
+       {ChangeOp::CreNode(g.parking, Value::Complex()),
+        ChangeOp::AddArc(g.janta, "parking", g.parking)}}};
+  size_t refused = 0;
+  for (const auto& [t, ops] : sets) {
+    const std::string where = "@" + t.ToString();
+    DoemDatabase probe = ref;
+    refused += !ReferenceRebase(&probe, t, ops).ok();
+    ASSERT_NO_FATAL_FAILURE(ExpectSameStep(&*d, &ref, t, ops, where));
+    if (t == Timestamp(100)) {
+      EXPECT_TRUE(d->IsDeleted(g.janta));
+      EXPECT_FALSE(d->IsDeleted(g.parking));
+      EXPECT_FALSE(d->graph().HasNode(100)) << "stillborn";
+    }
+  }
+  EXPECT_EQ(refused, 2u);
+  EXPECT_EQ(d->CurrentValue(g.parking), Value::Complex());
+  EXPECT_TRUE(d->CreTime(g.parking) == Timestamp(800));
+  EXPECT_FALSE(d->CreTime(janta_name).has_value()) << "older steps are gone";
 }
 
 }  // namespace

@@ -79,6 +79,18 @@ TEST(OracleLatticeTest, PlanCoversEveryOptionValue) {
   EXPECT_GE(max_crossed, 3);
 }
 
+// The sweep holds two-snapshot scenarios whose keyed groups filter on a
+// price bound, so restaurants drop out and are admitted again.
+TEST(OracleLatticeTest, SweepDrawsReAdmittingGroups) {
+  int readmitting = 0;
+  for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
+    const Scenario s = DrawScenario(seed);
+    readmitting += s.retention == qss::HistoryRetention::kTwoSnapshots &&
+                   s.preserve_ids && !s.subs.front().where.empty();
+  }
+  EXPECT_GE(readmitting, 2);
+}
+
 // Every option off the reference at once — pool × caches × VM × index
 // seeding × crash and reopen × observability × wire — over faults and
 // churn.
