@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark capture driver (DESIGN.md §6c, §6e, §6f).
 #
-#   scripts/bench.sh [build-dir] [--allow-debug]    # default: build
-#   scripts/bench.sh [build-dir] [--only NAME]... [--out DIR]
-#                    [--repetitions N] [--build-only]
+#   scripts/bench.sh [build-dir] [--allow-debug] [--only NAME]...
+#   scripts/bench.sh build-dir --gate DIR [--only NAME]...
 #   scripts/bench.sh --list
 #
 # Runs the history-length sweeps — per-poll QSS filter cost and
@@ -39,14 +38,14 @@
 #                                  BM_OriginalSnapshot (E3: H(D), the
 #                                  feasibility check, O_0(D))
 #
-# --only NAME takes BENCH_NAME.json alone (repeatable); --out DIR writes
-# the captures to DIR instead of the repo root; --repetitions N runs
-# every row N times and records the aggregates; --build-only builds the
-# bench binaries and stops; --list prints the capture names. The build
-# tree may belong to another checkout: it is configured from this one
-# only if it has no CMakeCache.txt. `scripts/check.sh bench [REV]` is
-# the regression gate built on these options; the committed BENCH_*.json
-# files record what a change measured, not the gate's baseline.
+# The build tree defaults to build/. --only NAME takes BENCH_NAME.json
+# alone (repeatable); --list prints each capture's name and binary.
+# --gate DIR is the run `scripts/check.sh bench [REV]`, the regression
+# gate, makes on each side: it writes the captures to DIR instead of the
+# repo root, runs every row 3 times and records the aggregates, and
+# neither configures nor builds the tree, which the gate has built and
+# which may belong to another checkout. The committed BENCH_*.json files
+# record what a change measured, not the gate's baseline.
 #
 # The claims to check in the output: with incremental:1 the per-poll
 # counters stay flat as `history` grows; with incremental:0 they grow,
@@ -92,33 +91,29 @@ captures=(
 
 build="build"
 allow_debug=0
-build_only=0
-outdir="."
-repetitions=""
+gate_dir=""
 only=()
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --allow-debug) allow_debug=1 ;;
-    --build-only) build_only=1 ;;
     --list)
-      for c in "${captures[@]}"; do echo "${c%% *}"; done
+      for c in "${captures[@]}"; do
+        read -r name binary _ <<<"$c"
+        echo "$name $binary"
+      done
       exit 0
       ;;
-    --only | --out | --repetitions)
+    --only | --gate)
       if [ "$#" -lt 2 ]; then
         echo "error: $1 needs an argument" >&2
         exit 2
       fi
-      case "$1" in
-        --only) only+=("$2") ;;
-        --out) outdir="$2" ;;
-        --repetitions) repetitions="$2" ;;
-      esac
+      if [ "$1" = --only ]; then only+=("$2"); else gate_dir="$2"; fi
       shift
       ;;
     -*)
-      echo "usage: $0 [build-dir] [--allow-debug] [--only NAME]... [--out DIR]" \
-        "[--repetitions N] [--build-only] | --list" >&2
+      echo "usage: $0 [build-dir] [--allow-debug] [--gate DIR] [--only NAME]..." \
+        "| --list" >&2
       exit 2
       ;;
     *) build="$1" ;;
@@ -127,7 +122,7 @@ while [ "$#" -gt 0 ]; do
 done
 jobs=$(nproc 2>/dev/null || echo 2)
 
-[ -f "$build/CMakeCache.txt" ] || cmake -B "$build" -S . >/dev/null
+[ -n "$gate_dir" ] || cmake -B "$build" -S . >/dev/null
 
 # The authoritative build type is the configured cache, not what the
 # caller believes they configured.
@@ -153,13 +148,15 @@ EOF
     ;;
 esac
 
-targets=()
-for c in "${captures[@]}"; do
-  read -r _ binary _ <<<"$c"
-  targets+=("$binary")
-done
-cmake --build "$build" -j "$jobs" --target "${targets[@]}"
-[ "$build_only" -eq 1 ] && exit 0
+outdir="${gate_dir:-.}"
+if [ -z "$gate_dir" ]; then
+  targets=()
+  for c in "${captures[@]}"; do
+    read -r _ binary _ <<<"$c"
+    targets+=("$binary")
+  done
+  cmake --build "$build" -j "$jobs" --target "${targets[@]}"
+fi
 
 mkdir -p "$outdir"
 written=()
@@ -169,12 +166,12 @@ for c in "${captures[@]}"; do
     continue
   fi
   out="$outdir/BENCH_$name.json"
-  # The later of two repetition flags wins, so --repetitions overrides
-  # the table's.
+  # The later of two repetition flags wins, so the gate's 3 override the
+  # table's.
   # shellcheck disable=SC2086
   "$build/bench/$binary" $args \
-    ${repetitions:+--benchmark_repetitions=$repetitions} \
-    ${repetitions:+--benchmark_report_aggregates_only=true} \
+    ${gate_dir:+--benchmark_repetitions=3} \
+    ${gate_dir:+--benchmark_report_aggregates_only=true} \
     --benchmark_out="$out" --benchmark_out_format=json
   # Stamps the cache-derived build type into the capture's context block
   # so downstream consumers can reject or flag non-release data.

@@ -29,7 +29,11 @@
 #                               # with scripts/bench_compare.py; fails on
 #                               # any >15% slowdown and names the rows
 #                               # whose round-to-round spread exceeds 15%
-#                               # as noisy. Not part of `all` — timing
+#                               # as noisy. Both sides run this tree's
+#                               # capture table; a capture whose binary
+#                               # REV lacks is skipped and named, and
+#                               # rows on one side only are listed, not
+#                               # compared. Not part of `all` — timing
 #                               # needs a quiet machine.
 #
 # Each mode uses its own build tree (build/, build-werror/, build-tsan/,
@@ -95,13 +99,11 @@ coverage() {
 bench() {
   local rev="${1:-HEAD}"
   shift || true
-  local rounds=5 repetitions=3
+  local rounds=5
   if ! git rev-parse --verify --quiet "$rev^{commit}" >/dev/null; then
     echo "error: '$rev' does not name a commit" >&2
     exit 2
   fi
-  local names=("$@")
-  [ "${#names[@]}" -gt 0 ] || mapfile -t names < <(scripts/bench.sh --list)
   # A global, not a local: the EXIT trap runs after this function returns.
   bench_tmp=$(mktemp -d)
   trap 'rm -rf "$bench_tmp"' EXIT
@@ -109,17 +111,43 @@ bench() {
   mkdir -p "$base"
   git archive "$rev" | tar -x -C "$base"
 
+  # This tree's capture table names the binaries; REV runs those it has.
+  local name binary names=() targets=() known=()
+  while read -r name binary; do
+    known+=("$name")
+    if [ "$#" -gt 0 ] && [[ " $* " != *" $name "* ]]; then
+      continue
+    fi
+    if [ ! -f "$base/bench/$binary.cc" ]; then
+      echo "note: $rev has no $binary; BENCH_$name.json is not compared"
+      continue
+    fi
+    names+=("$name")
+    targets+=("$binary")
+  done < <(scripts/bench.sh --list)
+  for name in "$@"; do
+    if [[ " ${known[*]} " != *" $name "* ]]; then
+      echo "error: no capture named $name (see scripts/bench.sh --list)" >&2
+      exit 2
+    fi
+  done
+  if [ "${#names[@]}" -eq 0 ]; then
+    echo "error: $rev has none of the captures' binaries" >&2
+    exit 2
+  fi
+
   echo "== building $rev and this tree =="
-  cmake -B "$base/build-bench" -S "$base" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  scripts/bench.sh "$base/build-bench" --build-only
-  scripts/bench.sh build-bench --build-only
+  local dir
+  for dir in "$base" .; do
+    cmake -B "$dir/build-bench" -S "$dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build "$dir/build-bench" -j "$jobs" --target "${targets[@]}"
+  done
 
   # The two sides of a binary run back to back, in turn, each round in a
   # fresh process: drift of the box falls on both alike, and so does the
   # spread between processes, which repetitions inside one process do
   # not sample.
-  local name round side dir order failed=0
+  local round side order failed=0
   for name in "${names[@]}"; do
     for round in $(seq "$rounds"); do
       echo "== $name, round $round of $rounds =="
@@ -129,8 +157,7 @@ bench() {
       for side in "${order[@]}"; do
         dir=build-bench
         [ "$side" = rev ] && dir="$base/build-bench"
-        scripts/bench.sh "$dir" --only "$name" --repetitions "$repetitions" \
-          --out "$bench_tmp/$side/$round"
+        scripts/bench.sh "$dir" --gate "$bench_tmp/$side/$round" --only "$name"
       done
     done
     echo

@@ -319,9 +319,6 @@ Scenario DrawScenario(uint32_t seed) {
   // Filter windows have their own generator, so they leave every other
   // draw, and with it every seed pinned in oracle_test, unchanged.
   std::mt19937 windows(seed ^ 0x5eed5eedu);
-  // So do price bounds: under kTwoSnapshots a bound makes a keyed group
-  // drop restaurants and admit them again when their price comes back.
-  std::mt19937 bounds(seed ^ 0xb0b0b0b0u);
   Scenario s;
   s.seed = seed;
   s.source = one_in(3) ? Scenario::Source::kGuideChurn
@@ -395,7 +392,12 @@ Scenario DrawScenario(uint32_t seed) {
     }
   }
   s.ops.push_back({Kind::kAdvance, 1 + static_cast<int64_t>(rng() % 3), 0});
+  return s;
+}
 
+Scenario DrawSweepScenario(uint32_t seed) {
+  Scenario s = DrawScenario(seed);
+  std::mt19937 bounds(seed ^ 0xb0b0b0b0u);
   if (s.retention == qss::HistoryRetention::kTwoSnapshots && bounds() % 2) {
     const std::string where =
         "guide.restaurant.price < " + std::to_string(15 + bounds() % 20);

@@ -119,6 +119,13 @@ std::vector<std::string> SortedRows(const lorel::QueryResult& result);
 /// subscribe/unsubscribe churn.
 Scenario DrawScenario(uint32_t seed);
 
+/// DrawScenario(seed), and for half the kTwoSnapshots scenarios (by a
+/// generator of its own) a price bound on every subscription, so keyed
+/// groups drop restaurants and admit them again when their price comes
+/// back. The sweep draws these; the tests that pin a seed draw
+/// DrawScenario's, which the bound would change.
+Scenario DrawSweepScenario(uint32_t seed);
+
 /// Cre, Upd and Rem filters over the whole guide, polled every tick for
 /// `polls` ticks.
 Scenario FilterScenario(size_t restaurants, size_t polls);

@@ -45,7 +45,7 @@ std::vector<Config> LatticePoints(uint32_t seed) {
 class OracleLatticeTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(OracleLatticeTest, EveryLatticePointMatchesTheReference) {
-  const Scenario s = DrawScenario(GetParam());
+  const Scenario s = DrawSweepScenario(GetParam());
   std::map<std::string, Output> refs;
   for (const Config& c : LatticePoints(GetParam())) {
     const Config r = ReferenceFor(s, c);
@@ -84,7 +84,7 @@ TEST(OracleLatticeTest, PlanCoversEveryOptionValue) {
 TEST(OracleLatticeTest, SweepDrawsReAdmittingGroups) {
   int readmitting = 0;
   for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
-    const Scenario s = DrawScenario(seed);
+    const Scenario s = DrawSweepScenario(seed);
     readmitting += s.retention == qss::HistoryRetention::kTwoSnapshots &&
                    s.preserve_ids && !s.subs.front().where.empty();
   }
