@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "doem/annotation_index.h"
 #include "qss/qss.h"
 #include "testing/generators.h"
 
@@ -52,7 +51,7 @@ void RunAndMeasure(benchmark::State& state, qss::QssOptions opts,
       if (d == nullptr || !seen.insert(d).second) continue;
       nodes += static_cast<double>(d->graph().node_count());
       arcs += static_cast<double>(d->graph().arc_count());
-      annots += static_cast<double>(AnnotationIndex(*d).entry_count());
+      annots += static_cast<double>(d->annotation_index().entry_count());
     }
     state.ResumeTiming();
   }

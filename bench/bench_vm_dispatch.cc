@@ -38,7 +38,7 @@ void BM_VmPathLength(benchmark::State& state) {
   size_t depth = static_cast<size_t>(state.range(0));
   bool vm = state.range(1) != 0;
   const bench::Workload& w = bench::GuideWorkload(200, 6, 4);
-  chorel::DoemView view(w.doem, nullptr);
+  chorel::DoemView view(w.doem);
   auto nq = lorel::ParseAndNormalize(kQueries[depth - 1]);
   assert(nq.ok());
   vm::Program program;

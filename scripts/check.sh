@@ -35,6 +35,10 @@
 #                               # rows on one side only are listed, not
 #                               # compared. Not part of `all` — timing
 #                               # needs a quiet machine.
+#   scripts/check.sh loc        # line counts of the committed src/,
+#                               # tests/, and bench/ + qssbench/ files,
+#                               # counted as ROADMAP counts them
+#                               # (`git ls-files <dir> | xargs cat | wc -l`)
 #
 # Each mode uses its own build tree (build/, build-werror/, build-tsan/,
 # build-asan/, build-coverage/), all ignored by git.
@@ -171,6 +175,15 @@ bench() {
   return "$failed"
 }
 
+loc() {
+  local dir
+  for dir in src tests; do
+    printf '%-18s %s\n' "$dir/" "$(git ls-files "$dir" | xargs cat | wc -l)"
+  done
+  printf '%-18s %s\n' "bench/ + qssbench/" \
+    "$(git ls-files bench qssbench | xargs cat | wc -l)"
+}
+
 mode="${1:-tier1}"
 case "$mode" in
   tier1) tier1 ;;
@@ -180,8 +193,9 @@ case "$mode" in
   coverage) coverage ;;
   all) tier1 && werror && tsan && asan ;;
   bench) shift; bench "$@" ;;
+  loc) loc ;;
   *)
-    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|bench [REV] [NAME...]]" >&2
+    echo "usage: $0 [tier1|tsan|asan|werror|coverage|all|loc|bench [REV] [NAME...]]" >&2
     exit 2
     ;;
 esac

@@ -45,14 +45,12 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
   obs::MetricsRegistry* m = options_.metrics;
   if (m == nullptr) return;
   ins_.cache_patches = m->GetCounter(
-      "chorel.cache_patches", "ApplyDelta calls that patched the caches");
+      "chorel.cache_patches", "ApplyDelta calls that patched the encoding");
   ins_.cache_invalidations = m->GetCounter(
       "chorel.cache_invalidations",
-      "cache drops (Invalidate, non-incremental ApplyDelta, patch errors)");
+      "encoding drops (Invalidate, non-incremental ApplyDelta, patch errors)");
   ins_.encoding_rebuilds = m->GetCounter(
       "chorel.encoding_rebuilds", "from-scratch Section 5.1 encodings");
-  ins_.index_rebuilds = m->GetCounter("chorel.index_rebuilds",
-                                      "from-scratch annotation index builds");
   ins_.verify_failures = m->GetCounter(
       "chorel.verify_failures",
       "verify_incremental cross-checks that found divergence");
@@ -67,8 +65,6 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
   ins_.encoder_aux_allocations =
       m->GetGauge("encoding.aux_allocations",
                   "auxiliary encoding nodes allocated by patching");
-  ins_.index_applied_ops = m->GetGauge(
-      "index.applied_ops", "postings appended by annotation-index Apply");
   ins_.vm_compiles =
       m->GetCounter("vm.compiles", "queries compiled to bytecode");
   ins_.vm_compile_fallbacks = m->GetCounter(
@@ -91,32 +87,28 @@ ChorelEngine::ChorelEngine(const DoemDatabase& d, ChorelEngineOptions options)
       "chorel.index_postings_add", "add postings in the annotation index");
   ins_.index_postings_rem = m->GetGauge(
       "chorel.index_postings_rem", "rem postings in the annotation index");
+  PublishCacheStats();
 }
 
 void ChorelEngine::Invalidate() {
-  if (encoder_.has_value() || index_.has_value()) {
-    obs::Count(ins_.cache_invalidations);
-  }
+  if (encoder_.has_value()) obs::Count(ins_.cache_invalidations);
   encoder_.reset();
-  index_.reset();
+  PublishCacheStats();
 }
 
 void ChorelEngine::PublishCacheStats() {
-  if (encoder_.has_value() && ins_.encoder_patch_ops != nullptr) {
+  if (options_.metrics == nullptr) return;
+  if (encoder_.has_value()) {
     ins_.encoder_patch_ops->Set(
         static_cast<int64_t>(encoder_->stats().patch_ops));
     ins_.encoder_aux_allocations->Set(
         static_cast<int64_t>(encoder_->stats().aux_allocations));
   }
-  if (index_.has_value() && ins_.index_applied_ops != nullptr) {
-    ins_.index_applied_ops->Set(static_cast<int64_t>(index_->applied_ops()));
-  }
-  if (index_.has_value() && ins_.index_postings_cre != nullptr) {
-    ins_.index_postings_cre->Set(static_cast<int64_t>(index_->cre_count()));
-    ins_.index_postings_upd->Set(static_cast<int64_t>(index_->upd_count()));
-    ins_.index_postings_add->Set(static_cast<int64_t>(index_->add_count()));
-    ins_.index_postings_rem->Set(static_cast<int64_t>(index_->rem_count()));
-  }
+  const AnnotationIndex& index = doem_.annotation_index();
+  ins_.index_postings_cre->Set(static_cast<int64_t>(index.cre_count()));
+  ins_.index_postings_upd->Set(static_cast<int64_t>(index.upd_count()));
+  ins_.index_postings_add->Set(static_cast<int64_t>(index.add_count()));
+  ins_.index_postings_rem->Set(static_cast<int64_t>(index.rem_count()));
 }
 
 Result<const OemDatabase*> ChorelEngine::Encoding() {
@@ -127,16 +119,6 @@ Result<const OemDatabase*> ChorelEngine::Encoding() {
     obs::Count(ins_.encoding_rebuilds);
   }
   return &encoder_->encoding();
-}
-
-const AnnotationIndex* ChorelEngine::IndexForRun() {
-  if (!options_.seed_from_index) return nullptr;
-  if (!index_.has_value()) {
-    index_.emplace(doem_);
-    obs::Count(ins_.index_rebuilds);
-    PublishCacheStats();
-  }
-  return &*index_;
 }
 
 Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
@@ -188,7 +170,7 @@ Result<lorel::QueryResult> ChorelEngine::Eval(const lorel::NormQuery& nq,
 Result<lorel::QueryResult> ChorelEngine::RunCompiled(
     CompiledQuery* q, Strategy strategy, const lorel::EvalOptions& opts) {
   if (strategy == Strategy::kDirect) {
-    DoemView view(doem_, IndexForRun());
+    DoemView view(doem_, options_.seed_from_index);
     return Eval(q->normalized, &q->vm_direct, view, opts);
   }
   if (!q->translated.has_value()) {
@@ -218,23 +200,13 @@ Status ChorelEngine::ApplyDelta(Timestamp t, const ChangeSet& ops) {
     Invalidate();
     return Status::OK();
   }
-  bool patched = false;
-  if (encoder_.has_value()) {
+  const bool patched = encoder_.has_value();
+  if (patched) {
     Status s = encoder_->ApplyDelta(doem_, t, ops);
     if (!s.ok()) {
-      // Both caches go: the index has not seen this delta either.
       Invalidate();
       return s;
     }
-    patched = true;
-  }
-  if (index_.has_value()) {
-    Status s = index_->Apply(doem_, t, ops);
-    if (!s.ok()) {
-      Invalidate();
-      return s;
-    }
-    patched = true;
   }
   if (options_.verify_incremental) {
     Status s = VerifyCaches();
@@ -244,10 +216,8 @@ Status ChorelEngine::ApplyDelta(Timestamp t, const ChangeSet& ops) {
       return s;
     }
   }
-  if (patched) {
-    obs::Count(ins_.cache_patches);
-    PublishCacheStats();
-  }
+  if (patched) obs::Count(ins_.cache_patches);
+  PublishCacheStats();
   return Status::OK();
 }
 
@@ -265,10 +235,10 @@ Status ChorelEngine::VerifyCaches() const {
           "the DOEM database");
     }
   }
-  if (index_.has_value() && !(AnnotationIndex(doem_) == *index_)) {
+  if (!(AnnotationIndex(doem_) == doem_.annotation_index())) {
     return Status::Internal(
-        "verify_incremental: maintained annotation index diverges from a "
-        "fresh build");
+        "verify_incremental: the database's annotation index diverges from "
+        "a fresh build");
   }
   return Status::OK();
 }

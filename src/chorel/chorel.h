@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "chorel/doem_view.h"
-#include "doem/annotation_index.h"
 #include "doem/doem.h"
 #include "encoding/encode_incremental.h"
 #include "lorel/lorel.h"
@@ -77,20 +76,22 @@ class CompiledQueryPool {
 };
 
 struct ChorelEngineOptions {
-  /// Maintain the cached OEM encoding and annotation index incrementally
-  /// via ApplyDelta — O(delta) per change set. When false (the ablation
-  /// baseline), ApplyDelta merely invalidates and the next run rebuilds
-  /// from scratch.
+  /// Maintain the cached OEM encoding incrementally via ApplyDelta —
+  /// O(delta) per change set. When false (the ablation baseline),
+  /// ApplyDelta merely invalidates and the next translated run re-encodes
+  /// from scratch. The annotation index is the database's own and is
+  /// always current.
   bool incremental = true;
-  /// Attach the annotation index to direct-strategy evaluation so the
-  /// bytecode VM enumerates candidates of time-bounded annotation
-  /// expressions from index postings (DESIGN.md §6c). Speed only: rows,
-  /// their order and errors are the same either way. The tree walker
-  /// never seeds.
+  /// Let direct-strategy evaluation read the database's annotation index
+  /// (DoemDatabase::annotation_index), so the bytecode VM enumerates
+  /// candidates of time-bounded annotation expressions from its postings
+  /// (DESIGN.md §6c). Speed only: rows, their order and errors are the
+  /// same either way. The tree walker never seeds.
   bool seed_from_index = false;
   /// Debug cross-check: after every ApplyDelta, decode the patched
-  /// encoding back to a DOEM database and rebuild the index from scratch,
-  /// failing if either diverges. Slow; for tests.
+  /// encoding back to a DOEM database and build the annotation index from
+  /// scratch, failing if either diverges from the database. Slow; for
+  /// tests.
   bool verify_incremental = false;
   /// Evaluate queries on the bytecode VM (DESIGN.md §6f) when they
   /// compile, falling back to the tree-walking evaluator for uncovered
@@ -104,7 +105,8 @@ struct ChorelEngineOptions {
   /// Optional metrics sink (not owned; must outlive the engine). The
   /// engine counts cache patches vs. rebuilds, verify cross-check
   /// failures, and translation cache hits/misses, and mirrors the
-  /// encoder/index maintenance tallies as gauges (DESIGN.md §6d).
+  /// encoder tallies and the database's posting sizes as gauges
+  /// (DESIGN.md §6d).
   /// Purely observational: rows and caches are identical without it.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -134,26 +136,23 @@ class ChorelEngine {
   Result<lorel::QueryResult> RunCompiled(CompiledQuery* q, Strategy strategy,
                                          const lorel::EvalOptions& opts = {});
 
-  /// Patches the cached encoding and annotation index with one change set
-  /// that was just applied to the database (call after ApplyChangeSet).
-  /// With options.incremental false — or on a patch error — the caches
-  /// are dropped instead and the next run rebuilds them, so correctness
-  /// never depends on this call succeeding.
+  /// Patches the cached encoding with one change set that was just
+  /// applied to the database (call after ApplyChangeSet). With
+  /// options.incremental false — or on a patch error — the encoding is
+  /// dropped instead and the next translated run rebuilds it, so
+  /// correctness never depends on this call succeeding.
   Status ApplyDelta(Timestamp t, const ChangeSet& ops);
 
-  /// Drops all cached derived state (encoding and annotation index).
-  /// Required when the database changed other than by one appended change
-  /// set: e.g. DoemDatabase::RebaseAndApply, the QSS two-snapshot step,
-  /// which also drops the previous step's history.
+  /// Drops the cached encoding. Required when the database changed other
+  /// than by one appended change set: e.g. DoemDatabase::RebaseAndApply,
+  /// the QSS two-snapshot step, which also drops the previous step's
+  /// history.
   void Invalidate();
 
   /// The cached encoding (encodes now if needed). Exposed for benchmarks.
   Result<const OemDatabase*> Encoding();
 
  private:
-  /// The annotation index to attach to direct evaluation (builds it on
-  /// first use), or null when seeding is disabled.
-  const AnnotationIndex* IndexForRun();
   /// Evaluates `nq` on the bytecode VM when enabled and compilable,
   /// otherwise (or on any VM error) on the tree walker.
   Result<lorel::QueryResult> Eval(const lorel::NormQuery& nq,
@@ -161,14 +160,13 @@ class ChorelEngine {
                                   const lorel::GraphView& view,
                                   const lorel::EvalOptions& opts);
   Status VerifyCaches() const;
-  /// Mirrors the encoder/index maintenance tallies into the metrics
-  /// gauges after a successful patch.
+  /// Mirrors the encoder tallies and the database's posting sizes into
+  /// the metrics gauges.
   void PublishCacheStats();
 
   const DoemDatabase& doem_;
   ChorelEngineOptions options_;
   std::optional<IncrementalEncoder> encoder_;
-  std::optional<AnnotationIndex> index_;
 
   /// Instrument handles resolved once at construction (null without a
   /// registry — updates are guarded).
@@ -176,13 +174,11 @@ class ChorelEngine {
     obs::Counter* cache_patches = nullptr;
     obs::Counter* cache_invalidations = nullptr;
     obs::Counter* encoding_rebuilds = nullptr;
-    obs::Counter* index_rebuilds = nullptr;
     obs::Counter* verify_failures = nullptr;
     obs::Counter* translation_hits = nullptr;
     obs::Counter* translation_misses = nullptr;
     obs::Gauge* encoder_patch_ops = nullptr;
     obs::Gauge* encoder_aux_allocations = nullptr;
-    obs::Gauge* index_applied_ops = nullptr;
     // Bytecode VM (DESIGN.md §6f).
     obs::Counter* vm_compiles = nullptr;
     obs::Counter* vm_compile_fallbacks = nullptr;

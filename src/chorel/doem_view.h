@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "doem/annotation_index.h"
 #include "doem/doem.h"
 #include "lorel/view.h"
 
@@ -21,17 +20,16 @@ namespace chorel {
 /// annotations to Chorel annotation expressions, and virtual <at T>
 /// annotations time-travel via the snapshot rules of Section 3.2.
 ///
-/// When an AnnotationIndex is attached, the seeding hooks answer from its
-/// postings, letting the bytecode VM enumerate candidates for time-bounded
-/// annotation expressions in O(postings in range) instead of scanning
-/// every child (DESIGN.md §6c). They order their answer by the graph's
-/// arc sequence numbers, which is scan order. The index must have been
-/// built from (and kept current with) the same database.
+/// With `seed` set, the seeding hooks answer from the database's own
+/// annotation index (DoemDatabase::annotation_index), letting the bytecode
+/// VM enumerate candidates for time-bounded annotation expressions in
+/// O(postings in range) instead of scanning every child (DESIGN.md §6c).
+/// They order their answer by the graph's arc sequence numbers, which is
+/// scan order.
 class DoemView : public lorel::GraphView {
  public:
-  explicit DoemView(const DoemDatabase& d,
-                    const AnnotationIndex* index = nullptr)
-      : d_(d), index_(index) {}
+  explicit DoemView(const DoemDatabase& d, bool seed = false)
+      : d_(d), seed_(seed) {}
 
   NodeId root() const override { return d_.root(); }
   bool HasNode(NodeId n) const override { return d_.graph().HasNode(n); }
@@ -91,9 +89,10 @@ class DoemView : public lorel::GraphView {
   std::optional<std::vector<NodeId>> AnnotatedChildren(
       NodeId p, const std::string& label, AnnotStat kind, Timestamp from,
       Timestamp to, size_t* postings) const override {
-    if (index_ == nullptr) return std::nullopt;
-    auto entries = kind == AnnotStat::kCre ? index_->CreatedIn(from, to)
-                                           : index_->UpdatedIn(from, to);
+    if (!seed_) return std::nullopt;
+    const AnnotationIndex& index = d_.annotation_index();
+    auto entries = kind == AnnotStat::kCre ? index.CreatedIn(from, to)
+                                           : index.UpdatedIn(from, to);
     *postings += entries.size();
     // (arc sequence number, child): ascending sequence is Children order.
     std::vector<std::pair<uint64_t, NodeId>> hits;
@@ -115,9 +114,10 @@ class DoemView : public lorel::GraphView {
   std::optional<std::vector<std::pair<Timestamp, NodeId>>> AnnotatedArcs(
       NodeId p, const std::string* label, AnnotStat kind, Timestamp from,
       Timestamp to, size_t* postings) const override {
-    if (index_ == nullptr) return std::nullopt;
-    auto entries = kind == AnnotStat::kAdd ? index_->AddedIn(from, to)
-                                           : index_->RemovedIn(from, to);
+    if (!seed_) return std::nullopt;
+    const AnnotationIndex& index = d_.annotation_index();
+    auto entries = kind == AnnotStat::kAdd ? index.AddedIn(from, to)
+                                           : index.RemovedIn(from, to);
     *postings += entries.size();
     // (arc sequence number, time, child): ascending sequence is the arc
     // order of AddAnnotated and AddAnnotatedAny, then time within an arc.
@@ -173,7 +173,7 @@ class DoemView : public lorel::GraphView {
   }
 
   const DoemDatabase& d_;
-  const AnnotationIndex* index_;
+  const bool seed_;
 };
 
 }  // namespace chorel

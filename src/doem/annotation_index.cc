@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "doem/doem.h"
+
 namespace doem {
 
 namespace {
 
-// Canonical posting orders: total, so a fresh build and an incremental
-// Apply produce identical vectors regardless of discovery order.
+// Canonical posting orders: total, so a fresh build and the DOEM's
+// maintained postings are identical vectors whatever the discovery order.
 bool NodeEntryLess(const AnnotationIndex::NodeEntry& x,
                    const AnnotationIndex::NodeEntry& y) {
   if (x.time != y.time) return x.time < y.time;
@@ -28,84 +30,32 @@ AnnotationIndex::AnnotationIndex(const DoemDatabase& d) {
   const OemDatabase& g = d.graph();
   for (NodeId n : g.NodeIds()) {
     for (const Annotation& a : d.NodeAnnotations(n)) {
-      if (a.kind == Annotation::Kind::kCre) {
-        cre_.push_back(NodeEntry{a.time, n});
-      } else if (a.kind == Annotation::Kind::kUpd) {
-        upd_.push_back(NodeEntry{a.time, n});
-      }
+      AddNode(a.kind, a.time, n);
     }
   }
   for (const Arc& arc : g.AllArcs()) {
     for (const Annotation& a :
          d.ArcAnnotations(arc.parent, arc.label, arc.child)) {
-      if (a.kind == Annotation::Kind::kAdd) {
-        add_.push_back(ArcEntry{a.time, arc});
-      } else if (a.kind == Annotation::Kind::kRem) {
-        rem_.push_back(ArcEntry{a.time, arc});
-      }
+      AddArc(a.kind, a.time, arc);
     }
   }
-  std::sort(cre_.begin(), cre_.end(), NodeEntryLess);
-  std::sort(upd_.begin(), upd_.end(), NodeEntryLess);
-  std::sort(add_.begin(), add_.end(), ArcEntryLess);
-  std::sort(rem_.begin(), rem_.end(), ArcEntryLess);
+  SortFrom({});
 }
 
-Status AnnotationIndex::Apply(const DoemDatabase& d, Timestamp t,
-                              const ChangeSet& ops) {
-  auto last_time = [](const auto& postings) {
-    return postings.empty() ? Timestamp::NegativeInfinity()
-                            : postings.back().time;
+void AnnotationIndex::SortFrom(const Mark& from) {
+  auto sort_tail = [](auto& postings, size_t start, auto less) {
+    std::sort(postings.begin() + static_cast<ptrdiff_t>(start),
+              postings.end(), less);
   };
-  Timestamp newest = std::max({last_time(cre_), last_time(upd_),
-                               last_time(add_), last_time(rem_)});
-  if (t <= newest) {
-    return Status::InvalidChange(
-        "AnnotationIndex::Apply: timestamp " + t.ToString() +
-        " not after newest indexed timestamp " + newest.ToString());
-  }
-  std::vector<NodeEntry> cre_batch, upd_batch;
-  std::vector<ArcEntry> add_batch, rem_batch;
-  const OemDatabase& g = d.graph();
-  for (const ChangeOp& op : ops) {
-    switch (op.kind) {
-      case ChangeOp::Kind::kCreNode:
-        // Skip stillborn nodes: pruned physically, never indexed.
-        if (g.HasNode(op.node)) cre_batch.push_back({t, op.node});
-        break;
-      case ChangeOp::Kind::kUpdNode:
-        if (g.HasNode(op.node)) upd_batch.push_back({t, op.node});
-        break;
-      case ChangeOp::Kind::kAddArc:
-        if (g.HasArc(op.arc.parent, op.arc.label, op.arc.child)) {
-          add_batch.push_back({t, op.arc});
-        }
-        break;
-      case ChangeOp::Kind::kRemArc:
-        if (g.HasArc(op.arc.parent, op.arc.label, op.arc.child)) {
-          rem_batch.push_back({t, op.arc});
-        }
-        break;
-    }
-  }
-  // All batch entries share timestamp t > everything indexed, so sorting
-  // each batch and appending preserves global canonical order.
-  std::sort(cre_batch.begin(), cre_batch.end(), NodeEntryLess);
-  std::sort(upd_batch.begin(), upd_batch.end(), NodeEntryLess);
-  std::sort(add_batch.begin(), add_batch.end(), ArcEntryLess);
-  std::sort(rem_batch.begin(), rem_batch.end(), ArcEntryLess);
-  cre_.insert(cre_.end(), cre_batch.begin(), cre_batch.end());
-  upd_.insert(upd_.end(), upd_batch.begin(), upd_batch.end());
-  add_.insert(add_.end(), add_batch.begin(), add_batch.end());
-  rem_.insert(rem_.end(), rem_batch.begin(), rem_batch.end());
-  applied_ops_ += cre_batch.size() + upd_batch.size() + add_batch.size() +
-                  rem_batch.size();
-  return Status::OK();
+  sort_tail(cre_, from.cre, NodeEntryLess);
+  sort_tail(upd_, from.upd, NodeEntryLess);
+  sort_tail(add_, from.add, ArcEntryLess);
+  sort_tail(rem_, from.rem, ArcEntryLess);
 }
 
 template <typename Entry>
-std::vector<Entry> AnnotationIndex::Range(const std::vector<Entry>& postings,
-                                          Timestamp from, Timestamp to) {
+std::span<const Entry> AnnotationIndex::Range(
+    const std::vector<Entry>& postings, Timestamp from, Timestamp to) {
   auto lo = std::lower_bound(
       postings.begin(), postings.end(), from,
       [](const Entry& e, Timestamp t) { return e.time < t; });
@@ -113,25 +63,25 @@ std::vector<Entry> AnnotationIndex::Range(const std::vector<Entry>& postings,
       postings.begin(), postings.end(), to,
       [](Timestamp t, const Entry& e) { return t < e.time; });
   if (lo >= hi) return {};  // empty or inverted range
-  return std::vector<Entry>(lo, hi);
+  return {lo, hi};
 }
 
-std::vector<AnnotationIndex::NodeEntry> AnnotationIndex::CreatedIn(
+std::span<const AnnotationIndex::NodeEntry> AnnotationIndex::CreatedIn(
     Timestamp from, Timestamp to) const {
   return Range(cre_, from, to);
 }
 
-std::vector<AnnotationIndex::NodeEntry> AnnotationIndex::UpdatedIn(
+std::span<const AnnotationIndex::NodeEntry> AnnotationIndex::UpdatedIn(
     Timestamp from, Timestamp to) const {
   return Range(upd_, from, to);
 }
 
-std::vector<AnnotationIndex::ArcEntry> AnnotationIndex::AddedIn(
+std::span<const AnnotationIndex::ArcEntry> AnnotationIndex::AddedIn(
     Timestamp from, Timestamp to) const {
   return Range(add_, from, to);
 }
 
-std::vector<AnnotationIndex::ArcEntry> AnnotationIndex::RemovedIn(
+std::span<const AnnotationIndex::ArcEntry> AnnotationIndex::RemovedIn(
     Timestamp from, Timestamp to) const {
   return Range(rem_, from, to);
 }

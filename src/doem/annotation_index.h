@@ -1,11 +1,17 @@
 #ifndef DOEM_DOEM_ANNOTATION_INDEX_H_
 #define DOEM_DOEM_ANNOTATION_INDEX_H_
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
-#include "doem/doem.h"
+#include "doem/annotation.h"
+#include "oem/oem.h"
+#include "oem/timestamp.h"
 
 namespace doem {
+
+class DoemDatabase;
 
 /// An index over the annotations of a DOEM database, keyed by annotation
 /// kind and timestamp — the paper's Section 7 future-work item
@@ -18,13 +24,13 @@ namespace doem {
 /// the QSS shape — "changes since the last poll" — are exactly such range
 /// probes; bench_annotation_index quantifies the gain.
 ///
-/// The index is a companion structure: build it from a DoemDatabase in
-/// one pass, then keep it current with Apply(...) after each change set
-/// (valid because change-set timestamps are strictly increasing, so new
-/// annotations always append at the time-sorted tail). Postings are kept
-/// in canonical order — (time, node) for node entries, (time, parent,
-/// label, child) for arc entries — so a fresh build and an incrementally
-/// maintained index are bit-for-bit identical.
+/// Every DoemDatabase keeps its own index exact
+/// (DoemDatabase::annotation_index): each accepted change set appends its
+/// postings, which land at the time-sorted tail because change-set
+/// timestamps strictly increase. Postings are kept in canonical order —
+/// (time, node) for node entries, (time, parent, label, child) for arc
+/// entries — so the maintained index and a from-scratch build are
+/// bit-for-bit identical.
 class AnnotationIndex {
  public:
   struct NodeEntry {
@@ -40,26 +46,19 @@ class AnnotationIndex {
     bool operator==(const ArcEntry&) const = default;
   };
 
-  /// Builds the index in one pass over the database.
+  AnnotationIndex() = default;
+  /// Builds the index from scratch, in one pass over every node and arc
+  /// of `d`: the reference the maintained index is checked against.
   explicit AnnotationIndex(const DoemDatabase& d);
 
-  /// Incrementally appends the postings of one change set that was just
-  /// applied to `d` at time `t` (i.e. call `d.ApplyChangeSet(t, ops)`
-  /// first, then `index.Apply(d, t, ops)`). Ops whose node/arc is no
-  /// longer physically present in `d` — stillborn nodes the apply erased
-  /// and their incident arcs — are skipped, exactly as a fresh build over
-  /// `d` would never see them. `t` must exceed every
-  /// timestamp already indexed.
-  Status Apply(const DoemDatabase& d, Timestamp t, const ChangeSet& ops);
-
-  /// Nodes with a cre annotation in [from, to], time-ascending.
-  std::vector<NodeEntry> CreatedIn(Timestamp from, Timestamp to) const;
-  /// Nodes with an upd annotation in [from, to]; a node appears once per
-  /// matching update.
-  std::vector<NodeEntry> UpdatedIn(Timestamp from, Timestamp to) const;
-  /// Arcs with an add / rem annotation in [from, to].
-  std::vector<ArcEntry> AddedIn(Timestamp from, Timestamp to) const;
-  std::vector<ArcEntry> RemovedIn(Timestamp from, Timestamp to) const;
+  /// The postings in [from, to], time-ascending; views into the index,
+  /// valid until its database next changes. Nodes with a cre annotation:
+  std::span<const NodeEntry> CreatedIn(Timestamp from, Timestamp to) const;
+  /// Nodes with an upd annotation; a node appears once per update.
+  std::span<const NodeEntry> UpdatedIn(Timestamp from, Timestamp to) const;
+  /// Arcs with an add / rem annotation.
+  std::span<const ArcEntry> AddedIn(Timestamp from, Timestamp to) const;
+  std::span<const ArcEntry> RemovedIn(Timestamp from, Timestamp to) const;
 
   size_t entry_count() const {
     return cre_.size() + upd_.size() + add_.size() + rem_.size();
@@ -72,28 +71,36 @@ class AnnotationIndex {
   size_t add_count() const { return add_.size(); }
   size_t rem_count() const { return rem_.size(); }
 
-  /// Postings appended by Apply since construction (stillborn-pruned ops
-  /// excluded) — the incremental maintenance work done, for the
-  /// observability layer (DESIGN.md §6d). A fresh build starts at 0.
-  size_t applied_ops() const { return applied_ops_; }
-
-  /// Exact posting equality — with canonical ordering this holds between
-  /// a fresh build and an incrementally maintained index. Maintenance
-  /// tallies (applied_ops) are bookkeeping, not index content, and are
-  /// deliberately excluded.
-  bool operator==(const AnnotationIndex& o) const {
-    return cre_ == o.cre_ && upd_ == o.upd_ && add_ == o.add_ &&
-           rem_ == o.rem_;
-  }
+  bool operator==(const AnnotationIndex&) const = default;
 
  private:
+  friend class DoemDatabase;
+
+  /// Posting-list sizes, marking where a batch of appends starts.
+  struct Mark {
+    size_t cre = 0, upd = 0, add = 0, rem = 0;
+  };
+  Mark End() const {
+    return {cre_.size(), upd_.size(), add_.size(), rem_.size()};
+  }
+  /// Appends the posting of a `kind` annotation at t on node n / on arc;
+  /// SortFrom then puts the batch in canonical order.
+  void AddNode(Annotation::Kind kind, Timestamp t, NodeId n) {
+    (kind == Annotation::Kind::kCre ? cre_ : upd_).push_back({t, n});
+  }
+  void AddArc(Annotation::Kind kind, Timestamp t, const Arc& arc) {
+    (kind == Annotation::Kind::kAdd ? add_ : rem_).push_back({t, arc});
+  }
+  /// Sorts the postings appended since `from` into canonical order. They
+  /// must all be later than the postings before `from`.
+  void SortFrom(const Mark& from);
+
   template <typename Entry>
-  static std::vector<Entry> Range(const std::vector<Entry>& postings,
-                                  Timestamp from, Timestamp to);
+  static std::span<const Entry> Range(const std::vector<Entry>& postings,
+                                      Timestamp from, Timestamp to);
 
   std::vector<NodeEntry> cre_, upd_;
   std::vector<ArcEntry> add_, rem_;
-  size_t applied_ops_ = 0;
 };
 
 /// The scan-based equivalents, for correctness tests and the ablation

@@ -103,6 +103,13 @@ Result<DoemDatabase> DoemDatabase::FromParts(
     }
   }
   d.last_time_ = last;
+  for (const auto& [n, annots] : d.node_annots_) {
+    for (const Annotation& a : annots) d.index_.AddNode(a.kind, a.time, n);
+  }
+  for (const auto& [arc, annots] : d.arc_annots_) {
+    for (const Annotation& a : annots) d.index_.AddArc(a.kind, a.time, arc);
+  }
+  d.index_.SortFrom({});
   // The current snapshot is the graph minus its removed arcs and the
   // objects they left unreachable; it keeps the graph's arc order and
   // burned ids, and burns the deleted ones.
@@ -181,6 +188,7 @@ Status DoemDatabase::Apply(Timestamp t, const ChangeSet& ops, bool rebase) {
     // New tables: clear() would sweep every bucket the largest step grew.
     node_annots_ = decltype(node_annots_)();
     arc_annots_ = decltype(arc_annots_)();
+    index_ = AnnotationIndex();
   }
   for (const ChangeOp& op : CanonicalOrder(ops)) ApplyOne(t, op);
   // Stillborn nodes: created by U and already unreachable. They never
@@ -188,19 +196,38 @@ Status DoemDatabase::Apply(Timestamp t, const ChangeSet& ops, bool rebase) {
   // kept as history (keeping them would make the Section 5.1 encoding
   // unreachable from its root), together with their incident arcs, which
   // only U can have added. Every other node in `gone` stays in graph_ as
-  // deleted.
+  // deleted. The annotations U leaves get their postings, appended in
+  // canonical order.
   std::unordered_set<NodeId> stillborn;
   for (NodeId n : gone) {
     if (CreTime(n) == t) stillborn.insert(n);
   }
+  const AnnotationIndex::Mark mark = index_.End();
   for (const ChangeOp& op : ops) {
     const Arc& a = op.arc;
-    if (op.kind == ChangeOp::Kind::kAddArc &&
-        (stillborn.contains(a.parent) || stillborn.contains(a.child))) {
-      graph_.RemArc(a.parent, a.label, a.child);
-      arc_annots_.erase(a);
+    switch (op.kind) {
+      case ChangeOp::Kind::kCreNode:
+        if (!stillborn.contains(op.node)) {
+          index_.AddNode(Annotation::Kind::kCre, t, op.node);
+        }
+        break;
+      case ChangeOp::Kind::kUpdNode:
+        index_.AddNode(Annotation::Kind::kUpd, t, op.node);
+        break;
+      case ChangeOp::Kind::kAddArc:
+        if (!stillborn.contains(a.parent) && !stillborn.contains(a.child)) {
+          index_.AddArc(Annotation::Kind::kAdd, t, a);
+        } else {
+          graph_.RemArc(a.parent, a.label, a.child);
+          arc_annots_.erase(a);
+        }
+        break;
+      case ChangeOp::Kind::kRemArc:
+        index_.AddArc(Annotation::Kind::kRem, t, a);
+        break;
     }
   }
+  index_.SortFrom(mark);
   for (NodeId n : stillborn) {
     node_annots_.erase(n);
     graph_.EraseNodeForce(n);

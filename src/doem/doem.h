@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "doem/annotation.h"
+#include "doem/annotation_index.h"
 #include "oem/change.h"
 #include "oem/history.h"
 #include "oem/oem.h"
@@ -114,6 +115,12 @@ class DoemDatabase {
   /// fA(p,l,c): annotations on the arc (time-ordered). Empty if none.
   const AnnotationList& ArcAnnotations(NodeId p, const std::string& l,
                                        NodeId c) const;
+
+  /// The time-sorted postings of every annotation (paper Section 7),
+  /// kept exact by each change set: an accepted set appends its postings,
+  /// a refused one leaves them untouched, RebaseAndApply drops the old
+  /// step's. Equals a from-scratch AnnotationIndex(*this).
+  const AnnotationIndex& annotation_index() const { return index_; }
 
   // ---- Liveness & time travel ------------------------------------------
 
@@ -221,6 +228,7 @@ class DoemDatabase {
   OemDatabase graph_;
   std::unordered_map<NodeId, AnnotationList> node_annots_;
   ArcMap<AnnotationList> arc_annots_;
+  AnnotationIndex index_;
   // The current snapshot: graph_'s live part, with graph_'s ids, burned
   // ids and live-arc order.
   OemDatabase current_;

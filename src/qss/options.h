@@ -43,21 +43,23 @@ struct QssOptions {
 
   /// Query acceleration (DESIGN.md §6c, §6f).
   struct Acceleration {
-    /// Maintain each group's Chorel engine caches (the Section 5.1 OEM
-    /// encoding and the annotation index) incrementally with each poll's
-    /// delta — O(delta) per poll instead of a from-scratch rebuild over
-    /// the whole accumulated history. false = ablation baseline. Either
-    /// setting yields byte-identical histories, rows, and notifications.
+    /// Maintain each group's cached Section 5.1 OEM encoding
+    /// incrementally with each poll's delta — O(delta) per poll instead of
+    /// a from-scratch rebuild over the whole accumulated history. false =
+    /// ablation baseline. The annotation index is the DOEM's own and
+    /// current either way. Either setting yields byte-identical
+    /// histories, rows, and notifications.
     bool incremental_filter = true;
     /// Seed direct-strategy annotation expressions whose time variables
     /// are range-bounded by the where clause (the QSS shape: T > t[-1])
-    /// from the annotation index, instead of scanning every child per
-    /// step. Applies to filters that run on the VM (vm_filter). Rows,
+    /// from the DOEM's annotation index, instead of scanning every child
+    /// per step. Applies to filters that run on the VM (vm_filter). Rows,
     /// their order and notifications are identical either way.
     bool seed_filter_from_index = true;
     /// Debug cross-check: after every poll, verify the incrementally
-    /// maintained caches against from-scratch rebuilds; divergence
-    /// surfaces as a filter PollError. Slow — for tests.
+    /// maintained encoding and annotation index against from-scratch
+    /// rebuilds; divergence surfaces as a filter PollError. Slow — for
+    /// tests.
     bool verify_incremental_filter = false;
     /// Run filter queries on the bytecode VM (DESIGN.md §6f) when they
     /// compile, with tree-walker fallback. Byte-identical histories,
@@ -119,7 +121,7 @@ struct QssOptions {
     /// Optional metrics sink (not owned; must outlive the service).
     /// Feeds the qss.*, qss.group.*, and qss.server.* families and is
     /// handed to each group's Chorel engine for the
-    /// chorel.*/encoding.*/index.* families. Purely observational:
+    /// chorel.*/encoding.* families. Purely observational:
     /// histories, rows, and notifications are byte-identical with or
     /// without it.
     obs::MetricsRegistry* metrics = nullptr;

@@ -458,11 +458,12 @@ void PollGroupManager::CommitPoll(PreparedPoll* pending, PollReport* report) {
   if (failure.ok()) {
     // 4. DOEM manager: incorporate (t, U_k), all or nothing, in place.
     // Under kTwoSnapshots the step first makes R_{k-1} the new original
-    // (DoemDatabase::RebaseAndApply). On success, bring the group
-    // engine's caches along: patched in O(delta) under kFull, dropped
-    // under kTwoSnapshots, whose step also dropped the previous step's
-    // annotations, which no patch expresses. A failed apply leaves both
-    // the history and the caches untouched and consistent.
+    // (DoemDatabase::RebaseAndApply). The DOEM keeps its annotation
+    // index current itself. On success, bring the group engine's encoding
+    // along: patched in O(delta) under kFull, dropped under
+    // kTwoSnapshots, whose step also dropped the previous step's
+    // annotations, which no patch expresses. A failed apply leaves the
+    // history, the index and the encoding untouched and consistent.
     obs::TraceSpan apply_span(options_.observability.trace, "qss.apply", "qss",
                               t);
     int64_t apply_start = obs::NowNs();

@@ -49,8 +49,8 @@ struct PollGroup {
   /// group is skipped by scheduling and erased at the end of the tick.
   bool retired = false;
   PollHealth health;
-  /// Persistent per-group Chorel engine: its encoding / index caches
-  /// survive across polls and are patched with each poll's delta
+  /// Persistent per-group Chorel engine: its cached encoding survives
+  /// across polls and are patched with each poll's delta
   /// (QssOptions::Acceleration). References `doem`, whose address is
   /// stable (groups are heap-allocated, and every commit changes `doem`
   /// in place).

@@ -172,6 +172,11 @@ Status Store::Append(Timestamp t, const ChangeSet& ops,
       // failed. The store is now broken (sticky), but this commit
       // stands — report it as such.
       if (append_failures_) append_failures_->Increment();
+      DOEM_LOG_EVENT(options_.events, obs::EventType::kStoreError,
+                     obs::EventSeverity::kError, t, options_.name,
+                     "periodic checkpoint failed (store now broken; the "
+                     "delta stands): " +
+                         ckpt.ToString());
       return ckpt;
     }
   }

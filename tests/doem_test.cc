@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "doem/annotation_index.h"
 #include "doem/doem.h"
 #include "encoding/doem_text.h"
 #include "encoding/encode.h"
@@ -342,6 +343,8 @@ TEST(DoemTest, StillbornCreatedNodeIsPruned) {
   EXPECT_FALSE(d.graph().HasNode(50));
   EXPECT_FALSE(d.graph().HasNode(51));
   EXPECT_TRUE(d.IsFeasible());
+  EXPECT_TRUE(d.annotation_index() == AnnotationIndex(d));
+  EXPECT_EQ(d.annotation_index().entry_count(), 8u) << "only Example 3.1's";
   // The ids stay burned: re-creating them later is still an error.
   EXPECT_FALSE(d.ApplyChangeSet(Timestamp::FromDate(1997, 3, 1),
                                 {ChangeOp::CreNode(50, Value::Int(2)),
@@ -349,12 +352,56 @@ TEST(DoemTest, StillbornCreatedNodeIsPruned) {
                    .ok());
 }
 
+// ------------------------------------------------ The annotation index
+
+// Step by step, the postings ApplyChangeSet maintains equal a fresh
+// build: canonical ordering makes the two bit-for-bit identical.
+void ExpectPostingsTrackFreshBuild(const OemDatabase& base,
+                                   const OemHistory& history) {
+  auto d = DoemDatabase::FromSnapshot(base);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->annotation_index().entry_count(), 0u);
+  for (const HistoryStep& step : history.steps()) {
+    ASSERT_TRUE(d->ApplyChangeSet(step.time, step.changes).ok());
+    EXPECT_TRUE(d->annotation_index() == AnnotationIndex(*d))
+        << "postings diverge at t=" << step.time.ticks;
+  }
+}
+
+TEST(DoemPostingsTest, TrackFreshBuildOnGuideHistories) {
+  OemDatabase guide = testing::SyntheticGuide(12);
+  ExpectPostingsTrackFreshBuild(guide,
+                                testing::SyntheticGuideHistory(guide, 10, 4));
+  ExpectPostingsTrackFreshBuild(guide,
+                                testing::SyntheticGuideChurn(guide, 10, 4));
+  // Example 3.1, whose last step is not the stillborn one below.
+  DoemDatabase d = GuideDoem();
+  EXPECT_TRUE(d.annotation_index() == AnnotationIndex(d));
+  EXPECT_EQ(d.annotation_index().entry_count(), 8u);
+}
+
+TEST(DoemPostingsTest, TrackFreshBuildOnRandomHistories) {
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    testing::DatabaseOptions dbo;
+    dbo.seed = seed;
+    dbo.node_count = 60;
+    OemDatabase base = testing::RandomDatabase(dbo);
+    testing::HistoryOptions ho;
+    ho.seed = seed + 900;
+    ho.steps = 10;
+    ExpectPostingsTrackFreshBuild(base, testing::RandomHistory(base, ho));
+  }
+}
+
 // ---------------------------------------------------------- Error paths
 
 TEST(DoemTest, RejectsNonIncreasingTimestamps) {
   DoemDatabase d = GuideDoem();
-  EXPECT_FALSE(d.ApplyChangeSet(GuideT3(), {}).ok());
-  EXPECT_FALSE(d.ApplyChangeSet(GuideT1(), {}).ok());
+  const AnnotationIndex postings = d.annotation_index();
+  const ChangeSet ops = {ChangeOp::UpdNode(1, Value::Int(30))};
+  EXPECT_FALSE(d.ApplyChangeSet(GuideT3(), ops).ok());
+  EXPECT_FALSE(d.ApplyChangeSet(GuideT1(), ops).ok());
+  EXPECT_TRUE(d.annotation_index() == postings);
   EXPECT_TRUE(d.ApplyChangeSet(Timestamp(GuideT3().ticks + 1), {}).ok());
 }
 
@@ -549,6 +596,8 @@ TEST(DoemCurrentTest, MatchesTheReachabilityReference) {
       ExpectCurrentMatchesReference(*d, where);
       for (const DoemDatabase& copy : RoundTrips(*d, *patched)) {
         EXPECT_TRUE(copy.Equals(*d)) << where;
+        EXPECT_TRUE(copy.annotation_index() == d->annotation_index())
+            << where;
         EXPECT_EQ(WriteOemText(copy.CurrentSnapshot()),
                   WriteOemText(d->CurrentSnapshot()))
             << where;
@@ -710,6 +759,7 @@ void ExpectRollback(const DoemDatabase& pre, Timestamp t,
   DoemDatabase d = pre;
   EXPECT_FALSE(apply(&d, ops).ok()) << where;
   EXPECT_TRUE(d.Equals(pre)) << where;
+  EXPECT_TRUE(d.annotation_index() == pre.annotation_index()) << where;
   EXPECT_EQ(d.ToString(), pre.ToString()) << where;
   EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
             WriteOemText(pre.CurrentSnapshot()))
@@ -724,6 +774,8 @@ void ExpectRollback(const DoemDatabase& pre, Timestamp t,
   ASSERT_TRUE(apply(&d, good).ok()) << where;
   EXPECT_EQ(d.ToString(), fresh.ToString()) << where;
   EXPECT_TRUE(d.Equals(fresh)) << where;
+  EXPECT_TRUE(d.annotation_index() == AnnotationIndex(d)) << where;
+  EXPECT_TRUE(d.annotation_index() == fresh.annotation_index()) << where;
   EXPECT_EQ(WriteOemText(d.CurrentSnapshot()),
             WriteOemText(fresh.CurrentSnapshot()))
       << where;
@@ -817,10 +869,13 @@ TEST(DoemCurrentTest, FailedChangeSetLeavesDatabaseUnchanged) {
 // ------------------------------------------- The two-snapshot step
 
 // After the same set, `d` (stepped by RebaseAndApply) and `ref` (by
-// ReferenceRebase) must compare, print, encode and check alike.
+// ReferenceRebase) must compare, print, encode and check alike, and keep
+// the postings a fresh index build has.
 void ExpectSameDatabase(const DoemDatabase& d, const DoemDatabase& ref,
                         const std::string& where) {
   EXPECT_TRUE(d.Equals(ref)) << where;
+  EXPECT_TRUE(d.annotation_index() == AnnotationIndex(d)) << where;
+  EXPECT_TRUE(ref.annotation_index() == AnnotationIndex(ref)) << where;
   EXPECT_EQ(d.ToString(), ref.ToString()) << where;
   EXPECT_EQ(WriteDoemText(d), WriteDoemText(ref)) << where;
   EXPECT_TRUE(d.IsFeasible()) << where;
@@ -833,10 +888,14 @@ void ExpectSameDatabase(const DoemDatabase& d, const DoemDatabase& ref,
 void ExpectSameStep(DoemDatabase* d, DoemDatabase* ref, Timestamp t,
                     const ChangeSet& ops, const std::string& where) {
   const std::string before = d->ToString();
+  const AnnotationIndex postings = d->annotation_index();
   Status got = d->RebaseAndApply(t, ops);
   Status want = ReferenceRebase(ref, t, ops);
   ASSERT_EQ(got.ToString(), want.ToString()) << where;
-  if (!got.ok()) EXPECT_EQ(d->ToString(), before) << where;
+  if (!got.ok()) {
+    EXPECT_EQ(d->ToString(), before) << where;
+    EXPECT_TRUE(d->annotation_index() == postings) << where;
+  }
   ExpectSameDatabase(*d, *ref, where);
 }
 

@@ -85,9 +85,10 @@ TEST(MetricsDocTest, CommittedDocMatchesTheRegistry) {
   // Guard the guard: if a layer stops registering, the doc comparison
   // would "pass" while silently documenting less. Each family must be
   // present before the doc is worth comparing.
-  std::vector<std::string> families = {"qss.",   "qss.group.", "qss.notify.",
-                                       "qss.server.", "chorel.", "encoding.",
-                                       "index.", "vm.",         "store."};
+  std::vector<std::string> families = {"qss.",        "qss.group.",
+                                       "qss.notify.", "qss.server.",
+                                       "chorel.",     "encoding.",
+                                       "vm.",         "store."};
   std::vector<obs::MetricsRegistry::MetricInfo> described =
       metrics.Describe();
   for (const std::string& family : families) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "oem/graph_compare.h"
 #include "oem/history.h"
 #include "oem/history_text.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "store/crc32.h"
 #include "store/fault_file.h"
@@ -469,6 +471,74 @@ TEST(StoreTest, WriteFailureIsStickyAndReopenRepairs) {
   EXPECT_TRUE((*reopened)->has_state());
   EXPECT_TRUE((*reopened)->Append(Timestamp(50), {}, live).ok());
 }
+
+#ifndef DOEM_EVENTLOG_DISABLED
+// Every write that breaks the store logs one kStoreError event, and a
+// truncating Open logs its warning.
+TEST(StoreTest, EveryWriteFailureLogsAStoreError) {
+  const DoemDatabase live = SampleDb(0);
+  const Timestamp t(10);
+  struct Case {
+    const char* name;
+    size_t interval;
+    // Fails the write under test by crashing the file `offset` bytes
+    // after the committed Start, or during Start itself.
+    bool fail_start;
+    uint64_t offset;
+    std::function<Status(Store*)> write;
+  };
+  const uint64_t delta = EncodeRecord(RecordType::kDelta,
+                                      EncodeDeltaPayload(t, {}))
+                             .size();
+  const std::vector<Case> cases = {
+      {"initial checkpoint", 64, true, 5, nullptr},
+      {"delta append failed", 64, false, 5,
+       [&](Store* s) { return s->Append(t, {}, live); }},
+      {"periodic checkpoint failed", 1, false, delta + 5,
+       [&](Store* s) { return s->Append(t, {}, live); }},
+      {"checkpoint commit failed", 64, false, 5,
+       [&](Store* s) { return s->CommitCheckpoint(t, live); }}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemoryFile inner;
+    FaultInjectingFile f(&inner);
+    obs::EventLog events;
+    StoreOptions opts = TestOptions(c.interval);
+    opts.events = &events;
+    opts.name = "group";
+    auto s = Store::Open(&f, opts);
+    ASSERT_TRUE(s.ok());
+    if (c.fail_start) {
+      f.CrashAtOffset((*s)->size() + c.offset);
+      EXPECT_FALSE((*s)->Start(live).ok());
+    } else {
+      ASSERT_TRUE((*s)->Start(live).ok());
+      f.CrashAtOffset((*s)->size() + c.offset);
+      EXPECT_FALSE(c.write(s->get()).ok());
+    }
+    std::vector<obs::Event> logged = events.Snapshot();
+    ASSERT_EQ(logged.size(), 1u);
+    EXPECT_EQ(logged[0].type, obs::EventType::kStoreError);
+    EXPECT_EQ(logged[0].severity, obs::EventSeverity::kError);
+    EXPECT_EQ(logged[0].subject, "group");
+    EXPECT_NE(logged[0].detail.find(c.name), std::string::npos)
+        << logged[0].detail;
+
+    // Reopening the torn file truncates the tail and warns.
+    obs::EventLog reopen_events;
+    opts.events = &reopen_events;
+    auto reopened = Store::Open(&inner, opts);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE((*reopened)->recovery().truncated);
+    logged = reopen_events.Snapshot();
+    ASSERT_EQ(logged.size(), 1u);
+    EXPECT_EQ(logged[0].type, obs::EventType::kStoreError);
+    EXPECT_EQ(logged[0].severity, obs::EventSeverity::kWarning);
+    EXPECT_NE(logged[0].detail.find("discarded torn"), std::string::npos)
+        << logged[0].detail;
+  }
+}
+#endif  // DOEM_EVENTLOG_DISABLED
 
 TEST(StoreTest, MetricsAreRecorded) {
   obs::MetricsRegistry metrics;

@@ -211,7 +211,7 @@ TEST(VmCostModelTest, ReorderedRunIsByteIdenticalToWalker) {
   ASSERT_TRUE(nq.ok());
   auto p = vm::Compile(*nq);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
-  chorel::DoemView view(*d, nullptr);
+  chorel::DoemView view(*d);
   auto got = vm::Run(*p, view, {});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   auto want = lorel::Evaluate(*nq, view);
